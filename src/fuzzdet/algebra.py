@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, LatticeMismatch
+from .errors import DimensionMismatch, InvalidCap, LatticeMismatch
 from .lattice import Lattice, Value
 
 
@@ -248,13 +248,20 @@ class SemiringClosure:
         return len(self.values) if self.closed else None
 
 
+def require_cap(cap: int, what: str) -> None:
+    """Raise InvalidCap unless cap is an int of at least 1; a bool is no int here."""
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise InvalidCap(f"{what} must be a positive integer, got {cap!r}")
+
+
 def semiring_closure(lattice: Lattice, seed, cap: int) -> SemiringClosure:
     """Close seed (plus bottom and top) under join and tmul, up to cap values.
 
     Deterministic worklist saturation: values are combined in insertion
     order, seeds sorted first. Stops the moment the working set holds more
-    than cap distinct values.
+    than cap distinct values; cap must be at least 1.
     """
+    require_cap(cap, "value cap")
     if isinstance(seed, ValueSet):
         if seed.lattice != lattice:
             raise LatticeMismatch(

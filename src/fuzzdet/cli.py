@@ -87,7 +87,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _check_psi_applies(psi_path: str | None, methods: list[str]) -> None:
+    if psi_path is not None and "psi" not in methods:
+        raise FuzzdetError("--psi applies only to --method psi")
+
+
 def cmd_det(args) -> int:
+    _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
     closure = _closure_line(a)
     print(f"semiring: {closure}")
@@ -132,6 +138,7 @@ def cmd_equiv(args) -> int:
         methods = methods * 2
     if len(methods) != 2 or any(m not in METHODS for m in methods):
         raise FuzzdetError(f"--method takes one or two of {', '.join(METHODS)}")
+    _check_psi_applies(args.psi, methods)
     outcomes = []
     for a, m in zip((a1, a2), methods):
         outcome = _determinize(a, m, args.max_states, args.psi)
@@ -150,6 +157,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_semiring(args) -> int:
+    if args.cap < 1:
+        raise FuzzdetError(f"--cap must be at least 1, got {args.cap}")
     a = _load(args.file)
     print(_closure_line(a, args.cap))
     return EXIT_OK

@@ -12,13 +12,20 @@ Constructions:
   reverse_nerode   states tau_u, children delta_x ∘ tau_u
   d_automaton      reverse Nerode first, then the inclusion-degree vectors
                    d_u; this one is minimal among equivalent cdfa
-  brzozowski       reverse Nerode applied twice through an embedding
+  brzozowski       reverse Nerode applied twice; the second reversal runs
+                   over the first one's crisp table
   psi_d_automaton  d_automaton generalized by a reflexive, left invariant
                    fuzzy relation psi gluing the reverse tree
 
 The d vectors are meets of implications: d_eps(a) = meet_mu mu(a) -> (sigma ∘ mu)
 over the reverse Nerode states mu, and d_{ux}(a) = meet_mu mu(a) -> (d_u ∘ mu_x)
-where mu_x is the glued x-child of mu in the reverse tree.
+where mu_x is the glued x-child of mu in the reverse tree (d_epsilon, d_step).
+
+The last three share one forward phase, an index gather over the reverse
+table: with v_s a word of reverse state s, w_u[s] = d_u ∘ mu_s = L(u v_s), so
+w_eps is the reverse terminal column, w_{ux}[s] = w_u[edge(s, x)] and
+L(u) = w_u[0]. Words glue exactly when their d vectors do, and d_u is the
+implication meet of the mu_s against w_u, recovered once per state.
 """
 
 from __future__ import annotations
@@ -34,16 +41,15 @@ from .algebra import (
     SemiringClosure,
     ValueSet,
     dot,
-    identity_matrix,
     mat_compose,
     mat_vec,
+    require_cap,
     semiring_closure,
     vec_mat,
 )
-from .automata import Cdfa, FuzzyAutomaton, StateLabel, Word, cdfa_as_fuzzy_automaton
+from .automata import Cdfa, FuzzyAutomaton, StateLabel, Word
 from .errors import (
     DimensionMismatch,
-    InvalidCap,
     LatticeMismatch,
     PsiNotLeftInvariant,
     PsiNotReflexive,
@@ -164,11 +170,6 @@ class TransitionTree:
         )
 
 
-def _require_cap(cap: int) -> None:
-    if not isinstance(cap, int) or cap < 1:
-        raise InvalidCap(f"state cap must be a positive integer, got {cap!r}")
-
-
 def _grow(lattice: Lattice,
           alphabet: tuple[str, ...],
           root: FuzzyVector,
@@ -229,7 +230,7 @@ def nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     Need not terminate for every automaton; the cap turns divergence into a
     CapExceeded outcome.
     """
-    _require_cap(cap)
+    require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
     tree = _grow(a.lattice, a.alphabet, a.sigma,
@@ -257,13 +258,13 @@ def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
     tau_eps is tau itself and tau_{xu} = delta_x ∘ tau_u, so words grow on
     the left while the tree grows downward.
     """
-    _require_cap(cap)
+    require_cap(cap, "state cap")
     return _reverse_nerode_tree(a, cap, BuildStats())
 
 
 def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Determinize through right derivative vectors, terminal sigma ∘ tau_u."""
-    _require_cap(cap)
+    require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
     tree = _reverse_nerode_tree(a, cap, stats)
@@ -344,30 +345,46 @@ def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
     return _implication_meet(a.lattice, a.n, rn_tree.state_vectors, scalars)
 
 
+def _forward(a: FuzzyAutomaton, rn: Union[TransitionTree, CapExceeded],
+             cap: int, stats: BuildStats, t0: float, d_labels: bool) -> DetOutcome:
+    """The index gather over a finished reverse tree rn, as a cdfa.
+
+    w_eps is rn's terminal column, w_{ux}[s] = w_u[edge(s, x)] and the
+    terminal degree is w_u[0]; words grow on the right. States are labelled
+    by w, or with d_labels by the d vector recovered from w.
+    """
+    tree = rn
+    if not isinstance(rn, CapExceeded):
+        lat = rn.lattice
+        column = {x: [row[i] for row in rn.state_edges]
+                  for i, x in enumerate(rn.alphabet)}
+        tree = _grow(lat, rn.alphabet, FuzzyVector(lat, tuple(rn.state_terminals)),
+                     lambda w, x: FuzzyVector(lat, tuple([w.entries[t] for t in column[x]])),
+                     lambda w: w.entries[0],
+                     cap, False, stats)
+    if isinstance(tree, CapExceeded):
+        stats.elapsed = time.perf_counter() - t0
+        return DetOutcome(tree, stats)
+    if d_labels:  # the tree is ours alone: relabel its states before to_cdfa
+        tree.state_vectors = [
+            _implication_meet(a.lattice, a.n, rn.state_vectors, w.entries)
+            for w in tree.state_vectors]
+    stats.elapsed = time.perf_counter() - t0
+    return DetOutcome(tree.to_cdfa(), stats)
+
+
 def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Minimal cdfa for the language via inclusion-degree vectors.
 
-    Phase one grows the reverse Nerode tree; phase two grows a forward tree
-    from d_eps using d_step, with terminal degree d_u ∘ tau. Each phase
-    respects the cap on its own state count. Terminates whenever the
-    reverse construction does.
+    Phase one grows the reverse Nerode tree; phase two gathers over its
+    table, and each state is labelled by its d vector: d_eps at the root,
+    d_step(d_u, x) on the x-successor of d_u. Each phase respects the cap
+    on its own state count. Terminates whenever the reverse phase does.
     """
-    _require_cap(cap)
+    require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
-    rn = _reverse_nerode_tree(a, cap, stats)
-    if isinstance(rn, CapExceeded):
-        stats.elapsed = time.perf_counter() - t0
-        return DetOutcome(rn, stats)
-    root = d_epsilon(a, rn.state_vectors)
-    tree = _grow(a.lattice, a.alphabet, root,
-                 lambda v, x: d_step(a, v, x, rn),
-                 lambda v: dot(v, a.tau),
-                 cap, False, stats)
-    stats.elapsed = time.perf_counter() - t0
-    if isinstance(tree, CapExceeded):
-        return DetOutcome(tree, stats)
-    return DetOutcome(tree.to_cdfa(), stats)
+    return _forward(a, _reverse_nerode_tree(a, cap, stats), cap, stats, t0, True)
 
 
 # -- double reversal ------------------------------------------------------
@@ -376,23 +393,15 @@ def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
 def brzozowski(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Reverse-determinize twice; the second pass canonizes the first.
 
-    The intermediate cdfa is embedded back as a fuzzy automaton with crisp
-    initial set and transitions, then reverse Nerode runs again. The result
-    is minimal and terminates whenever reverse Nerode does on both passes.
+    Over the first pass's crisp table the second reverse Nerode pass is the
+    gather d_automaton uses, so both share states and transitions; states
+    are labelled by access words and the vectors w_u. Minimal, and
+    terminates whenever reverse Nerode does.
     """
-    _require_cap(cap)
+    require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
-    first = _reverse_nerode_tree(a, cap, stats)
-    if isinstance(first, CapExceeded):
-        stats.elapsed = time.perf_counter() - t0
-        return DetOutcome(first, stats)
-    embedded = cdfa_as_fuzzy_automaton(first.to_cdfa())
-    second = _reverse_nerode_tree(embedded, cap, stats)
-    stats.elapsed = time.perf_counter() - t0
-    if isinstance(second, CapExceeded):
-        return DetOutcome(second, stats)
-    return DetOutcome(second.to_cdfa(), stats)
+    return _forward(a, _reverse_nerode_tree(a, cap, stats), cap, stats, t0, False)
 
 
 # -- psi-glued construction ----------------------------------------------
@@ -455,14 +464,14 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     """Inclusion-degree construction over a psi-glued reverse tree.
 
     psi must be reflexive and left invariant; None means the identity
-    relation, which reproduces d_automaton exactly. The reverse phase grows
+    relation, which is d_automaton exactly. The reverse phase grows
     vectors psi^eps = psi ∘ tau and psi^{xu} = psi ∘ delta_x ∘ psi^u; the
-    forward phase is the usual d expansion over that tree. A coarser psi
-    can only glue more, never change the language.
+    forward phase is d_automaton's gather over that tree, with d labels. A
+    coarser psi can only glue more, never change the language.
     """
-    _require_cap(cap)
     if psi is None:
-        psi = identity_matrix(a.lattice, a.n)
+        return d_automaton(a, cap)
+    require_cap(cap, "state cap")
     _check_psi_shape(a, psi)
     top = a.lattice.top
     for i in range(a.n):
@@ -479,18 +488,7 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
                          lambda v, x: mat_vec(glued[x], v),
                          lambda v: dot(a.sigma, v),
                          cap, True, stats)
-    if isinstance(reverse_tree, CapExceeded):
-        stats.elapsed = time.perf_counter() - t0
-        return DetOutcome(reverse_tree, stats)
-    root = d_epsilon(a, reverse_tree.state_vectors)
-    tree = _grow(a.lattice, a.alphabet, root,
-                 lambda v, x: d_step(a, v, x, reverse_tree),
-                 lambda v: dot(v, a.tau),
-                 cap, False, stats)
-    stats.elapsed = time.perf_counter() - t0
-    if isinstance(tree, CapExceeded):
-        return DetOutcome(tree, stats)
-    return DetOutcome(tree.to_cdfa(), stats)
+    return _forward(a, reverse_tree, cap, stats, t0, True)
 
 
 # -- pre-flight bound ------------------------------------------------------
@@ -525,7 +523,7 @@ def preflight(a: FuzzyAutomaton, value_cap: int = DEFAULT_CAP) -> PreflightRepor
 
     A closed set of k values bounds every derivative construction by k^n
     states and guarantees termination; a capped closure guarantees nothing
-    either way.
+    either way. value_cap must be at least 1.
     """
     closure = semiring_closure(a.lattice, automaton_values(a), value_cap)
     return PreflightReport(closure, a.n)

@@ -22,7 +22,7 @@ class AlphabetMismatch(FuzzdetError):
 
 
 class InvalidCap(FuzzdetError):
-    """A state cap below 1 was given to a construction."""
+    """A state or value cap below 1, or not an int, was given."""
 
 
 class PsiNotReflexive(FuzzdetError):

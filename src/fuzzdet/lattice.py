@@ -47,7 +47,8 @@ class Lattice:
         if self.kind not in KINDS:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
         if self.kind == "chain":
-            if not isinstance(self.top_index, int) or self.top_index < 1:
+            if (isinstance(self.top_index, bool) or not isinstance(self.top_index, int)
+                    or self.top_index < 1):
                 raise ValueError("a chain lattice needs a top index >= 1")
         elif self.top_index is not None:
             raise ValueError(f"{self.kind} takes no top index")
@@ -95,7 +96,7 @@ class Lattice:
         if isinstance(raw, str):
             return self.parse_value(raw)
         if self.kind == "chain":
-            if isinstance(raw, int):
+            if isinstance(raw, int) and not isinstance(raw, bool):
                 return self.check(raw)
             raise LatticeMismatch(f"expected a chain index, got {raw!r}")
         if isinstance(raw, (int, Fraction)):

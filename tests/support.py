@@ -7,7 +7,18 @@ it must not share code with the library paths it checks.
 import itertools
 from fractions import Fraction
 
-from fuzzdet import FuzzyAutomaton, FuzzyMatrix, FuzzyVector, identity_matrix
+from fuzzdet import (
+    CapExceeded,
+    FuzzyAutomaton,
+    FuzzyMatrix,
+    FuzzyVector,
+    d_epsilon,
+    d_step,
+    dot,
+    identity_matrix,
+    mat_compose,
+    vec_mat,
+)
 
 
 def value_pool(lattice):
@@ -153,3 +164,60 @@ def clone_extend(a):
     base[n][n - 1] = lat.top
     psi = FuzzyMatrix(lat, tuple(tuple(row) for row in base))
     return extended, psi
+
+
+def quasi_order_automaton(rng, lattice, n, alphabet=("x", "y"), zero_bias=0.45):
+    """A random automaton with a random fuzzy quasi-order psi left invariant for it.
+
+    psi is the reflexive-transitive closure of a random relation. Taking
+    sigma = s ∘ psi and delta_x = m_x ∘ psi gives sigma ∘ psi = sigma and
+    delta_x ∘ psi = delta_x <= psi ∘ delta_x. tau stays arbitrary, so psi ∘ tau
+    usually differs from tau. Returns (automaton, psi).
+    """
+    top = lattice.top
+    rows = random_matrix(rng, lattice, n, zero_bias).entries
+    psi = FuzzyMatrix(lattice, tuple(
+        tuple(top if i == j else v for j, v in enumerate(row))
+        for i, row in enumerate(rows)))
+    while (closed := mat_compose(psi, psi)) != psi:
+        psi = closed
+    sigma = vec_mat(random_vector(rng, lattice, n, zero_bias), psi)
+    delta = {x: mat_compose(random_matrix(rng, lattice, n, zero_bias), psi)
+             for x in alphabet}
+    tau = random_vector(rng, lattice, n, zero_bias)
+    return FuzzyAutomaton(lattice, tuple(alphabet), sigma, delta, tau), psi
+
+
+# -- slow inclusion-degree oracle --------------------------------------------
+
+
+def slow_d_forward(a, rn, cap):
+    """The forward phase grown state by state with d_epsilon and d_step.
+
+    This is the inclusion-degree construction computed from its definition,
+    over the reverse tree rn. Returns (result, closure_checks): result is a
+    CapExceeded, or (transitions, terminals, words, d vectors) with states
+    in breadth-first order and words in shortlex order.
+    """
+    root = d_epsilon(a, rn.state_vectors)
+    vectors, words, index = [root], [()], {root: 0}
+    transitions = []
+    checks = 0
+    s = 0
+    while s < len(vectors):
+        row = []
+        for x in a.alphabet:
+            child = d_step(a, vectors[s], x, rn)
+            checks += 1
+            t = index.get(child)
+            if t is None:
+                if len(vectors) >= cap:
+                    return CapExceeded(states_built=len(vectors), cap=cap), checks
+                t = index[child] = len(vectors)
+                vectors.append(child)
+                words.append(words[s] + (x,))
+            row.append(t)
+        transitions.append(tuple(row))
+        s += 1
+    terminals = tuple(dot(v, a.tau) for v in vectors)
+    return (tuple(transitions), terminals, words, vectors), checks

@@ -12,6 +12,7 @@ from fuzzdet import (
     DimensionMismatch,
     FuzzyMatrix,
     FuzzyVector,
+    InvalidCap,
     LatticeMismatch,
     ValueSet,
     chain,
@@ -20,6 +21,7 @@ from fuzzdet import (
     inclusion_degree,
     mat_compose,
     mat_vec,
+    preflight,
     semiring_closure,
     vec_mat,
 )
@@ -184,6 +186,16 @@ def test_closure_caps_on_product_fixture_values():
     assert result.values is None
     assert result.reached > 1000
     assert result.k is None
+
+
+def test_closure_rejects_caps_below_one(goguen3):
+    for cap in (0, -5, True):
+        with pytest.raises(InvalidCap):
+            semiring_closure(GOGUEN, [F(1, 2)], cap)
+        with pytest.raises(InvalidCap):
+            preflight(goguen3, cap)
+    smallest = semiring_closure(GOGUEN, [F(1, 2)], 1)
+    assert (smallest.closed, smallest.reached, smallest.cap) == (False, 3, 1)
 
 
 def test_closure_monotone_and_idempotent():

@@ -140,6 +140,26 @@ def test_det_psi_from_file(capsys, tmp_path, goguen3_path):
     assert "sigma" in err
 
 
+def test_det_psi_needs_psi_method(capsys, goguen3_path):
+    code, out, err = run_cli(capsys, "det", goguen3_path, "--psi", "/nonexistent")
+    assert (code, out) == (2, "")
+    assert "--psi" in err
+    code, _, err = run_cli(capsys, "det", goguen3_path,
+                           "--method", "brzozowski", "--psi", "identity")
+    assert code == 2
+    assert "--psi" in err
+
+
+def test_equiv_psi_needs_psi_method(capsys, goguen3_path):
+    code, out, err = run_cli(capsys, "equiv", goguen3_path, goguen3_path,
+                             "--method", "incl,brzozowski", "--psi", "X")
+    assert (code, out) == (2, "")
+    assert "--psi" in err
+    code, out, _ = run_cli(capsys, "equiv", goguen3_path, goguen3_path,
+                           "--method", "incl,psi", "--psi", "identity")
+    assert (code, out) == (0, "equivalent\n")
+
+
 def test_equiv_methods_agree(capsys, goguen3_path):
     code, out, _ = run_cli(capsys, "equiv", goguen3_path, goguen3_path,
                            "--method", "incl,brzozowski")
@@ -194,6 +214,10 @@ def test_semiring_reports(capsys, goguen3_path, boolean3_path, tmp_path):
         0, "cap exceeded at 10000\n")
     code, out, _ = run_cli(capsys, "semiring", goguen3_path, "--cap", "50")
     assert (code, out) == (0, "cap exceeded at 50\n")
+    for cap in ("-5", "0"):
+        code, out, err = run_cli(capsys, "semiring", goguen3_path, "--cap", cap)
+        assert (code, out) == (2, "")
+        assert "--cap" in err
     chain_doc = tmp_path / "chain.fza"
     chain_doc.write_text(serialize_automaton(FuzzyAutomaton.build(
         chain(4), ("x",), [3], {"x": [[2]]}, [4])))

@@ -215,8 +215,9 @@ def test_cap_boundary(goguen3):
 def test_invalid_cap(goguen3):
     for construct in (nerode, reverse_nerode, d_automaton, brzozowski,
                       psi_d_automaton):
-        with pytest.raises(InvalidCap):
-            construct(goguen3, cap=0)
+        for cap in (0, True):
+            with pytest.raises(InvalidCap):
+                construct(goguen3, cap=cap)
 
 
 def test_stats_counters(goguen3):

@@ -155,6 +155,8 @@ def test_value_guards():
     with pytest.raises(LatticeMismatch):
         GOGUEN.coerce(0.5)
     with pytest.raises(LatticeMismatch):
+        chain(4).coerce(True)
+    with pytest.raises(LatticeMismatch):
         GOGUEN.check(F(3, 2))
     with pytest.raises(LatticeMismatch):
         BOOLEAN.check(F(1, 2))
@@ -168,6 +170,8 @@ def test_lattice_descriptor_validation():
         Lattice("chain")
     with pytest.raises(ValueError):
         Lattice("chain", 0)
+    with pytest.raises(ValueError):
+        Lattice("chain", True)
     with pytest.raises(ValueError):
         Lattice("godel", 4)
     with pytest.raises(ValueError):
