@@ -8,8 +8,9 @@ same matrices thousands of times.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidCap, LatticeMismatch
@@ -231,10 +232,12 @@ class ValueSet:
 
 @dataclass(frozen=True)
 class SemiringClosure:
-    """Outcome of saturating a value set under join and tmul.
+    """Outcome of closing a value set under join and tmul.
 
-    closed is False when the working set outgrew the cap; that is a
-    heuristic signal of an infinite subsemiring, not a proof of one.
+    closed is False exactly when the closure has more than cap values; on
+    goguen that proves the closure infinite. reached is the size of the
+    start set (seed plus bottom and top) when that alone exceeds cap, else
+    cap + 1 when capped, else the closure size.
     """
 
     closed: bool
@@ -257,39 +260,69 @@ def require_cap(cap: int, what: str) -> None:
 def semiring_closure(lattice: Lattice, seed, cap: int) -> SemiringClosure:
     """Close seed (plus bottom and top) under join and tmul, up to cap values.
 
-    Deterministic worklist saturation: values are combined in insertion
-    order, seeds sorted first. Stops the moment the working set holds more
-    than cap distinct values; cap must be at least 1.
+    Every structure is a chain, so join adds nothing and one rule per
+    lattice gives the closure of tmul exactly:
+      godel        min adds nothing either: the closure is the start set;
+      goguen       the powers of a value strictly inside (0, 1) strictly
+                   decrease, so such a value makes the closure infinite;
+                   otherwise it is {0, 1};
+      lukasiewicz, boolean and chain K
+                   every value is a multiple of 1/q (q the lcm of the
+                   denominators, q = K on a chain), and the closure is the
+                   set of truncated sums of the complements (_truncated_sums).
+    cap must be at least 1; every seed value must lie in the carrier.
     """
     require_cap(cap, "value cap")
     if isinstance(seed, ValueSet):
         if seed.lattice != lattice:
             raise LatticeMismatch(
                 f"seed lattice {seed.lattice.describe()} vs {lattice.describe()}")
-        seed_values = sorted(seed.elements)
+        start = {lattice.check(v) for v in seed.elements}
     else:
-        seed_values = sorted(lattice.coerce(v) for v in seed)
+        start = {lattice.coerce(v) for v in seed}
+    start.update((lattice.bottom, lattice.top))
+    if len(start) > cap:
+        return SemiringClosure(False, None, len(start), cap)
 
-    ordered: list[Value] = []
-    seen: set[Value] = set()
-    for v in [lattice.bottom, lattice.top, *seed_values]:
-        if v not in seen:
-            seen.add(v)
-            ordered.append(v)
-    if len(ordered) > cap:
-        return SemiringClosure(False, None, len(ordered), cap)
+    if lattice.kind == "godel":
+        closure = start
+    elif lattice.kind == "goguen":
+        closure = None if len(start) > 2 else start
+    else:
+        closure = _truncated_sums(lattice, start, cap)
+    if closure is None:
+        return SemiringClosure(False, None, cap + 1, cap)
+    return SemiringClosure(True, ValueSet(lattice, frozenset(closure)), len(closure), cap)
 
-    queue = deque(ordered)
-    join, tmul = lattice.join, lattice.tmul
-    while queue:
-        v = queue.popleft()
-        for w in tuple(ordered):
-            for r in (join(v, w), tmul(v, w)):
-                if r in seen:
-                    continue
-                seen.add(r)
-                ordered.append(r)
-                queue.append(r)
-                if len(ordered) > cap:
-                    return SemiringClosure(False, None, len(ordered), cap)
-    return SemiringClosure(True, ValueSet(lattice, frozenset(ordered)), len(ordered), cap)
+
+def _truncated_sums(lattice: Lattice, start: set, cap: int) -> set | None:
+    """The tmul closure of start on lukasiewicz, boolean or chain K, None past cap.
+
+    With values scaled to numerators x over q and complements c = q - x,
+    tmul(x, y) = max(x + y - q, 0) becomes min(c1 + c2, q). Starting from
+    the complements, a worklist adds one seed complement at a time, so the
+    work is bounded by cap times the seed size and never by q.
+    """
+    if lattice.kind == "chain":
+        q = lattice.top_index
+        nums = start
+    else:
+        q = lcm(*(v.denominator for v in start))
+        nums = {v.numerator * (q // v.denominator) for v in start}
+    seen = {q - x for x in nums}
+    steps = sorted(seen - {0, q})
+    work = list(seen)
+    while work:
+        c = work.pop()
+        for g in steps:
+            s = c + g
+            if s >= q:
+                break
+            if s not in seen:
+                seen.add(s)
+                if len(seen) > cap:
+                    return None
+                work.append(s)
+    if lattice.kind == "chain":
+        return {q - c for c in seen}
+    return {Fraction(q - c, q) for c in seen}

@@ -46,7 +46,8 @@ class FuzzyAutomaton:
 
     delta maps each alphabet symbol to its n x n transition matrix. The
     constructor normalizes delta to alphabet order so equal automata
-    serialize identically.
+    serialize identically, and checks that every entry of sigma, tau and
+    delta lies in the lattice's carrier.
     """
 
     lattice: Lattice
@@ -74,6 +75,13 @@ class FuzzyAutomaton:
                 raise DimensionMismatch(
                     f"transition matrix for {x!r} is {m.n_rows}x{m.n_cols}, expected {n}x{n}")
             ordered[x] = m
+        check = self.lattice.check
+        for v in self.sigma.entries + self.tau.entries:
+            check(v)
+        for m in ordered.values():
+            for row in m.entries:
+                for v in row:
+                    check(v)
         object.__setattr__(self, "delta", ordered)
 
     @property

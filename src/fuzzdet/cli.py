@@ -92,7 +92,13 @@ def _check_psi_applies(psi_path: str | None, methods: list[str]) -> None:
         raise FuzzdetError("--psi applies only to --method psi")
 
 
+def _check_max_states(max_states: int) -> None:
+    if max_states < 1:
+        raise FuzzdetError(f"--max-states must be at least 1, got {max_states}")
+
+
 def cmd_det(args) -> int:
+    _check_max_states(args.max_states)
     _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
     closure = _closure_line(a)
@@ -126,6 +132,7 @@ def cmd_det(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _check_max_states(args.max_states)
     a1 = _load(args.file1)
     a2 = _load(args.file2)
     if a1.lattice != a2.lattice:

@@ -77,18 +77,29 @@ class Lattice:
             raise LatticeMismatch(f"expected a Fraction in [0, 1], got {v!r}")
 
     def check(self, v: Value) -> Value:
-        """Validate that v belongs to this lattice's carrier."""
-        self._guard(v)
-        if not self.bottom <= v <= self.top:
+        """Validate that v belongs to this lattice's carrier; a bool never does.
+
+        Compares plain ints (a Fraction's numerator and its positive
+        denominator), since every automaton checks each of its entries.
+        """
+        if self.kind == "chain":
+            if type(v) is not int:
+                raise LatticeMismatch(f"expected a chain index, got {v!r}")
+            inside = 0 <= v <= self.top_index
+        else:
+            if not isinstance(v, Fraction):
+                raise LatticeMismatch(f"expected a Fraction in [0, 1], got {v!r}")
+            inside = 0 <= v.numerator <= v.denominator
+        if not inside:
             raise LatticeMismatch(f"{v!r} is outside {self.describe()}")
-        if self.kind == "boolean" and v != 0 and v != 1:
+        if self.kind == "boolean" and v.denominator != 1:
             raise LatticeMismatch(f"{v!r} is not a boolean degree")
         return v
 
     def coerce(self, raw) -> Value:
         """Turn a string, int or Fraction into a checked lattice value.
 
-        Floats are rejected outright: the whole kernel is exact.
+        Floats are rejected outright (the whole kernel is exact), and so are bools.
         """
         if isinstance(raw, float):
             raise LatticeMismatch(
@@ -96,10 +107,10 @@ class Lattice:
         if isinstance(raw, str):
             return self.parse_value(raw)
         if self.kind == "chain":
-            if isinstance(raw, int) and not isinstance(raw, bool):
+            if isinstance(raw, int):
                 return self.check(raw)
             raise LatticeMismatch(f"expected a chain index, got {raw!r}")
-        if isinstance(raw, (int, Fraction)):
+        if isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
             return self.check(Fraction(raw))
         raise LatticeMismatch(f"cannot read {raw!r} as a {self.describe()} value")
 

@@ -5,6 +5,7 @@ it must not share code with the library paths it checks.
 """
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from fuzzdet import (
@@ -12,6 +13,8 @@ from fuzzdet import (
     FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyVector,
+    SemiringClosure,
+    ValueSet,
     d_epsilon,
     d_step,
     dot,
@@ -221,3 +224,43 @@ def slow_d_forward(a, rn, cap):
         s += 1
     terminals = tuple(dot(v, a.tau) for v in vectors)
     return (tuple(transitions), terminals, words, vectors), checks
+
+
+# -- saturation oracle for the semiring closure -------------------------------
+
+
+def saturate_closure(lattice, seed, cap):
+    """The value closure by brute force: saturate under join and tmul.
+
+    Worklist saturation in insertion order, seeds sorted first, stopping the
+    moment the working set holds more than cap values. Returns the same
+    SemiringClosure that semiring_closure must return.
+    """
+    if isinstance(seed, ValueSet):
+        seed_values = sorted(seed.elements)
+    else:
+        seed_values = sorted(lattice.coerce(v) for v in seed)
+
+    ordered = []
+    seen = set()
+    for v in [lattice.bottom, lattice.top, *seed_values]:
+        if v not in seen:
+            seen.add(v)
+            ordered.append(v)
+    if len(ordered) > cap:
+        return SemiringClosure(False, None, len(ordered), cap)
+
+    queue = deque(ordered)
+    join, tmul = lattice.join, lattice.tmul
+    while queue:
+        v = queue.popleft()
+        for w in tuple(ordered):
+            for r in (join(v, w), tmul(v, w)):
+                if r in seen:
+                    continue
+                seen.add(r)
+                ordered.append(r)
+                queue.append(r)
+                if len(ordered) > cap:
+                    return SemiringClosure(False, None, len(ordered), cap)
+    return SemiringClosure(True, ValueSet(lattice, frozenset(ordered)), len(ordered), cap)

@@ -9,6 +9,7 @@ from fuzzdet import (
     BOOLEAN,
     GODEL,
     GOGUEN,
+    LUKASIEWICZ,
     DimensionMismatch,
     FuzzyMatrix,
     FuzzyVector,
@@ -25,7 +26,7 @@ from fuzzdet import (
     semiring_closure,
     vec_mat,
 )
-from support import random_matrix, random_vector
+from support import random_matrix, random_vector, saturate_closure
 
 # the three-state product-structure fixture, built directly
 DELTA_X = FuzzyMatrix.from_rows(GOGUEN, [
@@ -177,6 +178,8 @@ def test_closure_boolean_and_chain_close():
     assert set(result.values) <= set(range(5))
     result = semiring_closure(GODEL, [F(1, 3), F(1, 2)], 100)
     assert result.closed and result.k == 4  # godel adds nothing new
+    result = semiring_closure(GOGUEN, [F(0), F(1)], 10)
+    assert result.closed and result.k == 2
 
 
 def test_closure_caps_on_product_fixture_values():
@@ -184,7 +187,7 @@ def test_closure_caps_on_product_fixture_values():
     result = semiring_closure(GOGUEN, seed, 1000)
     assert not result.closed
     assert result.values is None
-    assert result.reached > 1000
+    assert result.reached == 1001
     assert result.k is None
 
 
@@ -212,3 +215,41 @@ def test_closure_contains_seed_and_constants():
     result = semiring_closure(GODEL, [F(1, 4)], 10)
     assert result.closed
     assert F(0) in result.values and F(1) in result.values and F(1, 4) in result.values
+
+
+def test_closure_checks_value_set_seed():
+    with pytest.raises(LatticeMismatch):
+        semiring_closure(GOGUEN, ValueSet(GOGUEN, frozenset({F(2)})), 10)
+    with pytest.raises(LatticeMismatch):
+        semiring_closure(GODEL, ValueSet(chain(2), frozenset({1})), 10)
+
+
+def _random_seed(rng, lattice):
+    size = rng.randrange(5)
+    if lattice.kind == "chain":
+        return [rng.randrange(lattice.top_index + 1) for _ in range(size)]
+    if lattice.kind == "boolean":
+        return [F(rng.randrange(2)) for _ in range(size)]
+    dens = [rng.randint(1, 97)]
+    if rng.random() < 0.3:
+        dens.append(rng.randint(1, 97))
+    seed = []
+    for _ in range(size):
+        d = rng.choice(dens)
+        seed.append(F(rng.randrange(d + 1), d))
+    return seed
+
+
+def test_closure_matches_saturation_oracle():
+    rng = random.Random(29)
+    lattices = (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ,
+                chain(1), chain(3), chain(7), chain(20))
+    for lattice in lattices:
+        caps = (1, 2, 3, 5, 10, 50, 200) + (() if lattice == GOGUEN else (1000,))
+        for cap in caps:
+            for _ in range(25):
+                seed = _random_seed(rng, lattice)
+                if rng.random() < 0.5:
+                    seed = ValueSet.of(lattice, seed)
+                assert semiring_closure(lattice, seed, cap) == \
+                    saturate_closure(lattice, seed, cap), (lattice, seed, cap)

@@ -6,9 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from fuzzdet import (
+    GODEL,
     GOGUEN,
     AlphabetMismatch,
     Cdfa,
+    FuzzyAutomaton,
+    FuzzyMatrix,
     FuzzyVector,
     LatticeMismatch,
     StateLabel,
@@ -62,6 +65,15 @@ def test_evaluate_prefix_incremental(goguen3):
         state = vec_mat(state, goguen3.delta[x])
         word = ("x", "y", "x", "x")[: i + 1]
         assert dot(state, goguen3.tau) == evaluate(goguen3, word)
+
+
+def test_automaton_values_in_carrier():
+    one = FuzzyVector(GODEL, (F(1),))
+    with pytest.raises(LatticeMismatch):
+        FuzzyAutomaton(GODEL, ("x",), one, {"x": FuzzyMatrix(GODEL, ((F(-1),),))}, one)
+    with pytest.raises(LatticeMismatch):
+        FuzzyAutomaton(GOGUEN, ("x",), FuzzyVector(GOGUEN, (F(2),)),
+                       {"x": FuzzyMatrix(GOGUEN, ((F(1),),))}, FuzzyVector(GOGUEN, (F(1),)))
 
 
 def test_reverse_involution(goguen3):

@@ -87,9 +87,16 @@ def test_det_unknown_method(capsys, goguen3_path):
 
 
 def test_det_invalid_cap(capsys, goguen3_path):
-    code, _, err = run_cli(capsys, "det", goguen3_path, "--max-states", "0")
-    assert code == 2
-    assert "cap" in err
+    code, out, err = run_cli(capsys, "det", goguen3_path, "--max-states", "0")
+    assert (code, out) == (2, "")
+    assert "--max-states" in err
+
+
+def test_equiv_invalid_cap(capsys, goguen3_path):
+    code, out, err = run_cli(capsys, "equiv", goguen3_path, goguen3_path,
+                             "--max-states", "-1")
+    assert (code, out) == (2, "")
+    assert "--max-states" in err
 
 
 def test_det_dot_file(capsys, tmp_path, goguen3_path):

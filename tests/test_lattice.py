@@ -157,6 +157,10 @@ def test_value_guards():
     with pytest.raises(LatticeMismatch):
         chain(4).coerce(True)
     with pytest.raises(LatticeMismatch):
+        GOGUEN.coerce(True)
+    with pytest.raises(LatticeMismatch):
+        BOOLEAN.coerce(False)
+    with pytest.raises(LatticeMismatch):
         GOGUEN.check(F(3, 2))
     with pytest.raises(LatticeMismatch):
         BOOLEAN.check(F(1, 2))
