@@ -1,9 +1,15 @@
 """Fuzzy vectors and matrices with sup-multiplication composition.
 
-Entries are exact lattice values; every container carries its lattice and
-operations refuse to mix lattices. Compositions skip zero factors and stop a
-join early at top, which matters once determinization starts composing the
-same matrices thousands of times.
+Entries are exact lattice values, checked against the carrier when a vector
+or matrix is built; every container carries its lattice and operations
+refuse to mix lattices. All five structures are chains, so every
+composition is one of two loops over plain tuples: the sup-product
+(_sup_product, join of tmul) and the implication meet (_residual_meet, meet
+of resid). Both skip the factors that cannot move the result and stop early
+at top or bottom. The public operations run them with the lattice's own
+guarded operations; the constructions run them on a Carrier, the
+construction's values encoded once, with tmul and resid bound to bare
+arithmetic on the codes.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidCap, LatticeMismatch
 from .lattice import Lattice, Value
@@ -25,10 +32,13 @@ def _same_lattice(a, b) -> None:
 
 @dataclass(frozen=True)
 class FuzzyVector:
-    """Immutable tuple of membership degrees over one lattice."""
+    """Immutable tuple of membership degrees over one lattice; each is checked."""
 
     lattice: Lattice
     entries: tuple[Value, ...]
+
+    def __post_init__(self):
+        self.lattice.check_all(self.entries)
 
     @classmethod
     def from_values(cls, lattice: Lattice, values: Iterable) -> "FuzzyVector":
@@ -53,10 +63,14 @@ class FuzzyVector:
 
 @dataclass(frozen=True)
 class FuzzyMatrix:
-    """Immutable rectangular matrix of membership degrees."""
+    """Immutable rectangular matrix of membership degrees; each is checked."""
 
     lattice: Lattice
     entries: tuple[tuple[Value, ...], ...]
+
+    def __post_init__(self):
+        for row in self.entries:
+            self.lattice.check_all(row)
 
     @classmethod
     def from_rows(cls, lattice: Lattice, rows: Iterable[Iterable]) -> "FuzzyMatrix":
@@ -100,32 +114,74 @@ def identity_matrix(lattice: Lattice, n: int) -> FuzzyMatrix:
         tuple(tuple(top if i == j else bottom for j in range(n)) for i in range(n)))
 
 
+# -- the two loops --------------------------------------------------------
+#
+# ops is a Lattice or a Carrier: anything with bottom, top, tmul and resid
+# over one chain, so that join and meet are comparisons. A row is given as
+# the (k, x) pairs of its entries other than bottom (_pairs): a bottom
+# entry moves neither loop, and the rows the constructions use again and
+# again are sparse.
+
+
+def _pairs(ops, rows) -> tuple:
+    """Each row as the (k, x) pairs of its entries other than bottom."""
+    bottom = ops.bottom
+    return tuple(tuple((k, x) for k, x in enumerate(row) if x != bottom) for row in rows)
+
+
+def _sup_product(ops, rows, vec) -> tuple:
+    """(join_k tmul(x, vec[k]) over (k, x) in row, for each row)."""
+    bottom, top, tmul = ops.bottom, ops.top, ops.tmul
+    out = []
+    for row in rows:
+        acc = bottom
+        for k, x in row:
+            y = vec[k]
+            if y == bottom:
+                continue
+            z = tmul(x, y)
+            if z > acc:
+                acc = z
+                if acc == top:
+                    break
+        out.append(acc)
+    return tuple(out)
+
+
+def _residual_meet(ops, rows, vec) -> tuple:
+    """(meet_k resid(x, vec[k]) over (k, x) in row, for each row).
+
+    resid(x, y) is top exactly when x <= y, so only x > y can lower the meet.
+    """
+    bottom, top, resid = ops.bottom, ops.top, ops.resid
+    out = []
+    for row in rows:
+        acc = top
+        for k, x in row:
+            y = vec[k]
+            if x <= y:
+                continue
+            z = resid(x, y)
+            if z < acc:
+                acc = z
+                if acc == bottom:
+                    break
+        out.append(acc)
+    return tuple(out)
+
+
+def _compose(ops, a_rows, b_rows) -> tuple:
+    """Rows of the sup-product a ∘ b: each row of a against the columns of b."""
+    cols = _pairs(ops, zip(*b_rows))
+    return tuple(_sup_product(ops, cols, row) for row in a_rows)
+
+
 def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
     """Sup-multiplication product: (a∘b)[i][j] = join_k tmul(a[i][k], b[k][j])."""
     _same_lattice(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot compose {a.n_cols} columns with {b.n_rows} rows")
-    lat = a.lattice
-    bottom, top = lat.bottom, lat.top
-    tmul, join = lat.tmul, lat.join
-    cols = range(b.n_cols)
-    out = []
-    for row in a.entries:
-        line = []
-        for j in cols:
-            acc = bottom
-            for k, x in enumerate(row):
-                if x == bottom:
-                    continue
-                y = b.entries[k][j]
-                if y == bottom:
-                    continue
-                acc = join(acc, tmul(x, y))
-                if acc == top:
-                    break
-            line.append(acc)
-        out.append(tuple(line))
-    return FuzzyMatrix(lat, tuple(out))
+    return FuzzyMatrix(a.lattice, _compose(a.lattice, a.entries, b.entries))
 
 
 def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
@@ -134,22 +190,7 @@ def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
     if len(f) != m.n_rows:
         raise DimensionMismatch(f"vector of length {len(f)} against {m.n_rows} rows")
     lat = f.lattice
-    bottom, top = lat.bottom, lat.top
-    tmul, join = lat.tmul, lat.join
-    out = []
-    for j in range(m.n_cols):
-        acc = bottom
-        for i, x in enumerate(f.entries):
-            if x == bottom:
-                continue
-            y = m.entries[i][j]
-            if y == bottom:
-                continue
-            acc = join(acc, tmul(x, y))
-            if acc == top:
-                break
-        out.append(acc)
-    return FuzzyVector(lat, tuple(out))
+    return FuzzyVector(lat, _sup_product(lat, _pairs(lat, zip(*m.entries)), f.entries))
 
 
 def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
@@ -158,19 +199,7 @@ def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
     if m.n_cols != len(g):
         raise DimensionMismatch(f"{m.n_cols} columns against vector of length {len(g)}")
     lat = m.lattice
-    bottom, top = lat.bottom, lat.top
-    tmul, join = lat.tmul, lat.join
-    out = []
-    for row in m.entries:
-        acc = bottom
-        for x, y in zip(row, g.entries):
-            if x == bottom or y == bottom:
-                continue
-            acc = join(acc, tmul(x, y))
-            if acc == top:
-                break
-        out.append(acc)
-    return FuzzyVector(lat, tuple(out))
+    return FuzzyVector(lat, _sup_product(lat, _pairs(lat, m.entries), g.entries))
 
 
 def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
@@ -179,16 +208,7 @@ def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
     if len(f) != len(g):
         raise DimensionMismatch(f"dot of lengths {len(f)} and {len(g)}")
     lat = f.lattice
-    bottom, top = lat.bottom, lat.top
-    tmul, join = lat.tmul, lat.join
-    acc = bottom
-    for x, y in zip(f.entries, g.entries):
-        if x == bottom or y == bottom:
-            continue
-        acc = join(acc, tmul(x, y))
-        if acc == top:
-            break
-    return acc
+    return _sup_product(lat, _pairs(lat, (f.entries,)), g.entries)[0]
 
 
 def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
@@ -200,13 +220,91 @@ def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
     if len(f) != len(g):
         raise DimensionMismatch(f"inclusion of lengths {len(f)} and {len(g)}")
     lat = f.lattice
-    bottom = lat.bottom
-    acc = lat.top
-    for x, y in zip(f.entries, g.entries):
-        acc = lat.meet(acc, lat.resid(x, y))
-        if acc == bottom:
-            break
-    return acc
+    return _residual_meet(lat, _pairs(lat, (f.entries,)), g.entries)[0]
+
+
+# -- the encoded carrier ---------------------------------------------------
+
+
+class _Fractions(dict):
+    """Fraction(x, q) by numerator x, each made once, on first use."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, x: int) -> Fraction:
+        v = self[x] = Fraction(x, self.q)
+        return v
+
+
+def _same(x):
+    return x
+
+
+class Carrier:
+    """The values of one construction encoded once, with tmul and resid bound.
+
+    Codes are compared, hashed and combined as bare values; join and meet
+    are max and min, because every structure is a chain. The encodings:
+      chain K      the indices themselves;
+      lukasiewicz, boolean, and goguen on {0, 1}
+                   numerators x over q, the lcm of the denominators:
+                   tmul is max(x + y - q, 0), resid(x, y) is q - x + y
+                   when x > y;
+      godel        ranks in the sorted start set (values plus 0 and 1):
+                   tmul is min, resid(x, y) is y when x > y;
+      goguen with a value strictly inside (0, 1)
+                   the Fractions themselves, with x * y and y / x; their
+                   closure is infinite, so no finite code table exists.
+    Every value a construction can reach lies in the closure of the values
+    the carrier was built from, so build it from every value that enters.
+    encode and decode map one value; decode returns the lattice's own
+    type, a Fraction on the rational lattices and an int on chains.
+    (A plain class: a dataclass is generated at import, which every CLI
+    call pays.)
+    """
+
+    __slots__ = ("lattice", "bottom", "top", "tmul", "resid", "encode", "decode")
+
+    def __init__(self, lattice: Lattice, bottom, top, tmul: Callable, resid: Callable,
+                 encode: Callable, decode: Callable):
+        self.lattice, self.bottom, self.top = lattice, bottom, top
+        self.tmul, self.resid = tmul, resid
+        self.encode, self.decode = encode, decode
+
+    @classmethod
+    def of(cls, lattice: Lattice, values: Iterable[Value]) -> "Carrier":
+        """The carrier for lattice values (checked already) plus bottom and top."""
+        kind = lattice.kind
+        values = {*values, lattice.bottom, lattice.top}
+        if kind == "godel":
+            ranked = sorted(values)
+            rank = {v: i for i, v in enumerate(ranked)}
+            top = len(ranked) - 1
+            return cls(lattice, 0, top, min,
+                       lambda x, y: top if x <= y else y,
+                       rank.__getitem__, ranked.__getitem__)
+        if kind == "goguen" and any(0 < v < 1 for v in values):
+            one = lattice.top
+            return cls(lattice, lattice.bottom, one, mul,
+                       lambda x, y: one if x <= y else y / x, _same, _same)
+        if kind == "chain":
+            q, encode, decode = lattice.top_index, _same, _same
+        else:
+            q = lcm(*(v.denominator for v in values))
+            encode = lambda v: v.numerator * (q // v.denominator)  # noqa: E731
+            decode = _Fractions(q).__getitem__
+        return cls(lattice, 0, q,
+                   lambda x, y: x + y - q if x + y > q else 0,
+                   lambda x, y: q if x <= y else q - x + y,
+                   encode, decode)
+
+    def codes(self, entries: Iterable[Value]) -> tuple:
+        return tuple(map(self.encode, entries))
+
+    def values(self, codes: Iterable) -> tuple[Value, ...]:
+        return tuple(map(self.decode, codes))
 
 
 @dataclass(frozen=True)
@@ -298,18 +396,14 @@ def semiring_closure(lattice: Lattice, seed, cap: int) -> SemiringClosure:
 def _truncated_sums(lattice: Lattice, start: set, cap: int) -> set | None:
     """The tmul closure of start on lukasiewicz, boolean or chain K, None past cap.
 
-    With values scaled to numerators x over q and complements c = q - x,
+    On the Carrier's numerators x over q and their complements c = q - x,
     tmul(x, y) = max(x + y - q, 0) becomes min(c1 + c2, q). Starting from
     the complements, a worklist adds one seed complement at a time, so the
     work is bounded by cap times the seed size and never by q.
     """
-    if lattice.kind == "chain":
-        q = lattice.top_index
-        nums = start
-    else:
-        q = lcm(*(v.denominator for v in start))
-        nums = {v.numerator * (q // v.denominator) for v in start}
-    seen = {q - x for x in nums}
+    carrier = Carrier.of(lattice, start)
+    q = carrier.top
+    seen = {q - x for x in carrier.codes(start)}
     steps = sorted(seen - {0, q})
     work = list(seen)
     while work:
@@ -323,6 +417,4 @@ def _truncated_sums(lattice: Lattice, start: set, cap: int) -> set | None:
                 if len(seen) > cap:
                     return None
                 work.append(s)
-    if lattice.kind == "chain":
-        return {q - c for c in seen}
-    return {Fraction(q - c, q) for c in seen}
+    return set(carrier.values(q - c for c in seen))

@@ -46,8 +46,9 @@ class FuzzyAutomaton:
 
     delta maps each alphabet symbol to its n x n transition matrix. The
     constructor normalizes delta to alphabet order so equal automata
-    serialize identically, and checks that every entry of sigma, tau and
-    delta lies in the lattice's carrier.
+    serialize identically. Every entry of sigma, tau and delta lies in the
+    lattice's carrier: the vectors and matrices check their entries when
+    built, and the constructor checks that they share its lattice.
     """
 
     lattice: Lattice
@@ -75,13 +76,6 @@ class FuzzyAutomaton:
                 raise DimensionMismatch(
                     f"transition matrix for {x!r} is {m.n_rows}x{m.n_cols}, expected {n}x{n}")
             ordered[x] = m
-        check = self.lattice.check
-        for v in self.sigma.entries + self.tau.entries:
-            check(v)
-        for m in ordered.values():
-            for row in m.entries:
-                for v in row:
-                    check(v)
         object.__setattr__(self, "delta", ordered)
 
     @property
@@ -169,8 +163,7 @@ class Cdfa:
             raise ValueError(f"initial state {self.initial} out of range")
         if len(self.terminal) != n:
             raise DimensionMismatch(f"{len(self.terminal)} terminal degrees for {n} states")
-        for v in self.terminal:
-            self.lattice.check(v)
+        self.lattice.check_all(self.terminal)
         if len(self.labels) != n:
             raise DimensionMismatch(f"{len(self.labels)} labels for {n} states")
         reached = {self.initial}

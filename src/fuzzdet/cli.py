@@ -133,6 +133,12 @@ def cmd_det(args) -> int:
 
 def cmd_equiv(args) -> int:
     _check_max_states(args.max_states)
+    methods = args.method.split(",")
+    if len(methods) == 1:
+        methods = methods * 2
+    if len(methods) != 2 or any(m not in METHODS for m in methods):
+        raise FuzzdetError(f"--method takes one or two of {', '.join(METHODS)}")
+    _check_psi_applies(args.psi, methods)
     a1 = _load(args.file1)
     a2 = _load(args.file2)
     if a1.lattice != a2.lattice:
@@ -140,12 +146,6 @@ def cmd_equiv(args) -> int:
             f"lattices differ: {a1.lattice.describe()} vs {a2.lattice.describe()}")
     if a1.alphabet != a2.alphabet:
         raise FuzzdetError(f"alphabets differ: {a1.alphabet} vs {a2.alphabet}")
-    methods = args.method.split(",")
-    if len(methods) == 1:
-        methods = methods * 2
-    if len(methods) != 2 or any(m not in METHODS for m in methods):
-        raise FuzzdetError(f"--method takes one or two of {', '.join(METHODS)}")
-    _check_psi_applies(args.psi, methods)
     outcomes = []
     for a, m in zip((a1, a2), methods):
         outcome = _determinize(a, m, args.max_states, args.psi)

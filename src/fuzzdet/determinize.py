@@ -26,6 +26,15 @@ table: with v_s a word of reverse state s, w_u[s] = d_u ∘ mu_s = L(u v_s), so
 w_eps is the reverse terminal column, w_{ux}[s] = w_u[edge(s, x)] and
 L(u) = w_u[0]. Words glue exactly when their d vectors do, and d_u is the
 implication meet of the mu_s against w_u, recovered once per state.
+
+Every construction runs on a Carrier (see algebra): the values that enter
+it, psi's included, encoded once, so that its vectors are tuples of bare
+codes (ints on every lattice but a Goguen automaton with a value strictly
+inside (0, 1)) and its tmul and resid are bound for that automaton.
+Decoding happens at one boundary, the TransitionTree: to_cdfa decodes the
+cdfa's terminals and label vectors, and state_vectors and state_terminals
+decode the tree's states. d_epsilon and d_step stay on the public algebra
+of lattice values, as the reference the gather is tested against.
 """
 
 from __future__ import annotations
@@ -33,16 +42,22 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence, Union
 
 from .algebra import (
+    Carrier,
     FuzzyMatrix,
     FuzzyVector,
     SemiringClosure,
     ValueSet,
+    _compose,
+    _pairs,
+    _residual_meet,
+    _sup_product,
     dot,
     mat_compose,
-    mat_vec,
     require_cap,
     semiring_closure,
     vec_mat,
@@ -100,12 +115,12 @@ class DetOutcome:
 class TreeVertex:
     """One vertex of a transition tree.
 
-    pointer is the 1-based state number the vertex is glued to; closed
-    vertices repeat an earlier vector and get no children.
+    pointer is the 1-based state number the vertex is glued to, and its
+    vector is that state's; closed vertices repeat an earlier vector and
+    get no children.
     """
 
     word: Word
-    vector: FuzzyVector
     pointer: int
     closed: bool
     parent: int | None
@@ -116,20 +131,37 @@ class TreeVertex:
 class TransitionTree:
     """Expanded transition tree together with its glued state table.
 
-    state_* lists are indexed by pointer - 1; state_edges[s][i] is the glued
-    target of state s under alphabet symbol i.
+    codes and terminal_codes hold each state's vector and terminal degree
+    in the carrier's encoding; state_vectors and state_terminals decode
+    them. The state lists are indexed by pointer - 1; state_edges[s][i] is
+    the glued target of state s under alphabet symbol i.
     """
 
-    lattice: Lattice
+    carrier: Carrier
     alphabet: tuple[str, ...]
     vertices: list[TreeVertex]
-    state_vectors: list[FuzzyVector]
-    state_terminals: list[Value]
+    codes: list[tuple]
+    terminal_codes: list
     state_edges: list[list[int]]
 
     @property
+    def lattice(self) -> Lattice:
+        return self.carrier.lattice
+
+    @property
     def n_states(self) -> int:
-        return len(self.state_vectors)
+        return len(self.codes)
+
+    @cached_property
+    def state_vectors(self) -> list[FuzzyVector]:
+        return [self._decoded(v) for v in self.codes]
+
+    @cached_property
+    def state_terminals(self) -> list[Value]:
+        return list(self.carrier.values(self.terminal_codes))
+
+    def _decoded(self, codes: tuple) -> FuzzyVector:
+        return FuzzyVector(self.carrier.lattice, self.carrier.values(codes))
 
     def vertex_by_word(self, word: Word) -> TreeVertex:
         for v in self.vertices:
@@ -142,83 +174,105 @@ class TransitionTree:
 
         Reverse constructions create vertices in an order that is not
         shortlex (words grow on the left), so the minimum must be taken
-        over every vertex sharing the pointer. Lexicographic ties break by
-        declared alphabet order.
+        over every vertex sharing the pointer. Vertices are listed
+        breadth-first, so word lengths never decrease along the list and
+        only a word as long as the best so far can beat it. Lexicographic
+        ties break by declared alphabet order.
         """
         rank = {x: i for i, x in enumerate(self.alphabet)}
-        best: list[tuple | None] = [None] * self.n_states
-        words: list[Word] = [()] * self.n_states
+        words: list[Word | None] = [None] * self.n_states
         for v in self.vertices:
-            key = (len(v.word), tuple(rank[x] for x in v.word))
             s = v.pointer - 1
-            if best[s] is None or key < best[s]:
-                best[s] = key
+            best = words[s]
+            if best is None or (len(v.word) == len(best) and
+                                [rank[x] for x in v.word] < [rank[x] for x in best]):
                 words[s] = v.word
         return words
 
-    def to_cdfa(self) -> Cdfa:
+    def to_cdfa(self, labels: Sequence[tuple] | None = None) -> Cdfa:
+        """The glued table as a cdfa, decoded: the one place codes become values.
+
+        labels are the states' label vectors as codes, the state vectors
+        by default.
+        """
         words = self.canonical_words()
-        labels = tuple(
-            StateLabel(w, v) for w, v in zip(words, self.state_vectors))
+        vectors = self.codes if labels is None else labels
         return Cdfa(
             lattice=self.lattice,
             alphabet=self.alphabet,
             transitions=tuple(tuple(row) for row in self.state_edges),
             initial=0,
-            terminal=tuple(self.state_terminals),
-            labels=labels,
+            terminal=self.carrier.values(self.terminal_codes),
+            labels=tuple(StateLabel(w, self._decoded(v)) for w, v in zip(words, vectors)),
         )
 
 
-def _grow(lattice: Lattice,
+def _grow(carrier: Carrier,
           alphabet: tuple[str, ...],
-          root: FuzzyVector,
-          child: Callable[[FuzzyVector, str], FuzzyVector],
-          terminal: Callable[[FuzzyVector], Value],
+          root: tuple,
+          child: Callable[[tuple, int], tuple],
+          terminal: Callable[[tuple], object],
           cap: int,
           prepend: bool,
           stats: BuildStats) -> Union[TransitionTree, CapExceeded]:
     """Expand a transition tree breadth-first until every leaf is closed.
 
-    Children are produced in alphabet order; a child whose vector already
-    has a state is closed immediately and glued to it. Exceeds the cap the
-    moment a (cap+1)-th distinct state would be created.
+    Vectors are tuples of carrier codes; child(v, i) is v's child under
+    alphabet symbol i. Children are produced in alphabet order; a child
+    whose vector already has a state is closed immediately and glued to
+    it. Exceeds the cap the moment a (cap+1)-th distinct state would be
+    created.
     """
     m = len(alphabet)
-    vertices = [TreeVertex((), root, 1, False, None, None)]
+    vertices = [TreeVertex((), 1, False, None, None)]
     stats.vertices += 1
-    index_of: dict[FuzzyVector, int] = {root: 0}
-    state_vectors = [root]
-    state_terminals = [terminal(root)]
-    state_edges: list[list[int]] = [[-1] * m]
+    index_of: dict[tuple, int] = {root: 0}
+    codes = [root]
+    terminals = [terminal(root)]
+    edges: list[list[int]] = [[-1] * m]
     frontier = deque([0])
     while frontier:
         vi = frontier.popleft()
         vertex = vertices[vi]
         s = vertex.pointer - 1
+        vec = codes[s]
         for i, x in enumerate(alphabet):
-            vec = child(vertex.vector, x)
+            v = child(vec, i)
             word = (x,) + vertex.word if prepend else vertex.word + (x,)
             stats.closure_checks += 1
-            hit = index_of.get(vec)
+            hit = index_of.get(v)
             if hit is not None:
-                vertices.append(TreeVertex(word, vec, hit + 1, True, vi, x))
+                vertices.append(TreeVertex(word, hit + 1, True, vi, x))
                 stats.vertices += 1
-                state_edges[s][i] = hit
+                edges[s][i] = hit
                 continue
-            if len(state_vectors) >= cap:
-                return CapExceeded(states_built=len(state_vectors), cap=cap)
-            t = len(state_vectors)
-            index_of[vec] = t
-            state_vectors.append(vec)
-            state_terminals.append(terminal(vec))
-            state_edges.append([-1] * m)
-            vertices.append(TreeVertex(word, vec, t + 1, False, vi, x))
+            if len(codes) >= cap:
+                return CapExceeded(states_built=len(codes), cap=cap)
+            t = len(codes)
+            index_of[v] = t
+            codes.append(v)
+            terminals.append(terminal(v))
+            edges.append([-1] * m)
+            vertices.append(TreeVertex(word, t + 1, False, vi, x))
             stats.vertices += 1
-            state_edges[s][i] = t
+            edges[s][i] = t
             frontier.append(len(vertices) - 1)
-    return TransitionTree(lattice, alphabet, vertices,
-                          state_vectors, state_terminals, state_edges)
+    return TransitionTree(carrier, alphabet, vertices, codes, terminals, edges)
+
+
+class _Encoded:
+    """An automaton on its carrier: sigma, tau and the rows of each delta_x as codes.
+
+    delta is indexed by alphabet position.
+    """
+
+    def __init__(self, a: FuzzyAutomaton, extra: Iterable[Value] = ()):
+        """Encode a, on a carrier built from its values and the extra ones."""
+        c = self.carrier = Carrier.of(a.lattice, automaton_values(a).elements.union(extra))
+        self.alphabet = a.alphabet
+        self.sigma = c.codes(a.sigma)
+        self.tau = c.codes(a.tau)
+        self.delta = [tuple(map(c.codes, a.delta[x].entries)) for x in a.alphabet]
 
 
 # -- forward and reverse Nerode ------------------------------------------
@@ -233,9 +287,13 @@ def nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
-    tree = _grow(a.lattice, a.alphabet, a.sigma,
-                 lambda v, x: vec_mat(v, a.delta[x]),
-                 lambda v: dot(v, a.tau),
+    e = _Encoded(a)
+    c = e.carrier
+    columns = [_pairs(c, zip(*rows)) for rows in e.delta]
+    tau = _pairs(c, (e.tau,))
+    tree = _grow(c, e.alphabet, e.sigma,
+                 lambda v, i: _sup_product(c, columns[i], v),
+                 lambda v: _sup_product(c, tau, v)[0],
                  cap, False, stats)
     stats.elapsed = time.perf_counter() - t0
     if isinstance(tree, CapExceeded):
@@ -243,11 +301,15 @@ def nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     return DetOutcome(tree.to_cdfa(), stats)
 
 
-def _reverse_nerode_tree(a: FuzzyAutomaton, cap: int, stats: BuildStats
-                         ) -> Union[TransitionTree, CapExceeded]:
-    return _grow(a.lattice, a.alphabet, a.tau,
-                 lambda v, x: mat_vec(a.delta[x], v),
-                 lambda v: dot(a.sigma, v),
+def _reverse_tree(e: _Encoded, root: tuple, matrices: Sequence[tuple[tuple, ...]],
+                  cap: int, stats: BuildStats) -> Union[TransitionTree, CapExceeded]:
+    """Grow v_eps = root and v_{xu} = matrices[x] ∘ v_u, terminal sigma ∘ v."""
+    c = e.carrier
+    rows = [_pairs(c, m) for m in matrices]
+    sigma = _pairs(c, (e.sigma,))
+    return _grow(c, e.alphabet, root,
+                 lambda v, i: _sup_product(c, rows[i], v),
+                 lambda v: _sup_product(c, sigma, v)[0],
                  cap, True, stats)
 
 
@@ -259,7 +321,8 @@ def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
     the left while the tree grows downward.
     """
     require_cap(cap, "state cap")
-    return _reverse_nerode_tree(a, cap, BuildStats())
+    e = _Encoded(a)
+    return _reverse_tree(e, e.tau, e.delta, cap, BuildStats())
 
 
 def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
@@ -267,7 +330,8 @@ def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
-    tree = _reverse_nerode_tree(a, cap, stats)
+    e = _Encoded(a)
+    tree = _reverse_tree(e, e.tau, e.delta, cap, stats)
     stats.elapsed = time.perf_counter() - t0
     if isinstance(tree, CapExceeded):
         return DetOutcome(tree, stats)
@@ -277,21 +341,11 @@ def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
 # -- inclusion-degree construction ---------------------------------------
 
 
-def _implication_meet(lattice: Lattice, n: int,
-                      vectors: Sequence[FuzzyVector],
+def _implication_meet(lattice: Lattice, vectors: Sequence[FuzzyVector],
                       scalars: Sequence[Value]) -> FuzzyVector:
     """Componentwise meet_j (vectors[j][i] -> scalars[j])."""
-    meet, resid = lattice.meet, lattice.resid
-    bottom, top = lattice.bottom, lattice.top
-    out = []
-    for i in range(n):
-        acc = top
-        for mu, s in zip(vectors, scalars):
-            acc = meet(acc, resid(mu.entries[i], s))
-            if acc == bottom:
-                break
-        out.append(acc)
-    return FuzzyVector(lattice, tuple(out))
+    columns = _pairs(lattice, zip(*(mu.entries for mu in vectors)))
+    return FuzzyVector(lattice, _residual_meet(lattice, columns, scalars))
 
 
 def _check_rn_states(a: FuzzyAutomaton, rn_states: Sequence[FuzzyVector]) -> None:
@@ -313,7 +367,7 @@ def d_epsilon(a: FuzzyAutomaton, rn_states: Sequence[FuzzyVector]) -> FuzzyVecto
     """
     _check_rn_states(a, rn_states)
     scalars = [dot(a.sigma, mu) for mu in rn_states]
-    return _implication_meet(a.lattice, a.n, rn_states, scalars)
+    return _implication_meet(a.lattice, rn_states, scalars)
 
 
 def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
@@ -334,43 +388,49 @@ def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
         raise LatticeMismatch("d vector in another lattice")
     if len(d_u) != a.n:
         raise DimensionMismatch(f"d vector of length {len(d_u)}, expected {a.n}")
-    _check_rn_states(a, rn_tree.state_vectors)
+    rn_states = rn_tree.state_vectors
+    _check_rn_states(a, rn_states)
     cache: dict[int, Value] = {}
     scalars = []
     for s in range(rn_tree.n_states):
         t = rn_tree.state_edges[s][xi]
         if t not in cache:
-            cache[t] = dot(d_u, rn_tree.state_vectors[t])
+            cache[t] = dot(d_u, rn_states[t])
         scalars.append(cache[t])
-    return _implication_meet(a.lattice, a.n, rn_tree.state_vectors, scalars)
+    return _implication_meet(a.lattice, rn_states, scalars)
 
 
-def _forward(a: FuzzyAutomaton, rn: Union[TransitionTree, CapExceeded],
+def _gather(rn: TransitionTree) -> Callable[[tuple, int], tuple]:
+    """child(w, i) = (w[edge(s, i)] for each reverse state s), by one itemgetter."""
+    if rn.n_states == 1:  # itemgetter of one index returns the item, not a tuple
+        return lambda w, i: w
+    pick = [itemgetter(*(row[i] for row in rn.state_edges))
+            for i in range(len(rn.alphabet))]
+    return lambda w, i: pick[i](w)
+
+
+def _forward(e: _Encoded, rn: Union[TransitionTree, CapExceeded],
              cap: int, stats: BuildStats, t0: float, d_labels: bool) -> DetOutcome:
     """The index gather over a finished reverse tree rn, as a cdfa.
 
     w_eps is rn's terminal column, w_{ux}[s] = w_u[edge(s, x)] and the
     terminal degree is w_u[0]; words grow on the right. States are labelled
-    by w, or with d_labels by the d vector recovered from w.
+    by w, or with d_labels by the d vector recovered from w: the implication
+    meet of the reverse states' columns against w.
     """
     tree = rn
     if not isinstance(rn, CapExceeded):
-        lat = rn.lattice
-        column = {x: [row[i] for row in rn.state_edges]
-                  for i, x in enumerate(rn.alphabet)}
-        tree = _grow(lat, rn.alphabet, FuzzyVector(lat, tuple(rn.state_terminals)),
-                     lambda w, x: FuzzyVector(lat, tuple([w.entries[t] for t in column[x]])),
-                     lambda w: w.entries[0],
-                     cap, False, stats)
+        tree = _grow(e.carrier, e.alphabet, tuple(rn.terminal_codes), _gather(rn),
+                     itemgetter(0), cap, False, stats)
     if isinstance(tree, CapExceeded):
         stats.elapsed = time.perf_counter() - t0
         return DetOutcome(tree, stats)
-    if d_labels:  # the tree is ours alone: relabel its states before to_cdfa
-        tree.state_vectors = [
-            _implication_meet(a.lattice, a.n, rn.state_vectors, w.entries)
-            for w in tree.state_vectors]
+    labels = None
+    if d_labels:
+        columns = _pairs(e.carrier, zip(*rn.codes))
+        labels = [_residual_meet(e.carrier, columns, w) for w in tree.codes]
     stats.elapsed = time.perf_counter() - t0
-    return DetOutcome(tree.to_cdfa(), stats)
+    return DetOutcome(tree.to_cdfa(labels), stats)
 
 
 def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
@@ -384,7 +444,9 @@ def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
-    return _forward(a, _reverse_nerode_tree(a, cap, stats), cap, stats, t0, True)
+    e = _Encoded(a)
+    rn = _reverse_tree(e, e.tau, e.delta, cap, stats)
+    return _forward(e, rn, cap, stats, t0, True)
 
 
 # -- double reversal ------------------------------------------------------
@@ -401,7 +463,9 @@ def brzozowski(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     require_cap(cap, "state cap")
     stats = BuildStats()
     t0 = time.perf_counter()
-    return _forward(a, _reverse_nerode_tree(a, cap, stats), cap, stats, t0, False)
+    e = _Encoded(a)
+    rn = _reverse_tree(e, e.tau, e.delta, cap, stats)
+    return _forward(e, rn, cap, stats, t0, False)
 
 
 # -- psi-glued construction ----------------------------------------------
@@ -483,12 +547,12 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
 
     stats = BuildStats()
     t0 = time.perf_counter()
-    glued = {x: mat_compose(psi, a.delta[x]) for x in a.alphabet}
-    reverse_tree = _grow(a.lattice, a.alphabet, mat_vec(psi, a.tau),
-                         lambda v, x: mat_vec(glued[x], v),
-                         lambda v: dot(a.sigma, v),
-                         cap, True, stats)
-    return _forward(a, reverse_tree, cap, stats, t0, True)
+    e = _Encoded(a, (v for row in psi.entries for v in row))
+    c = e.carrier
+    p = tuple(map(c.codes, psi.entries))
+    rn = _reverse_tree(e, _sup_product(c, _pairs(c, p), e.tau),
+                       [_compose(c, p, rows) for rows in e.delta], cap, stats)
+    return _forward(e, rn, cap, stats, t0, True)
 
 
 # -- pre-flight bound ------------------------------------------------------

@@ -96,6 +96,16 @@ class Lattice:
             raise LatticeMismatch(f"{v!r} is not a boolean degree")
         return v
 
+    def check_all(self, values: tuple) -> None:
+        """check every value of a tuple, each distinct object once.
+
+        Values are immutable, and a decoded vector holds a few shared
+        objects many times over, so one check per object is enough.
+        """
+        check = self.check
+        for v in dict(zip(map(id, values), values)).values():
+            check(v)
+
     def coerce(self, raw) -> Value:
         """Turn a string, int or Fraction into a checked lattice value.
 
@@ -110,7 +120,10 @@ class Lattice:
             if isinstance(raw, int):
                 return self.check(raw)
             raise LatticeMismatch(f"expected a chain index, got {raw!r}")
-        if isinstance(raw, (int, Fraction)) and not isinstance(raw, bool):
+        if isinstance(raw, Fraction):
+            self.check(raw)
+            return raw if type(raw) is Fraction else Fraction(raw)
+        if isinstance(raw, int) and not isinstance(raw, bool):
             return self.check(Fraction(raw))
         raise LatticeMismatch(f"cannot read {raw!r} as a {self.describe()} value")
 
@@ -147,6 +160,11 @@ class Lattice:
         return "0." + str(scaled).zfill(digits)
 
     # -- operations ------------------------------------------------------
+    #
+    # These check their arguments' type (_guard) and dispatch on the kind at
+    # every call, so that a stray value from a caller fails loudly. The
+    # constructions never call them: they run on an algebra.Carrier, whose
+    # operations are bound once per automaton to bare arithmetic.
 
     def meet(self, x: Value, y: Value) -> Value:
         self._guard(x)

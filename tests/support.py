@@ -9,11 +9,14 @@ from collections import deque
 from fractions import Fraction
 
 from fuzzdet import (
+    DEFAULT_CAP,
     CapExceeded,
+    Cdfa,
     FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyVector,
     SemiringClosure,
+    StateLabel,
     ValueSet,
     d_epsilon,
     d_step,
@@ -264,3 +267,134 @@ def saturate_closure(lattice, seed, cap):
                 if len(ordered) > cap:
                     return SemiringClosure(False, None, len(ordered), cap)
     return SemiringClosure(True, ValueSet(lattice, frozenset(ordered)), len(ordered), cap)
+
+
+# -- every construction from its definition, on lattice values ----------------
+
+
+def _sup(lattice, xs, ys):
+    """join_k tmul(xs[k], ys[k]), one guarded scalar operation at a time."""
+    acc = lattice.bottom
+    for x, y in zip(xs, ys):
+        acc = lattice.join(acc, lattice.tmul(x, y))
+    return acc
+
+
+def _inf_resid(lattice, xs, ys):
+    """meet_k resid(xs[k], ys[k]), one guarded scalar operation at a time."""
+    acc = lattice.top
+    for x, y in zip(xs, ys):
+        acc = lattice.meet(acc, lattice.resid(x, y))
+    return acc
+
+
+def _columns(rows):
+    return list(zip(*rows))
+
+
+def _oracle_tree(alphabet, root, step, key, cap, prepend):
+    """Breadth-first over states; a child whose key was seen is glued to it.
+
+    step(p, x) is the payload of p's x-child and key(p) the FuzzyVector that
+    names its state. Returns a CapExceeded the moment a (cap+1)-th state
+    would be made, else (keys, payloads, transitions, words): each word is
+    the shortlex-least among the root's and every child's word glued to the
+    state, a child's word being its parent state's first word extended.
+    """
+    payloads, keys, first = [root], [key(root)], [()]
+    index = {keys[0]: 0}
+    transitions = []
+    s = 0
+    while s < len(payloads):
+        row = []
+        for x in alphabet:
+            p = step(payloads[s], x)
+            k = key(p)
+            if k not in index:
+                if len(keys) >= cap:
+                    return CapExceeded(states_built=len(keys), cap=cap)
+                index[k] = len(keys)
+                payloads.append(p)
+                keys.append(k)
+                first.append((x,) + first[s] if prepend else first[s] + (x,))
+            row.append(index[k])
+        transitions.append(tuple(row))
+        s += 1
+    rank = {x: i for i, x in enumerate(alphabet)}
+
+    def order(w):
+        return len(w), [rank[x] for x in w]
+
+    words = list(first)
+    for s, row in enumerate(transitions):
+        for x, t in zip(alphabet, row):
+            w = (x,) + first[s] if prepend else first[s] + (x,)
+            if order(w) < order(words[t]):
+                words[t] = w
+    return keys, payloads, tuple(transitions), words
+
+
+def oracle_cdfa(a, method, psi=None, cap=DEFAULT_CAP):
+    """The cdfa of a method (as the CLI names it), or its CapExceeded.
+
+    Grows FuzzyVectors from each construction's definition with the
+    lattice's scalar operations, sharing no code with the library's loops:
+      nerode      sigma_u, terminal sigma_u ∘ tau;
+      rnerode     tau_u, terminal sigma ∘ tau_u, words grown on the left;
+      incl, psi   the d vectors over the reverse tree (glued by psi for
+                  psi: root psi ∘ tau, children (psi ∘ delta_x) ∘ mu),
+                  terminal d_u ∘ tau;
+      brzozowski  states named by w_u = (sigma_u ∘ mu_s) over the reverse
+                  states mu_s, terminal sigma_u ∘ tau.
+    """
+    lat, alphabet = a.lattice, a.alphabet
+    columns = {x: _columns(a.delta[x].entries) for x in alphabet}
+
+    def vector(values):
+        return FuzzyVector(lat, tuple(values))
+
+    def forward(v, x):
+        return vector(_sup(lat, v, col) for col in columns[x])
+
+    def cdfa(tree, terminal):
+        if isinstance(tree, CapExceeded):
+            return tree
+        keys, payloads, transitions, words = tree
+        return Cdfa(lat, alphabet, transitions, 0, tuple(terminal(p) for p in payloads),
+                    tuple(StateLabel(w, k) for w, k in zip(words, keys)))
+
+    def same(v):
+        return v
+
+    if method == "nerode":
+        tree = _oracle_tree(alphabet, a.sigma, forward, same, cap, False)
+        return cdfa(tree, lambda v: _sup(lat, v, a.tau))
+    rows = {x: a.delta[x].entries for x in alphabet}
+    root = a.tau
+    if method == "psi":
+        psi = psi if psi is not None else identity_matrix(lat, a.n)
+        rows = {x: tuple(tuple(_sup(lat, p, col) for col in columns[x]) for p in psi.entries)
+                for x in alphabet}
+        root = vector(_sup(lat, p, a.tau) for p in psi.entries)
+    rn = _oracle_tree(alphabet, root,
+                      lambda v, x: vector(_sup(lat, r, v) for r in rows[x]),
+                      same, cap, True)
+    if method == "rnerode" or isinstance(rn, CapExceeded):
+        return cdfa(rn, lambda v: _sup(lat, a.sigma, v))
+    mus, _, edges, _ = rn
+    if method == "brzozowski":
+        tree = _oracle_tree(alphabet, a.sigma, forward,
+                            lambda v: vector(_sup(lat, v, mu) for mu in mus), cap, False)
+        return cdfa(tree, lambda v: _sup(lat, v, a.tau))
+
+    def d_vector(scalars):
+        scalars = list(scalars)
+        return vector(_inf_resid(lat, col, scalars) for col in _columns(mus))
+
+    def d_next(d, x):
+        i = alphabet.index(x)
+        return d_vector(_sup(lat, d, mus[row[i]]) for row in edges)
+
+    root = d_vector(_sup(lat, a.sigma, mu) for mu in mus)
+    tree = _oracle_tree(alphabet, root, d_next, same, cap, False)
+    return cdfa(tree, lambda d: _sup(lat, d, a.tau))

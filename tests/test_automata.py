@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from fuzzdet import (
+    BOOLEAN,
     GODEL,
     GOGUEN,
     AlphabetMismatch,
@@ -74,6 +75,12 @@ def test_automaton_values_in_carrier():
     with pytest.raises(LatticeMismatch):
         FuzzyAutomaton(GOGUEN, ("x",), FuzzyVector(GOGUEN, (F(2),)),
                        {"x": FuzzyMatrix(GOGUEN, ((F(1),),))}, FuzzyVector(GOGUEN, (F(1),)))
+    with pytest.raises(LatticeMismatch):
+        FuzzyVector(GODEL, (F(3),))
+    with pytest.raises(LatticeMismatch):
+        FuzzyVector(chain(4), (1, F(1, 2)))
+    with pytest.raises(LatticeMismatch):
+        FuzzyMatrix(BOOLEAN, ((F(1), F(1, 2)),))
 
 
 def test_reverse_involution(goguen3):

@@ -167,6 +167,14 @@ def test_equiv_psi_needs_psi_method(capsys, goguen3_path):
     assert (code, out) == (0, "equivalent\n")
 
 
+def test_equiv_checks_method_before_reading(capsys, tmp_path):
+    missing = str(tmp_path / "missing.fza")
+    code, out, err = run_cli(capsys, "equiv", missing, str(tmp_path / "other.fza"),
+                             "--method", "magic")
+    assert (code, out) == (2, "")
+    assert "--method" in err
+
+
 def test_equiv_methods_agree(capsys, goguen3_path):
     code, out, _ = run_cli(capsys, "equiv", goguen3_path, goguen3_path,
                            "--method", "incl,brzozowski")
