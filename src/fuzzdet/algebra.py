@@ -14,14 +14,13 @@ arithmetic on the codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidCap, LatticeMismatch
-from .lattice import Lattice, Value
+from .lattice import Lattice, Record, Value, _set
 
 
 def _same_lattice(a, b) -> None:
@@ -30,15 +29,15 @@ def _same_lattice(a, b) -> None:
             f"mixed lattices: {a.lattice.describe()} vs {b.lattice.describe()}")
 
 
-@dataclass(frozen=True)
-class FuzzyVector:
+class FuzzyVector(Record):
     """Immutable tuple of membership degrees over one lattice; each is checked."""
 
-    lattice: Lattice
-    entries: tuple[Value, ...]
+    __slots__ = ("lattice", "entries")
 
-    def __post_init__(self):
-        self.lattice.check_all(self.entries)
+    def __init__(self, lattice: Lattice, entries: tuple[Value, ...]):
+        lattice.check_all(entries)
+        _set(self, "lattice", lattice)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_values(cls, lattice: Lattice, values: Iterable) -> "FuzzyVector":
@@ -61,16 +60,16 @@ class FuzzyVector:
         return f"<vector {self.lattice.describe()} [{body}]>"
 
 
-@dataclass(frozen=True)
-class FuzzyMatrix:
+class FuzzyMatrix(Record):
     """Immutable rectangular matrix of membership degrees; each is checked."""
 
-    lattice: Lattice
-    entries: tuple[tuple[Value, ...], ...]
+    __slots__ = ("lattice", "entries")
 
-    def __post_init__(self):
-        for row in self.entries:
-            self.lattice.check_all(row)
+    def __init__(self, lattice: Lattice, entries: tuple[tuple[Value, ...], ...]):
+        for row in entries:
+            lattice.check_all(row)
+        _set(self, "lattice", lattice)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, lattice: Lattice, rows: Iterable[Iterable]) -> "FuzzyMatrix":
@@ -261,8 +260,6 @@ class Carrier:
     the carrier was built from, so build it from every value that enters.
     encode and decode map one value; decode returns the lattice's own
     type, a Fraction on the rational lattices and an int on chains.
-    (A plain class: a dataclass is generated at import, which every CLI
-    call pays.)
     """
 
     __slots__ = ("lattice", "bottom", "top", "tmul", "resid", "encode", "decode")
@@ -307,12 +304,15 @@ class Carrier:
         return tuple(map(self.decode, codes))
 
 
-@dataclass(frozen=True)
-class ValueSet:
-    """Finite set of values from one lattice; iterates in sorted order."""
+class ValueSet(Record):
+    """Finite set of values from one lattice, each checked; iterates in sorted order."""
 
-    lattice: Lattice
-    elements: frozenset
+    __slots__ = ("lattice", "elements")
+
+    def __init__(self, lattice: Lattice, elements: frozenset):
+        lattice.check_all(elements)
+        _set(self, "lattice", lattice)
+        _set(self, "elements", elements)
 
     @classmethod
     def of(cls, lattice: Lattice, values: Iterable) -> "ValueSet":
@@ -328,8 +328,7 @@ class ValueSet:
         return iter(sorted(self.elements))
 
 
-@dataclass(frozen=True)
-class SemiringClosure:
+class SemiringClosure(Record):
     """Outcome of closing a value set under join and tmul.
 
     closed is False exactly when the closure has more than cap values; on
@@ -338,10 +337,13 @@ class SemiringClosure:
     cap + 1 when capped, else the closure size.
     """
 
-    closed: bool
-    values: ValueSet | None
-    reached: int
-    cap: int
+    __slots__ = ("closed", "values", "reached", "cap")
+
+    def __init__(self, closed: bool, values: ValueSet | None, reached: int, cap: int):
+        _set(self, "closed", closed)
+        _set(self, "values", values)
+        _set(self, "reached", reached)
+        _set(self, "cap", cap)
 
     @property
     def k(self) -> int | None:
@@ -375,7 +377,7 @@ def semiring_closure(lattice: Lattice, seed, cap: int) -> SemiringClosure:
         if seed.lattice != lattice:
             raise LatticeMismatch(
                 f"seed lattice {seed.lattice.describe()} vs {lattice.describe()}")
-        start = {lattice.check(v) for v in seed.elements}
+        start = set(seed.elements)
     else:
         start = {lattice.coerce(v) for v in seed}
     start.update((lattice.bottom, lattice.top))

@@ -10,7 +10,6 @@ carries the vector plus a canonical word that produced it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import FuzzyMatrix, FuzzyVector, dot, mat_vec, vec_mat
@@ -20,7 +19,7 @@ from .errors import (
     LatticeMismatch,
     UnknownSymbol,
 )
-from .lattice import Lattice, Value
+from .lattice import Lattice, Record, Value, _set
 
 Word = tuple[str, ...]
 
@@ -40,43 +39,44 @@ def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
     return alphabet
 
 
-@dataclass(frozen=True)
-class FuzzyAutomaton:
+class FuzzyAutomaton(Record):
     """Fuzzy finite automaton over one lattice.
 
     delta maps each alphabet symbol to its n x n transition matrix. The
     constructor normalizes delta to alphabet order so equal automata
     serialize identically. Every entry of sigma, tau and delta lies in the
     lattice's carrier: the vectors and matrices check their entries when
-    built, and the constructor checks that they share its lattice.
+    built, and the constructor checks that they share its lattice. Unhashable,
+    as delta is a dict.
     """
 
-    lattice: Lattice
-    alphabet: tuple[str, ...]
-    sigma: FuzzyVector
-    delta: dict[str, FuzzyMatrix]
-    tau: FuzzyVector
+    __slots__ = ("lattice", "alphabet", "sigma", "delta", "tau")
+    __hash__ = None
 
-    def __post_init__(self):
-        alphabet = check_alphabet(self.alphabet)
-        object.__setattr__(self, "alphabet", alphabet)
-        n = len(self.sigma)
-        if self.sigma.lattice != self.lattice or self.tau.lattice != self.lattice:
+    def __init__(self, lattice: Lattice, alphabet: tuple[str, ...], sigma: FuzzyVector,
+                 delta: dict[str, FuzzyMatrix], tau: FuzzyVector):
+        alphabet = check_alphabet(alphabet)
+        n = len(sigma)
+        if sigma.lattice != lattice or tau.lattice != lattice:
             raise LatticeMismatch("sigma/tau lattice differs from the automaton's")
-        if len(self.tau) != n:
-            raise DimensionMismatch(f"tau has length {len(self.tau)}, expected {n}")
-        if set(self.delta) != set(alphabet):
+        if len(tau) != n:
+            raise DimensionMismatch(f"tau has length {len(tau)}, expected {n}")
+        if set(delta) != set(alphabet):
             raise ValueError("delta keys must match the alphabet exactly")
         ordered = {}
         for x in alphabet:
-            m = self.delta[x]
-            if m.lattice != self.lattice:
+            m = delta[x]
+            if m.lattice != lattice:
                 raise LatticeMismatch(f"transition matrix for {x!r} is in another lattice")
             if m.n_rows != n or m.n_cols != n:
                 raise DimensionMismatch(
                     f"transition matrix for {x!r} is {m.n_rows}x{m.n_cols}, expected {n}x{n}")
             ordered[x] = m
-        object.__setattr__(self, "delta", ordered)
+        _set(self, "lattice", lattice)
+        _set(self, "alphabet", alphabet)
+        _set(self, "sigma", sigma)
+        _set(self, "delta", ordered)
+        _set(self, "tau", tau)
 
     @property
     def n(self) -> int:
@@ -121,63 +121,68 @@ def right_language_step(a: FuzzyAutomaton, symbol: str, t: FuzzyVector) -> Fuzzy
     return mat_vec(a.matrix(symbol), t)
 
 
-@dataclass(frozen=True)
-class StateLabel:
+class StateLabel(Record):
     """Canonical word and defining vector of one cdfa state."""
 
-    word: Word
-    vector: FuzzyVector
+    __slots__ = ("word", "vector")
+
+    def __init__(self, word: Word, vector: FuzzyVector):
+        _set(self, "word", word)
+        _set(self, "vector", vector)
 
 
-@dataclass(frozen=True)
-class Cdfa:
+class Cdfa(Record):
     """Crisp-deterministic fuzzy automaton.
 
     transitions[state][symbol_index] is the successor state; terminal[state]
     is the degree returned after reading a word that lands there. Every
-    state must be reachable from initial.
+    state must be reachable from initial. _sym_index, derived from the
+    alphabet, takes no part in equality, hash or repr.
     """
 
-    lattice: Lattice
-    alphabet: tuple[str, ...]
-    transitions: tuple[tuple[int, ...], ...]
-    initial: int
-    terminal: tuple[Value, ...]
-    labels: tuple[StateLabel, ...]
-    _sym_index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "labels",
+                 "_sym_index")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        alphabet = check_alphabet(self.alphabet)
-        object.__setattr__(self, "alphabet", alphabet)
-        n = len(self.transitions)
+    def __init__(self, lattice: Lattice, alphabet: tuple[str, ...],
+                 transitions: tuple[tuple[int, ...], ...], initial: int,
+                 terminal: tuple[Value, ...], labels: tuple[StateLabel, ...]):
+        alphabet = check_alphabet(alphabet)
+        n = len(transitions)
         if n < 1:
             raise ValueError("a cdfa needs at least one state")
         m = len(alphabet)
-        for row in self.transitions:
+        for row in transitions:
             if len(row) != m:
                 raise DimensionMismatch(f"transition row of width {len(row)}, expected {m}")
             for t in row:
                 if not 0 <= t < n:
                     raise ValueError(f"transition target {t} out of range")
-        if not 0 <= self.initial < n:
-            raise ValueError(f"initial state {self.initial} out of range")
-        if len(self.terminal) != n:
-            raise DimensionMismatch(f"{len(self.terminal)} terminal degrees for {n} states")
-        self.lattice.check_all(self.terminal)
-        if len(self.labels) != n:
-            raise DimensionMismatch(f"{len(self.labels)} labels for {n} states")
-        reached = {self.initial}
-        frontier = deque([self.initial])
+        if not 0 <= initial < n:
+            raise ValueError(f"initial state {initial} out of range")
+        if len(terminal) != n:
+            raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
+        lattice.check_all(terminal)
+        if len(labels) != n:
+            raise DimensionMismatch(f"{len(labels)} labels for {n} states")
+        reached = {initial}
+        frontier = deque([initial])
         while frontier:
             s = frontier.popleft()
-            for t in self.transitions[s]:
+            for t in transitions[s]:
                 if t not in reached:
                     reached.add(t)
                     frontier.append(t)
         if len(reached) != n:
             missing = sorted(set(range(n)) - reached)
             raise ValueError(f"unreachable states: {missing}")
-        object.__setattr__(self, "_sym_index", {x: i for i, x in enumerate(alphabet)})
+        _set(self, "lattice", lattice)
+        _set(self, "alphabet", alphabet)
+        _set(self, "transitions", transitions)
+        _set(self, "initial", initial)
+        _set(self, "terminal", terminal)
+        _set(self, "labels", labels)
+        _set(self, "_sym_index", {x: i for i, x in enumerate(alphabet)})
 
     @property
     def n(self) -> int:

@@ -12,6 +12,7 @@ import argparse
 import sys
 from typing import Callable
 
+from .algebra import FuzzyMatrix
 from .automata import FuzzyAutomaton, evaluate, find_witness
 from .determinize import (
     DEFAULT_CAP,
@@ -23,7 +24,7 @@ from .determinize import (
     psi_d_automaton,
     reverse_nerode,
 )
-from .errors import FuzzdetError
+from .errors import FormatError, FuzzdetError
 from .formats import (
     export_dot,
     format_word,
@@ -40,17 +41,40 @@ EXIT_CAP = 3
 METHODS = ("nerode", "rnerode", "incl", "brzozowski", "psi")
 
 
-def _load(path: str) -> FuzzyAutomaton:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            return f.read()
     except OSError as e:
         raise FuzzdetError(f"cannot read {path}: {e.strerror}") from None
-    return parse_automaton(text)
+
+
+def _load(path: str) -> FuzzyAutomaton:
+    return parse_automaton(_read(path))
+
+
+def _read_psi(psi_path: str | None) -> str | None:
+    """The text of the --psi file, None for no file or 'identity'."""
+    if psi_path is None or psi_path == "identity":
+        return None
+    try:
+        return _read(psi_path)
+    except FuzzdetError as e:
+        raise FuzzdetError(f"--psi: {e}") from None
+
+
+def _parse_psi(text: str | None, a: FuzzyAutomaton) -> FuzzyMatrix | None:
+    """The --psi matrix for automaton a, None for the identity relation."""
+    if text is None:
+        return None
+    try:
+        return parse_matrix(text, a.lattice, a.n)
+    except FormatError as e:
+        raise FuzzdetError(f"--psi: {e}") from None
 
 
 def _determinize(a: FuzzyAutomaton, method: str, cap: int,
-                 psi_path: str | None) -> DetOutcome:
+                 psi: FuzzyMatrix | None) -> DetOutcome:
     if method == "nerode":
         return nerode(a, cap)
     if method == "rnerode":
@@ -60,14 +84,6 @@ def _determinize(a: FuzzyAutomaton, method: str, cap: int,
     if method == "brzozowski":
         return brzozowski(a, cap)
     if method == "psi":
-        psi = None
-        if psi_path is not None and psi_path != "identity":
-            try:
-                with open(psi_path, encoding="utf-8") as f:
-                    text = f.read()
-            except OSError as e:
-                raise FuzzdetError(f"cannot read {psi_path}: {e.strerror}") from None
-            psi = parse_matrix(text, a.lattice, a.n)
         return psi_d_automaton(a, psi, cap)
     raise FuzzdetError(f"unknown method {method!r}")
 
@@ -101,12 +117,13 @@ def cmd_det(args) -> int:
     _check_max_states(args.max_states)
     _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
+    psi = _parse_psi(_read_psi(args.psi), a)
     closure = _closure_line(a)
     print(f"semiring: {closure}")
     if closure.startswith("cap exceeded"):
         print("warning: membership values did not close, "
               "termination is not guaranteed", file=sys.stderr)
-    outcome = _determinize(a, args.method, args.max_states, args.psi)
+    outcome = _determinize(a, args.method, args.max_states, psi)
     if args.stats:
         s = outcome.stats
         print(f"stats: vertices={s.vertices} closure_checks={s.closure_checks} "
@@ -126,8 +143,11 @@ def cmd_det(args) -> int:
         if args.dot == "-":
             sys.stdout.write(text)
         else:
-            with open(args.dot, "w", encoding="utf-8") as f:
-                f.write(text)
+            try:
+                with open(args.dot, "w", encoding="utf-8") as f:
+                    f.write(text)
+            except OSError as e:
+                raise FuzzdetError(f"--dot: cannot write {args.dot}: {e.strerror}") from None
     return EXIT_OK
 
 
@@ -146,9 +166,12 @@ def cmd_equiv(args) -> int:
             f"lattices differ: {a1.lattice.describe()} vs {a2.lattice.describe()}")
     if a1.alphabet != a2.alphabet:
         raise FuzzdetError(f"alphabets differ: {a1.alphabet} vs {a2.alphabet}")
+    psi_text = _read_psi(args.psi)
+    psis = [_parse_psi(psi_text, a) if m == "psi" else None
+            for a, m in zip((a1, a2), methods)]
     outcomes = []
-    for a, m in zip((a1, a2), methods):
-        outcome = _determinize(a, m, args.max_states, args.psi)
+    for a, m, psi in zip((a1, a2), methods, psis):
+        outcome = _determinize(a, m, args.max_states, psi)
         if not outcome.ok:
             r = outcome.result
             print(f"cap exceeded: {r.states_built} states built "

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
@@ -70,34 +69,40 @@ from .errors import (
     PsiNotReflexive,
     UnknownSymbol,
 )
-from .lattice import Lattice, Value
+from .lattice import Lattice, Record, Value, _set
 
 DEFAULT_CAP = 10_000
 
 
-@dataclass
-class BuildStats:
+class BuildStats(Record, frozen=False):
     """Counters for one construction run; elapsed is wall seconds."""
 
-    vertices: int = 0
-    closure_checks: int = 0
-    elapsed: float = 0.0
+    __slots__ = ("vertices", "closure_checks", "elapsed")
+
+    def __init__(self, vertices: int = 0, closure_checks: int = 0, elapsed: float = 0.0):
+        self.vertices = vertices
+        self.closure_checks = closure_checks
+        self.elapsed = elapsed
 
 
-@dataclass(frozen=True)
-class CapExceeded:
+class CapExceeded(Record):
     """A construction needed more than cap distinct states and stopped."""
 
-    states_built: int
-    cap: int
+    __slots__ = ("states_built", "cap")
+
+    def __init__(self, states_built: int, cap: int):
+        _set(self, "states_built", states_built)
+        _set(self, "cap", cap)
 
 
-@dataclass(frozen=True)
-class DetOutcome:
+class DetOutcome(Record):
     """Result of a determinization: a cdfa or a cap report, plus counters."""
 
-    result: Union[Cdfa, CapExceeded]
-    stats: BuildStats
+    __slots__ = ("result", "stats")
+
+    def __init__(self, result: Union[Cdfa, CapExceeded], stats: BuildStats):
+        _set(self, "result", result)
+        _set(self, "stats", stats)
 
     @property
     def ok(self) -> bool:
@@ -111,8 +116,7 @@ class DetOutcome:
         return self.result
 
 
-@dataclass
-class TreeVertex:
+class TreeVertex(Record, frozen=False):
     """One vertex of a transition tree.
 
     pointer is the 1-based state number the vertex is glued to, and its
@@ -120,29 +124,38 @@ class TreeVertex:
     get no children.
     """
 
-    word: Word
-    pointer: int
-    closed: bool
-    parent: int | None
-    symbol: str | None
+    __slots__ = ("word", "pointer", "closed", "parent", "symbol")
+
+    def __init__(self, word: Word, pointer: int, closed: bool, parent: int | None,
+                 symbol: str | None):
+        self.word = word
+        self.pointer = pointer
+        self.closed = closed
+        self.parent = parent
+        self.symbol = symbol
 
 
-@dataclass
-class TransitionTree:
+class TransitionTree(Record, frozen=False):
     """Expanded transition tree together with its glued state table.
 
     codes and terminal_codes hold each state's vector and terminal degree
     in the carrier's encoding; state_vectors and state_terminals decode
     them. The state lists are indexed by pointer - 1; state_edges[s][i] is
-    the glued target of state s under alphabet symbol i.
+    the glued target of state s under alphabet symbol i. No __slots__: the
+    cached properties live in its __dict__.
     """
 
-    carrier: Carrier
-    alphabet: tuple[str, ...]
-    vertices: list[TreeVertex]
-    codes: list[tuple]
-    terminal_codes: list
-    state_edges: list[list[int]]
+    _fields = ("carrier", "alphabet", "vertices", "codes", "terminal_codes", "state_edges")
+
+    def __init__(self, carrier: Carrier, alphabet: tuple[str, ...],
+                 vertices: list[TreeVertex], codes: list[tuple], terminal_codes: list,
+                 state_edges: list[list[int]]):
+        self.carrier = carrier
+        self.alphabet = alphabet
+        self.vertices = vertices
+        self.codes = codes
+        self.terminal_codes = terminal_codes
+        self.state_edges = state_edges
 
     @property
     def lattice(self) -> Lattice:
@@ -471,18 +484,20 @@ def brzozowski(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
 # -- psi-glued construction ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvarianceViolation:
+class InvarianceViolation(Record):
     """First failed left invariance inequality, for diagnostics.
 
     constraint is "sigma" or the offending symbol; position is (j,) for the
     initial inequality and (i, j) for a matrix one.
     """
 
-    constraint: str
-    position: tuple[int, ...]
-    lhs: Value
-    rhs: Value
+    __slots__ = ("constraint", "position", "lhs", "rhs")
+
+    def __init__(self, constraint: str, position: tuple[int, ...], lhs: Value, rhs: Value):
+        _set(self, "constraint", constraint)
+        _set(self, "position", position)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     def __str__(self) -> str:
         spot = ",".join(str(p + 1) for p in self.position)
@@ -567,12 +582,14 @@ def automaton_values(a: FuzzyAutomaton) -> ValueSet:
     return ValueSet(a.lattice, frozenset(values))
 
 
-@dataclass(frozen=True)
-class PreflightReport:
+class PreflightReport(Record):
     """Value subsemiring closure plus the k^n state bound it implies."""
 
-    closure: SemiringClosure
-    n: int
+    __slots__ = ("closure", "n")
+
+    def __init__(self, closure: SemiringClosure, n: int):
+        _set(self, "closure", closure)
+        _set(self, "n", n)
 
     @property
     def bound(self) -> int | None:

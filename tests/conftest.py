@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fuzzdet
 from fuzzdet import parse_automaton
 
 DATA = Path(__file__).parent / "data"
@@ -29,3 +33,17 @@ def goguen3_path():
 @pytest.fixture
 def boolean3_path():
     return str(DATA / "boolean3.fza")
+
+
+@pytest.fixture
+def python_child():
+    """Run the interpreter in a child on the fuzzdet these tests import.
+
+    The child's PYTHONPATH is the directory above the package, so it does
+    not depend on how pytest itself was given the package.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent)}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return run

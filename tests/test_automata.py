@@ -17,6 +17,7 @@ from fuzzdet import (
     LatticeMismatch,
     StateLabel,
     UnknownSymbol,
+    ValueSet,
     cdfa_as_fuzzy_automaton,
     cdfa_equivalent,
     cdfa_evaluate,
@@ -81,6 +82,8 @@ def test_automaton_values_in_carrier():
         FuzzyVector(chain(4), (1, F(1, 2)))
     with pytest.raises(LatticeMismatch):
         FuzzyMatrix(BOOLEAN, ((F(1), F(1, 2)),))
+    with pytest.raises(LatticeMismatch):
+        ValueSet(GODEL, frozenset({F(3)}))
 
 
 def test_reverse_involution(goguen3):

@@ -1,7 +1,5 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
-import subprocess
-import sys
 from fractions import Fraction as F
 
 from fuzzdet import FuzzyAutomaton, chain, parse_automaton, serialize_automaton
@@ -109,6 +107,14 @@ def test_det_dot_file(capsys, tmp_path, goguen3_path):
     assert "states: 3" in out
 
 
+def test_det_dot_write_error_names_flag(capsys, goguen3_path):
+    _, report, _ = run_cli(capsys, "det", goguen3_path)
+    code, out, err = run_cli(capsys, "det", goguen3_path, "--dot", "/nonexistent/x.dot")
+    assert (code, out) == (2, report)
+    assert err.endswith("error: --dot: cannot write /nonexistent/x.dot: "
+                        "No such file or directory\n")
+
+
 def test_det_dot_stdout(capsys, goguen3_path):
     code, out, _ = run_cli(capsys, "det", goguen3_path, "--dot", "-")
     assert code == 0
@@ -145,6 +151,20 @@ def test_det_psi_from_file(capsys, tmp_path, goguen3_path):
                            "--method", "psi", "--psi", str(bad))
     assert code == 2
     assert "sigma" in err
+
+
+def test_psi_file_errors_before_any_report(capsys, tmp_path, goguen3_path):
+    wide = tmp_path / "wide.mat"
+    wide.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n")
+    for psi, says in (("/missing", "--psi: cannot read /missing: No such file"),
+                      (str(wide), "--psi: line 1: row 1 needs 3 values, got 4")):
+        code, out, err = run_cli(capsys, "det", goguen3_path, "--method", "psi", "--psi", psi)
+        assert (code, out) == (2, ""), psi
+        assert err.startswith("error: " + says), err
+        code, out, err = run_cli(capsys, "equiv", goguen3_path, goguen3_path,
+                                 "--method", "incl,psi", "--psi", psi)
+        assert (code, out) == (2, ""), psi
+        assert err.startswith("error: " + says), err
 
 
 def test_det_psi_needs_psi_method(capsys, goguen3_path):
@@ -252,9 +272,7 @@ def test_no_subcommand_is_usage_error(capsys):
     assert run_cli(capsys, )[0] == 2
 
 
-def test_module_entry_point(goguen3_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fuzzdet", "eval", goguen3_path, "x"],
-        capture_output=True, text=True)
+def test_module_entry_point(python_child, goguen3_path):
+    proc = python_child("-m", "fuzzdet", "eval", goguen3_path, "x")
     assert proc.returncode == 0
     assert proc.stdout == "0.5\n"

@@ -1,0 +1,84 @@
+"""The package's records: value equality, immutability, and no dataclasses on import."""
+
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from fuzzdet import (
+    BOOLEAN,
+    GODEL,
+    BuildStats,
+    Cdfa,
+    FuzzyVector,
+    Lattice,
+    StateLabel,
+    TreeVertex,
+    chain,
+    d_automaton,
+)
+
+
+def _cdfa():
+    one = FuzzyVector(BOOLEAN, (F(1),))
+    return Cdfa(lattice=BOOLEAN, alphabet=("a",), transitions=((0,),), initial=0,
+                terminal=(F(1),), labels=(StateLabel((), one),))
+
+
+def test_records_built_twice_are_equal_and_hash_equal():
+    for make in (lambda: chain(3), lambda: Lattice("godel"),
+                 lambda: FuzzyVector(GODEL, (F(1, 2), F(1))), _cdfa):
+        x, y = make(), make()
+        assert x is not y
+        assert x == y and hash(x) == hash(y)
+    assert chain(3) != chain(4)
+    assert FuzzyVector(GODEL, (F(1),)) != FuzzyVector(BOOLEAN, (F(1),))
+    assert Lattice("godel") != "godel"
+
+
+def test_frozen_records_refuse_assignment():
+    v = FuzzyVector(GODEL, (F(1),))
+    with pytest.raises(AttributeError):
+        v.entries = (F(0),)
+    with pytest.raises(AttributeError):
+        GODEL.kind = "goguen"
+    with pytest.raises(AttributeError):
+        del GODEL.kind
+    with pytest.raises(AttributeError):
+        _cdfa().initial = 1
+    assert GODEL.kind == "godel" and v.entries == (F(1),)
+
+
+def test_mutable_records_stay_mutable_and_unhashable(goguen3):
+    stats = BuildStats()
+    stats.vertices += 2
+    assert stats == BuildStats(vertices=2)
+    vertex = TreeVertex((), 1, False, None, None)
+    vertex.closed = True
+    assert vertex.closed
+    for record in (stats, vertex, goguen3):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_cdfa_equality_ignores_sym_index():
+    a, b = _cdfa(), _cdfa()
+    object.__setattr__(b, "_sym_index", {})
+    assert a == b and hash(a) == hash(b)
+    assert "_sym_index" not in repr(a)
+
+
+def test_records_survive_pickle(goguen3):
+    c = d_automaton(goguen3).cdfa
+    again = pickle.loads(pickle.dumps(c))
+    assert again == c and again.step(0, "x") == c.step(0, "x")
+    assert pickle.loads(pickle.dumps(chain(2))) == chain(2)
+
+
+def test_cli_import_loads_no_dataclasses(python_child):
+    proc = python_child(
+        "-S", "-c",
+        "import sys, fuzzdet.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
