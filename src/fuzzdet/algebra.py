@@ -14,10 +14,10 @@ arithmetic on the codes.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionMismatch, InvalidCap, LatticeMismatch
 from .lattice import Lattice, Record, Value, _set

@@ -10,7 +10,7 @@ carries the vector plus a canonical word that produced it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .algebra import FuzzyMatrix, FuzzyVector, dot, mat_vec, vec_mat
 from .errors import (
@@ -22,10 +22,14 @@ from .errors import (
 from .lattice import Lattice, Record, Value, _set
 
 Word = tuple[str, ...]
+RESERVED_SYMBOL = "alphabet symbol {!r} is ambiguous in words: '_' and '.' are reserved"
 
 
 def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
-    """Validate an alphabet: nonempty distinct tokens without whitespace."""
+    """Validate an alphabet: nonempty distinct tokens without whitespace.
+
+    No symbol is '_' or contains '.', so that every word prints unambiguously.
+    """
     alphabet = tuple(symbols)
     if not alphabet:
         raise ValueError("alphabet must not be empty")
@@ -33,6 +37,8 @@ def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
     for s in alphabet:
         if not isinstance(s, str) or not s or any(c.isspace() for c in s):
             raise ValueError(f"bad alphabet symbol {s!r}")
+        if s == "_" or "." in s:
+            raise ValueError(RESERVED_SYMBOL.format(s))
         if s in seen:
             raise ValueError(f"duplicate alphabet symbol {s!r}")
         seen.add(s)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from .algebra import FuzzyMatrix
 from .automata import FuzzyAutomaton, evaluate, find_witness
@@ -244,10 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     handler: Callable = args.handler
     try:
         return handler(args)
-    except FuzzdetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (FuzzdetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

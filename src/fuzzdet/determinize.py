@@ -1,11 +1,18 @@
 """Crisp determinization of fuzzy automata.
 
 Every construction here grows the same kind of transition tree: start from a
-root vector, expand each non-closed vertex by every alphabet symbol in
-order, and close a child the moment its vector has been seen before,
-pointing it at the earlier state. The glued tree is the cdfa. What varies is
-the root, the child map, the terminal map, and whether the tracked word
-grows on the right (forward constructions) or on the left (reverse ones).
+root vector, expand each state by every alphabet symbol in order, and glue
+a child to an earlier state the moment its vector repeats that state's.
+The glued tree is the cdfa. What varies is the root, the child map, the
+terminal map, and whether words grow on the right (forward constructions)
+or on the left (reverse ones).
+
+A tree is kept as its glued state table, which fixes it: each state has
+one open vertex, open vertices are expanded in the order their states were
+made, children in alphabet order. A state keeps its vector, its terminal
+degree, its edge row and the word of the vertex that made it, and
+TransitionTree derives the vertex list and canonical words from those. One
+_Run carries a construction: its cap, clock, counters and encoded automaton.
 
 Constructions:
   nerode           states sigma_u, children sigma_u ∘ delta_x
@@ -40,10 +47,9 @@ of lattice values, as the reference the gather is tested against.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, Union
 
 from .algebra import (
     Carrier,
@@ -100,7 +106,7 @@ class DetOutcome(Record):
 
     __slots__ = ("result", "stats")
 
-    def __init__(self, result: Union[Cdfa, CapExceeded], stats: BuildStats):
+    def __init__(self, result: Cdfa | CapExceeded, stats: BuildStats):
         _set(self, "result", result)
         _set(self, "stats", stats)
 
@@ -117,11 +123,11 @@ class DetOutcome(Record):
 
 
 class TreeVertex(Record, frozen=False):
-    """One vertex of a transition tree.
+    """One vertex of a transition tree, as TransitionTree.vertices lists it.
 
     pointer is the 1-based state number the vertex is glued to, and its
     vector is that state's; closed vertices repeat an earlier vector and
-    get no children.
+    get no children. parent is the parent vertex's index in the list.
     """
 
     __slots__ = ("word", "pointer", "closed", "parent", "symbol")
@@ -136,26 +142,29 @@ class TreeVertex(Record, frozen=False):
 
 
 class TransitionTree(Record, frozen=False):
-    """Expanded transition tree together with its glued state table.
+    """A transition tree as its glued state table; vertices lists the tree.
 
-    codes and terminal_codes hold each state's vector and terminal degree
-    in the carrier's encoding; state_vectors and state_terminals decode
-    them. The state lists are indexed by pointer - 1; state_edges[s][i] is
-    the glued target of state s under alphabet symbol i. No __slots__: the
-    cached properties live in its __dict__.
+    State lists are indexed by pointer - 1. codes and terminal_codes hold
+    each state's vector and terminal degree in the carrier's encoding, and
+    state_vectors and state_terminals decode them. state_edges[s][i] is
+    the glued target of state s under alphabet symbol i, and words[s] the
+    word of the vertex that made s, grown on the left when prepend. No
+    __slots__: the cached properties live in its __dict__.
     """
 
-    _fields = ("carrier", "alphabet", "vertices", "codes", "terminal_codes", "state_edges")
+    _fields = ("carrier", "alphabet", "codes", "terminal_codes", "state_edges", "words",
+               "prepend")
 
-    def __init__(self, carrier: Carrier, alphabet: tuple[str, ...],
-                 vertices: list[TreeVertex], codes: list[tuple], terminal_codes: list,
-                 state_edges: list[list[int]]):
+    def __init__(self, carrier: Carrier, alphabet: tuple[str, ...], codes: list[tuple],
+                 terminal_codes: list, state_edges: list[tuple[int, ...]],
+                 words: list[Word], prepend: bool):
         self.carrier = carrier
         self.alphabet = alphabet
-        self.vertices = vertices
         self.codes = codes
         self.terminal_codes = terminal_codes
         self.state_edges = state_edges
+        self.words = words
+        self.prepend = prepend
 
     @property
     def lattice(self) -> Lattice:
@@ -164,6 +173,25 @@ class TransitionTree(Record, frozen=False):
     @property
     def n_states(self) -> int:
         return len(self.codes)
+
+    @cached_property
+    def vertices(self) -> list[TreeVertex]:
+        """The root, then each state's children in alphabet order.
+
+        A child is open iff it made its state, that is iff it has its
+        word; a state's children hang off the vertex that made it.
+        """
+        vertices = [TreeVertex((), 1, False, None, None)]
+        made = [0]
+        for s, row in enumerate(self.state_edges):
+            u = self.words[s]
+            for x, t in zip(self.alphabet, row):
+                word = (x,) + u if self.prepend else u + (x,)
+                closed = word != self.words[t]
+                if not closed:
+                    made.append(len(vertices))
+                vertices.append(TreeVertex(word, t + 1, closed, made[s], x))
+        return vertices
 
     @cached_property
     def state_vectors(self) -> list[FuzzyVector]:
@@ -185,21 +213,23 @@ class TransitionTree(Record, frozen=False):
     def canonical_words(self) -> list[Word]:
         """Shortlex-least word per state over all vertices glued to it.
 
-        Reverse constructions create vertices in an order that is not
-        shortlex (words grow on the left), so the minimum must be taken
-        over every vertex sharing the pointer. Vertices are listed
-        breadth-first, so word lengths never decrease along the list and
-        only a word as long as the best so far can beat it. Lexicographic
-        ties break by declared alphabet order.
+        Ties break by declared alphabet order. Words grown on the right are
+        made in shortlex order, so each state's own word is its least. Grown
+        on the left, each edge s -> t offers (x,) + words[s]; breadth-first,
+        none is shorter than words[t], so only one as long is built.
         """
+        words = list(self.words)
+        if not self.prepend:
+            return words
         rank = {x: i for i, x in enumerate(self.alphabet)}
-        words: list[Word | None] = [None] * self.n_states
-        for v in self.vertices:
-            s = v.pointer - 1
-            best = words[s]
-            if best is None or (len(v.word) == len(best) and
-                                [rank[x] for x in v.word] < [rank[x] for x in best]):
-                words[s] = v.word
+        for s, row in enumerate(self.state_edges):
+            u = self.words[s]
+            n = len(u) + 1
+            for x, t in zip(self.alphabet, row):
+                if n == len(words[t]):
+                    w = (x,) + u
+                    if [rank[y] for y in w] < [rank[y] for y in words[t]]:
+                        words[t] = w
         return words
 
     def to_cdfa(self, labels: Sequence[tuple] | None = None) -> Cdfa:
@@ -210,82 +240,108 @@ class TransitionTree(Record, frozen=False):
         """
         words = self.canonical_words()
         vectors = self.codes if labels is None else labels
-        return Cdfa(
-            lattice=self.lattice,
-            alphabet=self.alphabet,
-            transitions=tuple(tuple(row) for row in self.state_edges),
-            initial=0,
-            terminal=self.carrier.values(self.terminal_codes),
-            labels=tuple(StateLabel(w, self._decoded(v)) for w, v in zip(words, vectors)),
-        )
+        return Cdfa(self.lattice, self.alphabet, tuple(self.state_edges), 0,
+                    self.carrier.values(self.terminal_codes),
+                    tuple(StateLabel(w, self._decoded(v)) for w, v in zip(words, vectors)))
 
 
-def _grow(carrier: Carrier,
-          alphabet: tuple[str, ...],
-          root: tuple,
-          child: Callable[[tuple, int], tuple],
-          terminal: Callable[[tuple], object],
-          cap: int,
-          prepend: bool,
-          stats: BuildStats) -> Union[TransitionTree, CapExceeded]:
-    """Expand a transition tree breadth-first until every leaf is closed.
+class _Run:
+    """One construction: cap, clock, counters, and the automaton as codes.
 
-    Vectors are tuples of carrier codes; child(v, i) is v's child under
-    alphabet symbol i. Children are produced in alphabet order; a child
-    whose vector already has a state is closed immediately and glued to
-    it. Exceeds the cap the moment a (cap+1)-th distinct state would be
-    created.
-    """
-    m = len(alphabet)
-    vertices = [TreeVertex((), 1, False, None, None)]
-    stats.vertices += 1
-    index_of: dict[tuple, int] = {root: 0}
-    codes = [root]
-    terminals = [terminal(root)]
-    edges: list[list[int]] = [[-1] * m]
-    frontier = deque([0])
-    while frontier:
-        vi = frontier.popleft()
-        vertex = vertices[vi]
-        s = vertex.pointer - 1
-        vec = codes[s]
-        for i, x in enumerate(alphabet):
-            v = child(vec, i)
-            word = (x,) + vertex.word if prepend else vertex.word + (x,)
-            stats.closure_checks += 1
-            hit = index_of.get(v)
-            if hit is not None:
-                vertices.append(TreeVertex(word, hit + 1, True, vi, x))
-                stats.vertices += 1
-                edges[s][i] = hit
-                continue
-            if len(codes) >= cap:
-                return CapExceeded(states_built=len(codes), cap=cap)
-            t = len(codes)
-            index_of[v] = t
-            codes.append(v)
-            terminals.append(terminal(v))
-            edges.append([-1] * m)
-            vertices.append(TreeVertex(word, t + 1, False, vi, x))
-            stats.vertices += 1
-            edges[s][i] = t
-            frontier.append(len(vertices) - 1)
-    return TransitionTree(carrier, alphabet, vertices, codes, terminals, edges)
-
-
-class _Encoded:
-    """An automaton on its carrier: sigma, tau and the rows of each delta_x as codes.
-
-    delta is indexed by alphabet position.
+    The automaton's values and the extra ones make the Carrier; delta
+    holds the rows of each delta_x by alphabet position.
     """
 
-    def __init__(self, a: FuzzyAutomaton, extra: Iterable[Value] = ()):
-        """Encode a, on a carrier built from its values and the extra ones."""
+    def __init__(self, a: FuzzyAutomaton, cap: int, extra: Iterable[Value] = ()):
+        require_cap(cap, "state cap")
+        self.cap = cap
+        self.stats = BuildStats()
+        self.t0 = time.perf_counter()
         c = self.carrier = Carrier.of(a.lattice, automaton_values(a).elements.union(extra))
         self.alphabet = a.alphabet
         self.sigma = c.codes(a.sigma)
         self.tau = c.codes(a.tau)
         self.delta = [tuple(map(c.codes, a.delta[x].entries)) for x in a.alphabet]
+
+    def grow(self, root: tuple, child: Callable[[tuple, int], tuple],
+             terminal: Callable[[tuple], object], prepend: bool = False
+             ) -> TransitionTree | CapExceeded:
+        """Expand a transition tree breadth-first until every leaf is closed.
+
+        Vectors are tuples of carrier codes; child(v, i) is v's child under
+        alphabet symbol i. Exceeds the cap the moment a (cap+1)-th distinct
+        state would be created. Each child is one closure check, and each
+        vertex made, the root included, one vertex.
+        """
+        alphabet, cap, stats = self.alphabet, self.cap, self.stats
+        m = len(alphabet)
+        index_of = {root: 0}
+        codes = [root]
+        terminals = [terminal(root)]
+        words: list[Word] = [()]
+        edges: list[tuple[int, ...]] = []
+        for s, vec in enumerate(codes):
+            u = words[s]
+            row = []
+            for i, x in enumerate(alphabet):
+                v = child(vec, i)
+                t = index_of.get(v)
+                if t is None:
+                    t = len(codes)
+                    if t >= cap:
+                        stats.closure_checks += s * m + i + 1
+                        stats.vertices += s * m + i + 1
+                        return CapExceeded(states_built=t, cap=cap)
+                    index_of[v] = t
+                    codes.append(v)
+                    terminals.append(terminal(v))
+                    words.append((x,) + u if prepend else u + (x,))
+                row.append(t)
+            edges.append(tuple(row))
+        stats.closure_checks += len(codes) * m
+        stats.vertices += len(codes) * m + 1
+        return TransitionTree(self.carrier, alphabet, codes, terminals, edges, words, prepend)
+
+    def reverse(self, root: tuple | None = None, matrices: Sequence[tuple] | None = None
+                ) -> TransitionTree | CapExceeded:
+        """Grow v_eps = root and v_{xu} = matrices[x] ∘ v_u, terminal sigma ∘ v.
+
+        By default root is tau and matrices are the delta_x: reverse Nerode.
+        """
+        c = self.carrier
+        rows = [_pairs(c, m) for m in (self.delta if matrices is None else matrices)]
+        sigma = _pairs(c, (self.sigma,))
+        return self.grow(self.tau if root is None else root,
+                         lambda v, i: _sup_product(c, rows[i], v),
+                         lambda v: _sup_product(c, sigma, v)[0], True)
+
+    def forward(self, rn: TransitionTree | CapExceeded, d_labels: bool) -> DetOutcome:
+        """The index gather over a finished reverse tree rn, as the outcome.
+
+        w_eps is rn's terminal column, w_{ux}[s] = w_u[edge(s, x)] and the
+        terminal degree is w_u[0]; words grow on the right. States are
+        labelled by w, or with d_labels by the d vector recovered from w:
+        the implication meet of the reverse states' columns against w.
+        """
+        if isinstance(rn, CapExceeded):
+            return self.done(rn)
+        pick = [itemgetter(*(row[i] for row in rn.state_edges))
+                for i in range(len(self.alphabet))]
+        # itemgetter of one index returns the item, not a tuple
+        child = (lambda w, i: w) if rn.n_states == 1 else (lambda w, i: pick[i](w))
+        tree = self.grow(tuple(rn.terminal_codes), child, itemgetter(0))
+        if isinstance(tree, CapExceeded) or not d_labels:
+            return self.done(tree)
+        columns = _pairs(self.carrier, zip(*rn.codes))
+        return self.done(tree, [_residual_meet(self.carrier, columns, w) for w in tree.codes])
+
+    def done(self, tree: TransitionTree | CapExceeded,
+             labels: Sequence[tuple] | None = None) -> DetOutcome:
+        """Stop the clock, then decode tree with labels, or report its cap."""
+        self.stats.elapsed = time.perf_counter() - self.t0
+        if isinstance(tree, CapExceeded):
+            return DetOutcome(tree, self.stats)
+        return DetOutcome(tree.to_cdfa(labels), self.stats)
 
 
 # -- forward and reverse Nerode ------------------------------------------
@@ -297,58 +353,28 @@ def nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     Need not terminate for every automaton; the cap turns divergence into a
     CapExceeded outcome.
     """
-    require_cap(cap, "state cap")
-    stats = BuildStats()
-    t0 = time.perf_counter()
-    e = _Encoded(a)
-    c = e.carrier
-    columns = [_pairs(c, zip(*rows)) for rows in e.delta]
-    tau = _pairs(c, (e.tau,))
-    tree = _grow(c, e.alphabet, e.sigma,
-                 lambda v, i: _sup_product(c, columns[i], v),
-                 lambda v: _sup_product(c, tau, v)[0],
-                 cap, False, stats)
-    stats.elapsed = time.perf_counter() - t0
-    if isinstance(tree, CapExceeded):
-        return DetOutcome(tree, stats)
-    return DetOutcome(tree.to_cdfa(), stats)
-
-
-def _reverse_tree(e: _Encoded, root: tuple, matrices: Sequence[tuple[tuple, ...]],
-                  cap: int, stats: BuildStats) -> Union[TransitionTree, CapExceeded]:
-    """Grow v_eps = root and v_{xu} = matrices[x] ∘ v_u, terminal sigma ∘ v."""
-    c = e.carrier
-    rows = [_pairs(c, m) for m in matrices]
-    sigma = _pairs(c, (e.sigma,))
-    return _grow(c, e.alphabet, root,
-                 lambda v, i: _sup_product(c, rows[i], v),
-                 lambda v: _sup_product(c, sigma, v)[0],
-                 cap, True, stats)
+    run = _Run(a, cap)
+    c = run.carrier
+    columns = [_pairs(c, zip(*rows)) for rows in run.delta]
+    tau = _pairs(c, (run.tau,))
+    return run.done(run.grow(run.sigma, lambda v, i: _sup_product(c, columns[i], v),
+                             lambda v: _sup_product(c, tau, v)[0]))
 
 
 def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
-                        ) -> Union[TransitionTree, CapExceeded]:
+                        ) -> TransitionTree | CapExceeded:
     """The reverse Nerode transition tree: states are the vectors tau_u.
 
     tau_eps is tau itself and tau_{xu} = delta_x ∘ tau_u, so words grow on
     the left while the tree grows downward.
     """
-    require_cap(cap, "state cap")
-    e = _Encoded(a)
-    return _reverse_tree(e, e.tau, e.delta, cap, BuildStats())
+    return _Run(a, cap).reverse()
 
 
 def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Determinize through right derivative vectors, terminal sigma ∘ tau_u."""
-    require_cap(cap, "state cap")
-    stats = BuildStats()
-    t0 = time.perf_counter()
-    e = _Encoded(a)
-    tree = _reverse_tree(e, e.tau, e.delta, cap, stats)
-    stats.elapsed = time.perf_counter() - t0
-    if isinstance(tree, CapExceeded):
-        return DetOutcome(tree, stats)
-    return DetOutcome(tree.to_cdfa(), stats)
+    run = _Run(a, cap)
+    return run.done(run.reverse())
 
 
 # -- inclusion-degree construction ---------------------------------------
@@ -413,39 +439,6 @@ def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
     return _implication_meet(a.lattice, rn_states, scalars)
 
 
-def _gather(rn: TransitionTree) -> Callable[[tuple, int], tuple]:
-    """child(w, i) = (w[edge(s, i)] for each reverse state s), by one itemgetter."""
-    if rn.n_states == 1:  # itemgetter of one index returns the item, not a tuple
-        return lambda w, i: w
-    pick = [itemgetter(*(row[i] for row in rn.state_edges))
-            for i in range(len(rn.alphabet))]
-    return lambda w, i: pick[i](w)
-
-
-def _forward(e: _Encoded, rn: Union[TransitionTree, CapExceeded],
-             cap: int, stats: BuildStats, t0: float, d_labels: bool) -> DetOutcome:
-    """The index gather over a finished reverse tree rn, as a cdfa.
-
-    w_eps is rn's terminal column, w_{ux}[s] = w_u[edge(s, x)] and the
-    terminal degree is w_u[0]; words grow on the right. States are labelled
-    by w, or with d_labels by the d vector recovered from w: the implication
-    meet of the reverse states' columns against w.
-    """
-    tree = rn
-    if not isinstance(rn, CapExceeded):
-        tree = _grow(e.carrier, e.alphabet, tuple(rn.terminal_codes), _gather(rn),
-                     itemgetter(0), cap, False, stats)
-    if isinstance(tree, CapExceeded):
-        stats.elapsed = time.perf_counter() - t0
-        return DetOutcome(tree, stats)
-    labels = None
-    if d_labels:
-        columns = _pairs(e.carrier, zip(*rn.codes))
-        labels = [_residual_meet(e.carrier, columns, w) for w in tree.codes]
-    stats.elapsed = time.perf_counter() - t0
-    return DetOutcome(tree.to_cdfa(labels), stats)
-
-
 def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Minimal cdfa for the language via inclusion-degree vectors.
 
@@ -454,12 +447,8 @@ def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     d_step(d_u, x) on the x-successor of d_u. Each phase respects the cap
     on its own state count. Terminates whenever the reverse phase does.
     """
-    require_cap(cap, "state cap")
-    stats = BuildStats()
-    t0 = time.perf_counter()
-    e = _Encoded(a)
-    rn = _reverse_tree(e, e.tau, e.delta, cap, stats)
-    return _forward(e, rn, cap, stats, t0, True)
+    run = _Run(a, cap)
+    return run.forward(run.reverse(), True)
 
 
 # -- double reversal ------------------------------------------------------
@@ -473,12 +462,8 @@ def brzozowski(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     are labelled by access words and the vectors w_u. Minimal, and
     terminates whenever reverse Nerode does.
     """
-    require_cap(cap, "state cap")
-    stats = BuildStats()
-    t0 = time.perf_counter()
-    e = _Encoded(a)
-    rn = _reverse_tree(e, e.tau, e.delta, cap, stats)
-    return _forward(e, rn, cap, stats, t0, False)
+    run = _Run(a, cap)
+    return run.forward(run.reverse(), False)
 
 
 # -- psi-glued construction ----------------------------------------------
@@ -560,14 +545,12 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     if violation is not None:
         raise PsiNotLeftInvariant(str(violation))
 
-    stats = BuildStats()
-    t0 = time.perf_counter()
-    e = _Encoded(a, (v for row in psi.entries for v in row))
-    c = e.carrier
+    run = _Run(a, cap, (v for row in psi.entries for v in row))
+    c = run.carrier
     p = tuple(map(c.codes, psi.entries))
-    rn = _reverse_tree(e, _sup_product(c, _pairs(c, p), e.tau),
-                       [_compose(c, p, rows) for rows in e.delta], cap, stats)
-    return _forward(e, rn, cap, stats, t0, True)
+    rn = run.reverse(_sup_product(c, _pairs(c, p), run.tau),
+                     [_compose(c, p, rows) for rows in run.delta])
+    return run.forward(rn, True)
 
 
 # -- pre-flight bound ------------------------------------------------------

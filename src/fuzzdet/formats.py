@@ -23,7 +23,9 @@ dot-separated symbols otherwise, e.g. 'x.y.x'.
 
 from __future__ import annotations
 
-from .automata import Cdfa, FuzzyAutomaton, Word
+import re
+
+from .automata import RESERVED_SYMBOL, Cdfa, FuzzyAutomaton, Word
 from .algebra import FuzzyMatrix, FuzzyVector
 from .errors import FormatError, LatticeMismatch, UnknownSymbol
 from .lattice import NAMED, Lattice, Value, chain
@@ -64,19 +66,22 @@ def _tokenize(text: str) -> list[list[_Token]]:
     lines = []
     for number, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
-        tokens = []
-        k = 0
-        while k < len(body):
-            if body[k].isspace():
-                k += 1
-                continue
-            start = k
-            while k < len(body) and not body[k].isspace():
-                k += 1
-            tokens.append(_Token(body[start:k], number, start + 1))
+        tokens = [_Token(m.group(), number, m.start() + 1) for m in re.finditer(r"\S+", body)]
         if tokens:
             lines.append(tokens)
     return lines
+
+
+def _positive_int(tokens: list[_Token], message: str, line: int) -> int:
+    """The value of a lone positive decimal token, else FormatError(message)."""
+    text = tokens[0].text if len(tokens) == 1 else ""
+    try:
+        value = int(text) if text.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        value = 0
+    if value < 1:
+        raise FormatError(message, line)
+    return value
 
 
 def _parse_value(lattice: Lattice, tok: _Token) -> Value:
@@ -126,6 +131,8 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
                 raise FormatError("alphabet needs at least one symbol", head.line)
             seen = set()
             for t in rest:
+                if t.text == "_" or "." in t.text:
+                    raise FormatError(RESERVED_SYMBOL.format(t.text), t.line, t.column)
                 if t.text in seen:
                     raise FormatError(f"duplicate symbol {t.text!r}", t.line, t.column)
                 seen.add(t.text)
@@ -134,9 +141,7 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
         elif kw == "states":
             if n is not None:
                 raise FormatError("duplicate states block", head.line)
-            if len(rest) != 1 or not rest[0].text.isdigit() or int(rest[0].text) < 1:
-                raise FormatError("states needs one positive integer", head.line)
-            n = int(rest[0].text)
+            n = _positive_int(rest, "states needs one positive integer", head.line)
             i += 1
         elif kw in ("initial", "terminal"):
             if lattice is None or n is None:
@@ -195,9 +200,7 @@ def _parse_lattice(rest: list[_Token], head: _Token) -> Lattice:
         raise FormatError("lattice needs a name", head.line)
     name = rest[0].text
     if name == "chain":
-        if len(rest) != 2 or not rest[1].text.isdigit() or int(rest[1].text) < 1:
-            raise FormatError("chain needs a positive top index", head.line)
-        return chain(int(rest[1].text))
+        return chain(_positive_int(rest[1:], "chain needs a positive top index", head.line))
     if len(rest) != 1:
         raise FormatError(f"unexpected token after lattice {name!r}", rest[1].line,
                           rest[1].column)

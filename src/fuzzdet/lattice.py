@@ -13,11 +13,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
 
 from .errors import LatticeMismatch
 
-Value = Union[Fraction, int]
+Value = Fraction | int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -334,6 +334,44 @@ def _oracle_tree(alphabet, root, step, key, cap, prepend):
     return keys, payloads, tuple(transitions), words
 
 
+def oracle_vertices(alphabet, root, step, prepend, cap):
+    """Every vertex of a transition tree, by a plain breadth-first search.
+
+    step(v, x) is vector v's x-child, a tuple of values. Returns a list of
+    (word, pointer, closed, parent, symbol), root first: pointer is the
+    1-based state number in order of first appearance and parent the
+    parent vertex's index. None when more than cap states would be made.
+    """
+    vertices = [((), 1, False, None, None)]
+    pointer = {root: 1}
+    queue = deque([(0, root)])
+    while queue:
+        parent, v = queue.popleft()
+        word = vertices[parent][0]
+        for x in alphabet:
+            child = step(v, x)
+            closed = child in pointer
+            if not closed:
+                if len(pointer) >= cap:
+                    return None
+                pointer[child] = len(pointer) + 1
+                queue.append((len(vertices), child))
+            vertices.append(((x,) + word if prepend else word + (x,), pointer[child],
+                             closed, parent, x))
+    return vertices
+
+
+def shortlex_least_words(alphabet, vertices):
+    """Per state, the shortlex-least word over its vertices, ties by alphabet order."""
+    rank = {x: i for i, x in enumerate(alphabet)}
+    best = {}
+    for word, pointer, *_ in vertices:
+        key = (len(word), [rank[x] for x in word])
+        if pointer not in best or key < best[pointer][0]:
+            best[pointer] = (key, word)
+    return [best[p][1] for p in sorted(best)]
+
+
 def oracle_cdfa(a, method, psi=None, cap=DEFAULT_CAP):
     """The cdfa of a method (as the CLI names it), or its CapExceeded.
 

@@ -141,6 +141,15 @@ def test_cdfa_evaluate():
         cdfa_evaluate(c, ("z",))
 
 
+def test_alphabet_rejects_reserved_symbols():
+    for alphabet in (("_",), ("x", "a.b"), (".",)):
+        with pytest.raises(ValueError, match="reserved"):
+            FuzzyAutomaton.build(GOGUEN, alphabet, [1], {x: [[1]] for x in alphabet}, [1])
+        with pytest.raises(ValueError, match="reserved"):
+            Cdfa(GOGUEN, alphabet, ((0,) * len(alphabet),), 0, (F(0),),
+                 (StateLabel((), FuzzyVector(GOGUEN, (F(0),))),))
+
+
 def test_cdfa_validation():
     with pytest.raises(ValueError):
         Cdfa(GOGUEN, ("x",), ((0,), (1,)), 0, (F(0), F(1)),

@@ -41,6 +41,15 @@ def test_eval_parse_error_reports_line(capsys, tmp_path):
     assert "line 4" in err
 
 
+def test_unreadable_count_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.fza"
+    bad.write_text("lattice goguen\nalphabet x\nstates \u00b2\ninitial 1\n"
+                   "terminal 0\ntransitions x\n0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "det", str(bad))
+    assert (code, out) == (2, "")
+    assert "line 3" in err
+
+
 def test_det_incl_fixture(capsys, goguen3_path):
     code, out, err = run_cli(capsys, "det", goguen3_path, "--method", "incl")
     assert code == 0

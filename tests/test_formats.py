@@ -103,6 +103,22 @@ def test_parse_structural_errors():
         parse_automaton(base.replace("lattice goguen", "lattice fancy"))
     with pytest.raises(FormatError, match="before lattice"):
         parse_automaton("initial 1\n" + base)
+    # not positive, not decimal (a superscript two), or longer than int() converts
+    for count in ("\u00b2", "0", "-1", "9" * 5000):
+        with pytest.raises(FormatError, match="states needs one positive integer"):
+            parse_automaton(base.replace("states 1", f"states {count}"))
+        with pytest.raises(FormatError, match="chain needs a positive top index"):
+            parse_automaton(base.replace("lattice goguen", f"lattice chain {count}"))
+
+
+def test_parse_rejects_reserved_alphabet_symbols():
+    base = "lattice goguen\nalphabet x {}\nstates 1\ninitial 1\nterminal 1\n"
+    for symbol in ("_", "a.b", "."):
+        with pytest.raises(FormatError, match="reserved") as err:
+            parse_automaton(base.format(symbol))
+        assert (err.value.line, err.value.column) == (2, 12)
+    text = base.format("a_b") + "transitions x\n1\ntransitions a_b\n1\n"
+    assert parse_automaton(text).alphabet == ("x", "a_b")
 
 
 def test_serialize_canonical_form(goguen3):

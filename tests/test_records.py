@@ -1,4 +1,5 @@
-"""The package's records: value equality, immutability, and no dataclasses on import."""
+"""The package's records: value equality, immutability, and no dataclasses or typing
+on import."""
 
 import pickle
 from fractions import Fraction as F
@@ -79,6 +80,6 @@ def test_cli_import_loads_no_dataclasses(python_child):
     proc = python_child(
         "-S", "-c",
         "import sys, fuzzdet.cli; "
-        "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
