@@ -9,7 +9,8 @@ of resid). Both skip the factors that cannot move the result and stop early
 at top or bottom. The public operations run them with the lattice's own
 guarded operations; the constructions run them on a Carrier, the
 construction's values encoded once, with tmul and resid bound to bare
-arithmetic on the codes.
+arithmetic on the codes. semiring_closure and preflight bound a
+construction before it runs, so that semiring needs no determinize.
 """
 
 from __future__ import annotations
@@ -103,16 +104,6 @@ class FuzzyMatrix(Record):
         return f"<matrix {self.lattice.describe()} [{rows}]>"
 
 
-def identity_matrix(lattice: Lattice, n: int) -> FuzzyMatrix:
-    """Crisp identity: top on the diagonal, bottom elsewhere."""
-    if n < 1:
-        raise DimensionMismatch("identity needs n >= 1")
-    top, bottom = lattice.top, lattice.bottom
-    return FuzzyMatrix(
-        lattice,
-        tuple(tuple(top if i == j else bottom for j in range(n)) for i in range(n)))
-
-
 # -- the two loops --------------------------------------------------------
 #
 # ops is a Lattice or a Carrier: anything with bottom, top, tmul and resid
@@ -192,15 +183,6 @@ def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
     return FuzzyVector(lat, _sup_product(lat, _pairs(lat, zip(*m.entries)), f.entries))
 
 
-def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
-    """Matrix times column vector under sup-multiplication."""
-    _same_lattice(m, g)
-    if m.n_cols != len(g):
-        raise DimensionMismatch(f"{m.n_cols} columns against vector of length {len(g)}")
-    lat = m.lattice
-    return FuzzyVector(lat, _sup_product(lat, _pairs(lat, m.entries), g.entries))
-
-
 def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
     """Scalar sup-multiplication product of two vectors of equal length."""
     _same_lattice(f, g)
@@ -208,18 +190,6 @@ def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
         raise DimensionMismatch(f"dot of lengths {len(f)} and {len(g)}")
     lat = f.lattice
     return _sup_product(lat, _pairs(lat, (f.entries,)), g.entries)[0]
-
-
-def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
-    """Degree to which f is contained in g: meet_i resid(f[i], g[i]).
-
-    Equals top exactly when f <= g pointwise.
-    """
-    _same_lattice(f, g)
-    if len(f) != len(g):
-        raise DimensionMismatch(f"inclusion of lengths {len(f)} and {len(g)}")
-    lat = f.lattice
-    return _residual_meet(lat, _pairs(lat, (f.entries,)), g.entries)[0]
 
 
 # -- the encoded carrier ---------------------------------------------------
@@ -351,6 +321,9 @@ class SemiringClosure(Record):
         return len(self.values) if self.closed else None
 
 
+DEFAULT_CAP = 10_000
+
+
 def require_cap(cap: int, what: str) -> None:
     """Raise InvalidCap unless cap is an int of at least 1; a bool is no int here."""
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
@@ -420,3 +393,45 @@ def _truncated_sums(lattice: Lattice, start: set, cap: int) -> set | None:
                     return None
                 work.append(s)
     return set(carrier.values(q - c for c in seen))
+
+
+# -- pre-flight bound ------------------------------------------------------
+#
+# These read an automaton's lattice, n, sigma, tau and delta only, so this
+# module needs no import of automata; annotations are not evaluated.
+
+def automaton_values(a: FuzzyAutomaton) -> ValueSet:
+    """Every membership degree appearing in sigma, tau or a transition matrix."""
+    values = set(a.sigma.entries) | set(a.tau.entries)
+    for m in a.delta.values():
+        for row in m.entries:
+            values.update(row)
+    return ValueSet(a.lattice, frozenset(values))
+
+
+class PreflightReport(Record):
+    """Value subsemiring closure plus the k^n state bound it implies."""
+
+    __slots__ = ("closure", "n")
+
+    def __init__(self, closure: SemiringClosure, n: int):
+        _set(self, "closure", closure)
+        _set(self, "n", n)
+
+    @property
+    def bound(self) -> int | None:
+        """Upper bound k^n on derivative vectors, None when the closure capped."""
+        if not self.closure.closed:
+            return None
+        return self.closure.k ** self.n
+
+
+def preflight(a: FuzzyAutomaton, value_cap: int = DEFAULT_CAP) -> PreflightReport:
+    """Close the automaton's values under join and tmul before determinizing.
+
+    A closed set of k values bounds every derivative construction by k^n
+    states and guarantees termination; a capped closure guarantees nothing
+    either way. value_cap must be at least 1.
+    """
+    closure = semiring_closure(a.lattice, automaton_values(a), value_cap)
+    return PreflightReport(closure, a.n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 
-from .algebra import FuzzyMatrix, FuzzyVector, dot, mat_vec, vec_mat
+from .algebra import FuzzyMatrix, FuzzyVector, dot, vec_mat
 from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
@@ -111,20 +111,6 @@ def evaluate(a: FuzzyAutomaton, word: Sequence[str]) -> Value:
     for x in word:
         state = vec_mat(state, a.matrix(x))
     return dot(state, a.tau)
-
-
-def reverse(a: FuzzyAutomaton) -> FuzzyAutomaton:
-    """Mirror image: swap sigma with tau and transpose every matrix.
-
-    The reverse accepts each reversed word with the original degree.
-    """
-    delta = {x: m.transpose() for x, m in a.delta.items()}
-    return FuzzyAutomaton(a.lattice, a.alphabet, a.tau, delta, a.sigma)
-
-
-def right_language_step(a: FuzzyAutomaton, symbol: str, t: FuzzyVector) -> FuzzyVector:
-    """One backward step: from tau_u to tau_{symbol u} = delta_symbol ∘ tau_u."""
-    return mat_vec(a.matrix(symbol), t)
 
 
 class StateLabel(Record):
@@ -237,28 +223,3 @@ def find_witness(c1: Cdfa, c2: Cdfa) -> Word | None:
             seen.add(pair)
             queue.append((pair, extended))
     return None
-
-
-def cdfa_equivalent(c1: Cdfa, c2: Cdfa) -> bool:
-    """True when the two cdfa assign every word the same degree."""
-    return find_witness(c1, c2) is None
-
-
-def cdfa_as_fuzzy_automaton(c: Cdfa) -> FuzzyAutomaton:
-    """Embed a cdfa as a fuzzy automaton with crisp initial set and transitions.
-
-    State labels are dropped; only the language matters to callers.
-    """
-    lat = c.lattice
-    top, bottom = lat.top, lat.bottom
-    n = c.n
-    sigma = FuzzyVector(lat, tuple(top if i == c.initial else bottom for i in range(n)))
-    delta = {}
-    for xi, x in enumerate(c.alphabet):
-        rows = []
-        for s in range(n):
-            target = c.transitions[s][xi]
-            rows.append(tuple(top if j == target else bottom for j in range(n)))
-        delta[x] = FuzzyMatrix(lat, tuple(rows))
-    tau = FuzzyVector(lat, c.terminal)
-    return FuzzyAutomaton(lat, c.alphabet, sigma, delta, tau)

@@ -3,7 +3,7 @@
 Subcommands: eval, det, equiv, semiring. Reports go to stdout and are
 byte-identical across runs on the same input; diagnostics and --stats go to
 stderr. Exit codes: 0 success, 1 not equivalent, 2 usage or input errors,
-3 a construction hit its state cap.
+3 a construction hit its state cap. Only det and equiv load determinize.
 """
 
 from __future__ import annotations
@@ -12,18 +12,8 @@ import argparse
 import sys
 from collections.abc import Callable
 
-from .algebra import FuzzyMatrix
+from .algebra import DEFAULT_CAP, FuzzyMatrix, preflight
 from .automata import FuzzyAutomaton, evaluate, find_witness
-from .determinize import (
-    DEFAULT_CAP,
-    DetOutcome,
-    brzozowski,
-    d_automaton,
-    nerode,
-    preflight,
-    psi_d_automaton,
-    reverse_nerode,
-)
 from .errors import FormatError, FuzzdetError
 from .formats import (
     export_dot,
@@ -39,14 +29,38 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 METHODS = ("nerode", "rnerode", "incl", "brzozowski", "psi")
+# determinize's constructions, bound as names of this module the first time
+# det or equiv runs; the tracer in bench/ replaces them by name.
+CONSTRUCTIONS = ("nerode", "reverse_nerode", "d_automaton", "brzozowski", "psi_d_automaton")
+
+
+def _constructions() -> None:
+    """Load determinize and bind each construction not bound yet."""
+    from . import determinize
+    for name in CONSTRUCTIONS:
+        globals().setdefault(name, getattr(determinize, name))
+
+
+def __getattr__(name: str):
+    if name in CONSTRUCTIONS:
+        _constructions()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read(path: str) -> str:
+    # The parsers split lines with str.splitlines, so reading bytes needs no
+    # newline translation, and a decode error's offset is the file's.
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise FuzzdetError(f"cannot read {path}: {e.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FuzzdetError(f"cannot read {path}: not UTF-8 text "
+                           f"(byte 0x{data[e.start]:02x} at offset {e.start})") from None
 
 
 def _load(path: str) -> FuzzyAutomaton:
@@ -114,6 +128,7 @@ def _check_max_states(max_states: int) -> None:
 
 
 def cmd_det(args) -> int:
+    _constructions()
     _check_max_states(args.max_states)
     _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
@@ -152,6 +167,7 @@ def cmd_det(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _constructions()
     _check_max_states(args.max_states)
     methods = args.method.split(",")
     if len(methods) == 1:

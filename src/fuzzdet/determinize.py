@@ -26,7 +26,7 @@ Constructions:
 
 The d vectors are meets of implications: d_eps(a) = meet_mu mu(a) -> (sigma ∘ mu)
 over the reverse Nerode states mu, and d_{ux}(a) = meet_mu mu(a) -> (d_u ∘ mu_x)
-where mu_x is the glued x-child of mu in the reverse tree (d_epsilon, d_step).
+where mu_x is the glued x-child of mu in the reverse tree.
 
 The last three share one forward phase, an index gather over the reverse
 table: with v_s a word of reverse state s, w_u[s] = d_u ∘ mu_s = L(u v_s), so
@@ -40,8 +40,9 @@ codes (ints on every lattice but a Goguen automaton with a value strictly
 inside (0, 1)) and its tmul and resid are bound for that automaton.
 Decoding happens at one boundary, the TransitionTree: to_cdfa decodes the
 cdfa's terminals and label vectors, and state_vectors and state_terminals
-decode the tree's states. d_epsilon and d_step stay on the public algebra
-of lattice values, as the reference the gather is tested against.
+decode the tree's states. reference.d_epsilon and reference.d_step compute
+the d vectors from their definitions, on the public algebra of lattice
+values, as the reference the gather is tested against.
 """
 
 from __future__ import annotations
@@ -52,19 +53,17 @@ from functools import cached_property
 from operator import itemgetter
 
 from .algebra import (
+    DEFAULT_CAP,
     Carrier,
     FuzzyMatrix,
     FuzzyVector,
-    SemiringClosure,
-    ValueSet,
     _compose,
     _pairs,
     _residual_meet,
     _sup_product,
-    dot,
+    automaton_values,
     mat_compose,
     require_cap,
-    semiring_closure,
     vec_mat,
 )
 from .automata import Cdfa, FuzzyAutomaton, StateLabel, Word
@@ -73,11 +72,8 @@ from .errors import (
     LatticeMismatch,
     PsiNotLeftInvariant,
     PsiNotReflexive,
-    UnknownSymbol,
 )
 from .lattice import Lattice, Record, Value, _set
-
-DEFAULT_CAP = 10_000
 
 
 class BuildStats(Record, frozen=False):
@@ -380,65 +376,6 @@ def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
 # -- inclusion-degree construction ---------------------------------------
 
 
-def _implication_meet(lattice: Lattice, vectors: Sequence[FuzzyVector],
-                      scalars: Sequence[Value]) -> FuzzyVector:
-    """Componentwise meet_j (vectors[j][i] -> scalars[j])."""
-    columns = _pairs(lattice, zip(*(mu.entries for mu in vectors)))
-    return FuzzyVector(lattice, _residual_meet(lattice, columns, scalars))
-
-
-def _check_rn_states(a: FuzzyAutomaton, rn_states: Sequence[FuzzyVector]) -> None:
-    if not rn_states:
-        raise DimensionMismatch("need at least one reverse Nerode state")
-    for mu in rn_states:
-        if mu.lattice != a.lattice:
-            raise LatticeMismatch("reverse Nerode state in another lattice")
-        if len(mu) != a.n:
-            raise DimensionMismatch(
-                f"reverse Nerode state of length {len(mu)}, expected {a.n}")
-
-
-def d_epsilon(a: FuzzyAutomaton, rn_states: Sequence[FuzzyVector]) -> FuzzyVector:
-    """Root vector of the inclusion-degree construction.
-
-    d_eps(i) = meet over reverse Nerode states mu of mu(i) -> (sigma ∘ mu):
-    the degree to which everything accepted from state i is in the language.
-    """
-    _check_rn_states(a, rn_states)
-    scalars = [dot(a.sigma, mu) for mu in rn_states]
-    return _implication_meet(a.lattice, rn_states, scalars)
-
-
-def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
-           rn_tree: TransitionTree) -> FuzzyVector:
-    """Successor d_{ux} of d_u under symbol x.
-
-    d_{ux}(i) = meet over reverse Nerode states mu of mu(i) -> (d_u ∘ mu_x),
-    with mu_x the glued x-child of mu in rn_tree. The scalar d_u ∘ mu_x is
-    cached per distinct child state.
-    """
-    if rn_tree.alphabet != a.alphabet:
-        raise UnknownSymbol("reverse tree alphabet differs from the automaton's")
-    try:
-        xi = a.alphabet.index(x)
-    except ValueError:
-        raise UnknownSymbol(f"symbol {x!r} is not in the alphabet") from None
-    if d_u.lattice != a.lattice:
-        raise LatticeMismatch("d vector in another lattice")
-    if len(d_u) != a.n:
-        raise DimensionMismatch(f"d vector of length {len(d_u)}, expected {a.n}")
-    rn_states = rn_tree.state_vectors
-    _check_rn_states(a, rn_states)
-    cache: dict[int, Value] = {}
-    scalars = []
-    for s in range(rn_tree.n_states):
-        t = rn_tree.state_edges[s][xi]
-        if t not in cache:
-            cache[t] = dot(d_u, rn_states[t])
-        scalars.append(cache[t])
-    return _implication_meet(a.lattice, rn_states, scalars)
-
-
 def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Minimal cdfa for the language via inclusion-degree vectors.
 
@@ -551,43 +488,3 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     rn = run.reverse(_sup_product(c, _pairs(c, p), run.tau),
                      [_compose(c, p, rows) for rows in run.delta])
     return run.forward(rn, True)
-
-
-# -- pre-flight bound ------------------------------------------------------
-
-
-def automaton_values(a: FuzzyAutomaton) -> ValueSet:
-    """Every membership degree appearing in sigma, tau or a transition matrix."""
-    values = set(a.sigma.entries) | set(a.tau.entries)
-    for m in a.delta.values():
-        for row in m.entries:
-            values.update(row)
-    return ValueSet(a.lattice, frozenset(values))
-
-
-class PreflightReport(Record):
-    """Value subsemiring closure plus the k^n state bound it implies."""
-
-    __slots__ = ("closure", "n")
-
-    def __init__(self, closure: SemiringClosure, n: int):
-        _set(self, "closure", closure)
-        _set(self, "n", n)
-
-    @property
-    def bound(self) -> int | None:
-        """Upper bound k^n on derivative vectors, None when the closure capped."""
-        if not self.closure.closed:
-            return None
-        return self.closure.k ** self.n
-
-
-def preflight(a: FuzzyAutomaton, value_cap: int = DEFAULT_CAP) -> PreflightReport:
-    """Close the automaton's values under join and tmul before determinizing.
-
-    A closed set of k values bounds every derivative construction by k^n
-    states and guarantees termination; a capped closure guarantees nothing
-    either way. value_cap must be at least 1.
-    """
-    closure = semiring_closure(a.lattice, automaton_values(a), value_cap)
-    return PreflightReport(closure, a.n)

@@ -12,8 +12,8 @@ ignored, tokens separated by whitespace):
     ...                     one transitions block per alphabet symbol
 
 Values are decimal literals, p/q rationals, or chain indices, and must lie
-in the declared lattice. serialize_automaton writes the canonical form:
-blocks in the order above, symbols in alphabet order, reduced values,
+in the declared lattice. reference.serialize_automaton writes the canonical
+form: blocks in the order above, symbols in alphabet order, reduced values,
 terminating decimals preferred over p/q. Parsing a serialized document
 yields an equal automaton.
 
@@ -220,38 +220,11 @@ def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
     return FuzzyMatrix(lattice, tuple(rows))
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def serialize_automaton(a: FuzzyAutomaton) -> str:
-    """Canonical document for an automaton; parse(serialize(a)) == a."""
-    fmt = a.lattice.format_value
-    lines = [
-        f"lattice {a.lattice.describe()}",
-        "alphabet " + " ".join(a.alphabet),
-        f"states {a.n}",
-        "initial " + " ".join(fmt(v) for v in a.sigma),
-        "terminal " + " ".join(fmt(v) for v in a.tau),
-    ]
-    for x in a.alphabet:
-        lines.append(f"transitions {x}")
-        for row in a.delta[x].entries:
-            lines.append(" ".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 # -- DOT export --------------------------------------------------------------
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _merged_label(pairs: list[tuple[str, Value]], lattice: Lattice) -> str:
-    """Edge label merging parallel edges: 'x/0.5, y/1', or 'x,y' when boolean."""
-    if lattice.kind == "boolean":
-        return ",".join(x for x, _ in pairs)
-    return ", ".join(f"{x}/{lattice.format_value(v)}" for x, v in pairs)
 
 
 def export_dot(obj) -> str:
@@ -269,6 +242,7 @@ def export_dot(obj) -> str:
     if isinstance(obj, Cdfa):
         return _cdfa_dot(obj)
     if isinstance(obj, FuzzyAutomaton):
+        from .reference import _automaton_dot
         return _automaton_dot(obj)
     raise TypeError(f"cannot export {type(obj).__name__} as DOT")
 
@@ -293,47 +267,5 @@ def _cdfa_dot(c: Cdfa) -> str:
         for t in order:
             label = ",".join(grouped[t])
             out.append(f"  s{s + 1} -> s{t + 1} [label={_quote(label)}];")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _automaton_dot(a: FuzzyAutomaton) -> str:
-    lat = a.lattice
-    boolean = lat.kind == "boolean"
-    fmt = lat.format_value
-    bottom = lat.bottom
-    out = ["digraph fuzzy_automaton {", "  rankdir=LR;"]
-    for i in range(a.n):
-        shape = "doublecircle" if boolean and a.tau[i] != bottom else "circle"
-        out.append(f"  q{i + 1} [shape={shape}, label={_quote(f'q{i + 1}')}];")
-    for i in range(a.n):
-        if a.sigma[i] == bottom:
-            continue
-        out.append(f'  __init{i + 1} [shape=point, label=""];')
-        if boolean:
-            out.append(f"  __init{i + 1} -> q{i + 1};")
-        else:
-            out.append(f"  __init{i + 1} -> q{i + 1} [label={_quote(fmt(a.sigma[i]))}];")
-    for i in range(a.n):
-        grouped: dict[int, list[tuple[str, Value]]] = {}
-        order: list[int] = []
-        for x in a.alphabet:
-            row = a.delta[x].entries[i]
-            for j, v in enumerate(row):
-                if v == bottom:
-                    continue
-                if j not in grouped:
-                    grouped[j] = []
-                    order.append(j)
-                grouped[j].append((x, v))
-        for j in order:
-            label = _merged_label(grouped[j], lat)
-            out.append(f"  q{i + 1} -> q{j + 1} [label={_quote(label)}];")
-    if not boolean:
-        for i in range(a.n):
-            if a.tau[i] == bottom:
-                continue
-            out.append(f'  __fin{i + 1} [shape=point, label=""];')
-            out.append(f"  q{i + 1} -> __fin{i + 1} [label={_quote(fmt(a.tau[i]))}];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -1,10 +1,16 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from fuzzdet import FuzzyAutomaton, chain, parse_automaton, serialize_automaton
 from fuzzdet.cli import main
 from dotcheck import validate_dot
+
+BENCH = Path(__file__).parent.parent / "bench"
 
 
 def run_cli(capsys, *args):
@@ -30,6 +36,15 @@ def test_eval_missing_file(capsys):
     code, _, err = run_cli(capsys, "eval", "/no/such/file.fza", "_")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_non_utf8_document_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.fza"
+    bad.write_bytes(b"lattice boolean\n\xff\n")
+    says = f"error: cannot read {bad}: not UTF-8 text (byte 0xff at offset 16)\n"
+    for argv in (["eval", str(bad), "_"], ["det", str(bad)], ["semiring", str(bad)],
+                 ["equiv", str(bad), str(bad)]):
+        assert run_cli(capsys, *argv) == (2, "", says), argv
 
 
 def test_eval_parse_error_reports_line(capsys, tmp_path):
@@ -165,8 +180,12 @@ def test_det_psi_from_file(capsys, tmp_path, goguen3_path):
 def test_psi_file_errors_before_any_report(capsys, tmp_path, goguen3_path):
     wide = tmp_path / "wide.mat"
     wide.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n")
+    latin = tmp_path / "latin.mat"
+    latin.write_bytes(b"1 0 \xbd\n0 1 0\n0 0 1\n")
     for psi, says in (("/missing", "--psi: cannot read /missing: No such file"),
-                      (str(wide), "--psi: line 1: row 1 needs 3 values, got 4")):
+                      (str(wide), "--psi: line 1: row 1 needs 3 values, got 4"),
+                      (str(latin), f"--psi: cannot read {latin}: not UTF-8 text "
+                                   "(byte 0xbd at offset 4)")):
         code, out, err = run_cli(capsys, "det", goguen3_path, "--method", "psi", "--psi", psi)
         assert (code, out) == (2, ""), psi
         assert err.startswith("error: " + says), err
@@ -285,3 +304,47 @@ def test_module_entry_point(python_child, goguen3_path):
     proc = python_child("-m", "fuzzdet", "eval", goguen3_path, "x")
     assert proc.returncode == 0
     assert proc.stdout == "0.5\n"
+
+
+# bench/tracing.py replaces the functions fuzzdet.cli calls by setattr on the
+# module; this child does the same, before any construction is loaded, and
+# reports how often each replacement was called.
+TRACED_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import WRAPPED
+import fuzzdet, fuzzdet.cli as cli
+counts = dict.fromkeys(WRAPPED, 0)
+def counting(name):
+    def call(*args, **kwargs):
+        counts[name] += 1
+        return getattr(fuzzdet, name)(*args, **kwargs)
+    return call
+for name in WRAPPED:
+    setattr(cli, name, counting(name))
+loaded = "fuzzdet.determinize" in sys.modules
+code = cli.main(sys.argv[2:])
+print(json.dumps([code, loaded, {k: n for k, n in counts.items() if n}]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code, counts", [
+    (["eval", "goguen3", "x"], 0, {"parse_automaton": 1, "evaluate": 1}),
+    (["semiring", "goguen3"], 0, {"parse_automaton": 1, "preflight": 1}),
+    (["det", "goguen3", "--dot", "-"], 0,
+     {"parse_automaton": 1, "preflight": 1, "d_automaton": 1, "format_word": 3,
+      "export_dot": 1}),
+    (["det", "boolean3", "--method", "nerode"], 0,
+     {"parse_automaton": 1, "preflight": 1, "nerode": 1, "format_word": 7}),
+    (["det", "goguen3", "--method", "brzozowski"], 0,
+     {"parse_automaton": 1, "preflight": 1, "brzozowski": 1, "format_word": 3}),
+    (["det", "goguen3", "--method", "psi", "--psi", "identity"], 0,
+     {"parse_automaton": 1, "preflight": 1, "psi_d_automaton": 1, "format_word": 3}),
+    (["equiv", "goguen3", "goguen3", "--method", "incl,brzozowski"], 0,
+     {"parse_automaton": 2, "d_automaton": 1, "brzozowski": 1, "find_witness": 1}),
+])
+def test_tracer_replacements_take_effect(python_child, goguen3_path, boolean3_path,
+                                        argv, code, counts):
+    paths = {"goguen3": goguen3_path, "boolean3": boolean3_path}
+    proc = python_child("-c", TRACED_CHILD, str(BENCH), *(paths.get(a, a) for a in argv))
+    assert json.loads(proc.stderr.splitlines()[-1]) == [code, False, counts], proc.stderr

@@ -1,11 +1,14 @@
 """The package's records: value equality, immutability, and no dataclasses or typing
-on import."""
+on import; the lazy package, and the modules each command loads."""
 
+import importlib
 import pickle
+import types
 from fractions import Fraction as F
 
 import pytest
 
+import fuzzdet
 from fuzzdet import (
     BOOLEAN,
     GODEL,
@@ -83,3 +86,51 @@ def test_cli_import_loads_no_dataclasses(python_child):
         "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def _loaded(proc) -> set[str]:
+    """The fuzzdet modules a `-X importtime` child imported."""
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {n for n in names if n.startswith("fuzzdet.")}
+
+
+def test_import_loads_no_submodule(python_child):
+    proc = python_child("-S", "-X", "importtime", "-c", "import fuzzdet")
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "{f}", "x"],
+    ["semiring", "{f}"],
+    ["det", "{f}", "--method", "brzozowski", "--dot", "-"],
+    ["equiv", "{f}", "{f}", "--method", "incl,brzozowski"],
+])
+def test_command_loads_only_what_it_runs(python_child, goguen3_path, argv):
+    proc = python_child("-S", "-X", "importtime", "-m", "fuzzdet",
+                        *(a.format(f=goguen3_path) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    loaded = _loaded(proc)
+    assert "fuzzdet.cli" in loaded and "fuzzdet.reference" not in loaded
+    assert ("fuzzdet.determinize" in loaded) == (argv[0] in ("det", "equiv"))
+
+
+def test_every_export_resolves_to_its_module_object():
+    for name in fuzzdet.__all__:
+        module = importlib.import_module(f"fuzzdet.{fuzzdet._MODULE_OF[name]}")
+        value = getattr(fuzzdet, name)
+        assert value is getattr(module, name), name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == module.__name__, name
+    assert set(fuzzdet.__all__) <= set(dir(fuzzdet))
+    with pytest.raises(AttributeError):
+        fuzzdet.nonexistent
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from fuzzdet import *", namespace)
+    del namespace["__builtins__"]
+    assert len(namespace) == 63
+    assert sorted(namespace) == fuzzdet.__all__
