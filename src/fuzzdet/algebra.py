@@ -31,21 +31,20 @@ def _same_lattice(a, b) -> None:
 
 
 class FuzzyVector(Record):
-    """Immutable tuple of membership degrees over one lattice; each is checked."""
+    """Immutable nonempty tuple of membership degrees over one lattice; each is checked."""
 
     __slots__ = ("lattice", "entries")
 
     def __init__(self, lattice: Lattice, entries: tuple[Value, ...]):
+        if not entries:
+            raise DimensionMismatch("a fuzzy vector needs at least one entry")
         lattice.check_all(entries)
         _set(self, "lattice", lattice)
         _set(self, "entries", entries)
 
     @classmethod
     def from_values(cls, lattice: Lattice, values: Iterable) -> "FuzzyVector":
-        entries = tuple(lattice.coerce(v) for v in values)
-        if not entries:
-            raise DimensionMismatch("a fuzzy vector needs at least one entry")
-        return cls(lattice, entries)
+        return cls(lattice, tuple(lattice.coerce(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -62,27 +61,26 @@ class FuzzyVector(Record):
 
 
 class FuzzyMatrix(Record):
-    """Immutable rectangular matrix of membership degrees; each is checked."""
+    """Immutable nonempty rectangular matrix of membership degrees; shape and
+    entries are checked when it is built."""
 
     __slots__ = ("lattice", "entries")
 
     def __init__(self, lattice: Lattice, entries: tuple[tuple[Value, ...], ...]):
-        for row in entries:
+        if not entries or not entries[0]:
+            raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
+        width = len(entries[0])
+        for r, row in enumerate(entries):
+            if len(row) != width:
+                raise DimensionMismatch(
+                    f"row {r + 1} has {len(row)} entries, expected {width}")
             lattice.check_all(row)
         _set(self, "lattice", lattice)
         _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, lattice: Lattice, rows: Iterable[Iterable]) -> "FuzzyMatrix":
-        built = tuple(tuple(lattice.coerce(v) for v in row) for row in rows)
-        if not built or not built[0]:
-            raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
-        width = len(built[0])
-        for r, row in enumerate(built):
-            if len(row) != width:
-                raise DimensionMismatch(
-                    f"row {r + 1} has {len(row)} entries, expected {width}")
-        return cls(lattice, built)
+        return cls(lattice, tuple(tuple(lattice.coerce(v) for v in row) for row in rows))
 
     @property
     def n_rows(self) -> int:
@@ -217,15 +215,15 @@ class Carrier:
     Codes are compared, hashed and combined as bare values; join and meet
     are max and min, because every structure is a chain. The encodings:
       chain K      the indices themselves;
-      lukasiewicz, boolean, and goguen on {0, 1}
+      lukasiewicz, boolean
                    numerators x over q, the lcm of the denominators:
                    tmul is max(x + y - q, 0), resid(x, y) is q - x + y
                    when x > y;
       godel        ranks in the sorted start set (values plus 0 and 1):
                    tmul is min, resid(x, y) is y when x > y;
-      goguen with a value strictly inside (0, 1)
-                   the Fractions themselves, with x * y and y / x; their
-                   closure is infinite, so no finite code table exists.
+      goguen       the Fractions themselves, with x * y and y / x: a value
+                   strictly inside (0, 1) makes the closure infinite, so
+                   no finite code table exists.
     Every value a construction can reach lies in the closure of the values
     the carrier was built from, so build it from every value that enters.
     encode and decode map one value; decode returns the lattice's own
@@ -252,7 +250,7 @@ class Carrier:
             return cls(lattice, 0, top, min,
                        lambda x, y: top if x <= y else y,
                        rank.__getitem__, ranked.__getitem__)
-        if kind == "goguen" and any(0 < v < 1 for v in values):
+        if kind == "goguen":
             one = lattice.top
             return cls(lattice, lattice.bottom, one, mul,
                        lambda x, y: one if x <= y else y / x, _same, _same)

@@ -128,13 +128,11 @@ class Cdfa(Record):
 
     transitions[state][symbol_index] is the successor state; terminal[state]
     is the degree returned after reading a word that lands there. Every
-    state must be reachable from initial. _sym_index, derived from the
-    alphabet, takes no part in equality, hash or repr.
+    state must be reachable from initial. Equality, hash and repr cover
+    exactly these six fields.
     """
 
-    __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "labels",
-                 "_sym_index")
-    _fields = __slots__[:-1]
+    __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "labels")
 
     def __init__(self, lattice: Lattice, alphabet: tuple[str, ...],
                  transitions: tuple[tuple[int, ...], ...], initial: int,
@@ -174,17 +172,15 @@ class Cdfa(Record):
         _set(self, "initial", initial)
         _set(self, "terminal", terminal)
         _set(self, "labels", labels)
-        _set(self, "_sym_index", {x: i for i, x in enumerate(alphabet)})
 
     @property
     def n(self) -> int:
         return len(self.transitions)
 
     def step(self, state: int, symbol: str) -> int:
-        i = self._sym_index.get(symbol)
-        if i is None:
+        if symbol not in self.alphabet:
             raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet")
-        return self.transitions[state][i]
+        return self.transitions[state][self.alphabet.index(symbol)]
 
 
 def cdfa_evaluate(c: Cdfa, word: Sequence[str]) -> Value:

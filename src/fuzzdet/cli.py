@@ -14,7 +14,7 @@ from collections.abc import Callable
 
 from .algebra import DEFAULT_CAP, FuzzyMatrix, preflight
 from .automata import FuzzyAutomaton, evaluate, find_witness
-from .errors import FormatError, FuzzdetError
+from .errors import FormatError, FuzzdetError, PsiNotLeftInvariant, PsiNotReflexive
 from .formats import (
     export_dot,
     format_word,
@@ -28,21 +28,22 @@ EXIT_NOT_EQUIVALENT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-METHODS = ("nerode", "rnerode", "incl", "brzozowski", "psi")
-# determinize's constructions, bound as names of this module the first time
-# det or equiv runs; the tracer in bench/ replaces them by name.
-CONSTRUCTIONS = ("nerode", "reverse_nerode", "d_automaton", "brzozowski", "psi_d_automaton")
+# Each --method and the determinize construction it runs. The constructions
+# are bound as names of this module the first time det or equiv runs, and
+# looked up by name at each call: the tracer in bench/ replaces them by name.
+METHODS = {"nerode": "nerode", "rnerode": "reverse_nerode", "incl": "d_automaton",
+           "brzozowski": "brzozowski", "psi": "psi_d_automaton"}
 
 
 def _constructions() -> None:
     """Load determinize and bind each construction not bound yet."""
     from . import determinize
-    for name in CONSTRUCTIONS:
+    for name in METHODS.values():
         globals().setdefault(name, getattr(determinize, name))
 
 
 def __getattr__(name: str):
-    if name in CONSTRUCTIONS:
+    if name in METHODS.values():
         _constructions()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -89,17 +90,13 @@ def _parse_psi(text: str | None, a: FuzzyAutomaton) -> FuzzyMatrix | None:
 
 def _determinize(a: FuzzyAutomaton, method: str, cap: int,
                  psi: FuzzyMatrix | None) -> DetOutcome:
-    if method == "nerode":
-        return nerode(a, cap)
-    if method == "rnerode":
-        return reverse_nerode(a, cap)
-    if method == "incl":
-        return d_automaton(a, cap)
-    if method == "brzozowski":
-        return brzozowski(a, cap)
-    if method == "psi":
-        return psi_d_automaton(a, psi, cap)
-    raise FuzzdetError(f"unknown method {method!r}")
+    construct = globals()[METHODS[method]]
+    if method != "psi":
+        return construct(a, cap)
+    try:
+        return construct(a, psi, cap)
+    except (PsiNotReflexive, PsiNotLeftInvariant) as e:
+        raise FuzzdetError(f"--psi: {e}") from None
 
 
 def _closure_line(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> str:
@@ -122,23 +119,24 @@ def _check_psi_applies(psi_path: str | None, methods: list[str]) -> None:
         raise FuzzdetError("--psi applies only to --method psi")
 
 
-def _check_max_states(max_states: int) -> None:
-    if max_states < 1:
-        raise FuzzdetError(f"--max-states must be at least 1, got {max_states}")
+def _check_cap(flag: str, n: int) -> None:
+    if n < 1:
+        raise FuzzdetError(f"{flag} must be at least 1, got {n}")
 
 
 def cmd_det(args) -> int:
     _constructions()
-    _check_max_states(args.max_states)
+    _check_cap("--max-states", args.max_states)
     _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
     psi = _parse_psi(_read_psi(args.psi), a)
     closure = _closure_line(a)
+    # construct before the first report line, so that a bad psi prints none
+    outcome = _determinize(a, args.method, args.max_states, psi)
     print(f"semiring: {closure}")
     if closure.startswith("cap exceeded"):
         print("warning: membership values did not close, "
               "termination is not guaranteed", file=sys.stderr)
-    outcome = _determinize(a, args.method, args.max_states, psi)
     if args.stats:
         s = outcome.stats
         print(f"stats: vertices={s.vertices} closure_checks={s.closure_checks} "
@@ -168,7 +166,7 @@ def cmd_det(args) -> int:
 
 def cmd_equiv(args) -> int:
     _constructions()
-    _check_max_states(args.max_states)
+    _check_cap("--max-states", args.max_states)
     methods = args.method.split(",")
     if len(methods) == 1:
         methods = methods * 2
@@ -203,8 +201,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_semiring(args) -> int:
-    if args.cap < 1:
-        raise FuzzdetError(f"--cap must be at least 1, got {args.cap}")
+    _check_cap("--cap", args.cap)
     a = _load(args.file)
     print(_closure_line(a, args.cap))
     return EXIT_OK

@@ -36,8 +36,8 @@ implication meet of the mu_s against w_u, recovered once per state.
 
 Every construction runs on a Carrier (see algebra): the values that enter
 it, psi's included, encoded once, so that its vectors are tuples of bare
-codes (ints on every lattice but a Goguen automaton with a value strictly
-inside (0, 1)) and its tmul and resid are bound for that automaton.
+codes (ints on every lattice but Goguen) and its tmul and resid are bound
+for that automaton.
 Decoding happens at one boundary, the TransitionTree: to_cdfa decodes the
 cdfa's terminals and label vectors, and state_vectors and state_terminals
 decode the tree's states. reference.d_epsilon and reference.d_step compute
@@ -137,19 +137,17 @@ class TreeVertex(Record, frozen=False):
         self.symbol = symbol
 
 
-class TransitionTree(Record, frozen=False):
+class TransitionTree:
     """A transition tree as its glued state table; vertices lists the tree.
 
     State lists are indexed by pointer - 1. codes and terminal_codes hold
     each state's vector and terminal degree in the carrier's encoding, and
     state_vectors and state_terminals decode them. state_edges[s][i] is
     the glued target of state s under alphabet symbol i, and words[s] the
-    word of the vertex that made s, grown on the left when prepend. No
-    __slots__: the cached properties live in its __dict__.
+    word of the vertex that made s, grown on the left when prepend. A
+    plain object, equal only to itself, as its Carrier is: compare two
+    trees by their state_vectors or their to_cdfa().
     """
-
-    _fields = ("carrier", "alphabet", "codes", "terminal_codes", "state_edges", "words",
-               "prepend")
 
     def __init__(self, carrier: Carrier, alphabet: tuple[str, ...], codes: list[tuple],
                  terminal_codes: list, state_edges: list[tuple[int, ...]],
@@ -472,8 +470,8 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     """
     if psi is None:
         return d_automaton(a, cap)
-    require_cap(cap, "state cap")
     _check_psi_shape(a, psi)
+    run = _Run(a, cap, (v for row in psi.entries for v in row))
     top = a.lattice.top
     for i in range(a.n):
         if psi.entries[i][i] != top:
@@ -481,8 +479,6 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     violation = check_left_invariant(a, psi)
     if violation is not None:
         raise PsiNotLeftInvariant(str(violation))
-
-    run = _Run(a, cap, (v for row in psi.entries for v in row))
     c = run.carrier
     p = tuple(map(c.codes, psi.entries))
     rn = run.reverse(_sup_product(c, _pairs(c, p), run.tau),

@@ -11,11 +11,14 @@ ignored, tokens separated by whitespace):
     transitions SYM         followed by N rows of N values
     ...                     one transitions block per alphabet symbol
 
-Values are decimal literals, p/q rationals, or chain indices, and must lie
-in the declared lattice. reference.serialize_automaton writes the canonical
-form: blocks in the order above, symbols in alphabet order, reduced values,
-terminating decimals preferred over p/q. Parsing a serialized document
-yields an equal automaton.
+Each block appears once. lattice and states come before initial and
+terminal, and lattice, alphabet and states before every transitions block;
+the order is otherwise free. Values are decimal literals, p/q rationals,
+or chain indices, and must lie in the declared lattice.
+reference.serialize_automaton writes the canonical form: blocks in the
+order above, symbols in alphabet order, reduced values, terminating
+decimals preferred over p/q. Parsing a serialized document yields an equal
+automaton.
 
 Words elsewhere in the package render as '_' for the empty word and
 dot-separated symbols otherwise, e.g. 'x.y.x'.
@@ -257,15 +260,10 @@ def _cdfa_dot(c: Cdfa) -> str:
     out.append(f"  __start -> s{c.initial + 1};")
     for s in range(c.n):
         grouped: dict[int, list[str]] = {}
-        order: list[int] = []
-        for i, x in enumerate(c.alphabet):
-            t = c.transitions[s][i]
-            if t not in grouped:
-                grouped[t] = []
-                order.append(t)
-            grouped[t].append(x)
-        for t in order:
-            label = ",".join(grouped[t])
+        for t, x in zip(c.transitions[s], c.alphabet):
+            grouped.setdefault(t, []).append(x)
+        for t, symbols in grouped.items():
+            label = ",".join(symbols)
             out.append(f"  s{s + 1} -> s{t + 1} [label={_quote(label)}];")
     out.append("}")
     return "\n".join(out) + "\n"

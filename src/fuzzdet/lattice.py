@@ -31,12 +31,11 @@ _INDEX = re.compile(r"^\d+$")
 class Record:
     """Base of the package's records: eq, hash and repr over the fields.
 
-    A subclass names its fields in __slots__ (or in _fields, when it has
-    slots that are not fields, or no slots) and sets them in its own
-    straight-line __init__ with _set, because assignment raises
-    AttributeError. `class R(Record, frozen=False)` makes a mutable,
-    unhashable record instead. Records are equal when they are of one
-    class and their fields are equal.
+    A subclass names its fields in __slots__, the one list of them, and
+    sets them in its own straight-line __init__ with _set, because
+    assignment raises AttributeError. `class R(Record, frozen=False)`
+    makes a mutable, unhashable record instead. Records are equal when
+    they are of one class and their fields are equal.
 
     Not a dataclass: importing dataclasses loads inspect, ast and dis, and
     each decorated class generates its methods with exec at import, which
@@ -51,9 +50,9 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__dict__.get("_fields", cls.__dict__.get("__slots__", ()))
-        cls._fields = fields
-        cls._key = attrgetter(*fields)  # not a function, so self._key is unbound
+        fields = cls.__slots__
+        # attrgetter is not a function, so self._key is unbound
+        cls._fields, cls._key = fields, attrgetter(*fields)
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
@@ -125,8 +124,10 @@ class Lattice(Record):
         return self.kind
 
     def _guard(self, v: Value) -> None:
+        """The one value-type test: an exact int on a chain, so never a bool,
+        and a Fraction otherwise."""
         if self.kind == "chain":
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise LatticeMismatch(f"expected a chain index, got {v!r}")
         elif not isinstance(v, Fraction):
             raise LatticeMismatch(f"expected a Fraction in [0, 1], got {v!r}")
@@ -137,13 +138,10 @@ class Lattice(Record):
         Compares plain ints (a Fraction's numerator and its positive
         denominator), since every automaton checks each of its entries.
         """
+        self._guard(v)
         if self.kind == "chain":
-            if type(v) is not int:
-                raise LatticeMismatch(f"expected a chain index, got {v!r}")
             inside = 0 <= v <= self.top_index
         else:
-            if not isinstance(v, Fraction):
-                raise LatticeMismatch(f"expected a Fraction in [0, 1], got {v!r}")
             inside = 0 <= v.numerator <= v.denominator
         if not inside:
             raise LatticeMismatch(f"{v!r} is outside {self.describe()}")
@@ -172,9 +170,7 @@ class Lattice(Record):
         if isinstance(raw, str):
             return self.parse_value(raw)
         if self.kind == "chain":
-            if isinstance(raw, int):
-                return self.check(raw)
-            raise LatticeMismatch(f"expected a chain index, got {raw!r}")
+            return self.check(raw)
         if isinstance(raw, Fraction):
             self.check(raw)
             return raw if type(raw) is Fraction else Fraction(raw)

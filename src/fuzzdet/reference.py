@@ -215,18 +215,12 @@ def _automaton_dot(a: FuzzyAutomaton) -> str:
             out.append(f"  __init{i + 1} -> q{i + 1} [label={_quote(fmt(a.sigma[i]))}];")
     for i in range(a.n):
         grouped: dict[int, list[tuple[str, Value]]] = {}
-        order: list[int] = []
         for x in a.alphabet:
-            row = a.delta[x].entries[i]
-            for j, v in enumerate(row):
-                if v == bottom:
-                    continue
-                if j not in grouped:
-                    grouped[j] = []
-                    order.append(j)
-                grouped[j].append((x, v))
-        for j in order:
-            label = _merged_label(grouped[j], lat)
+            for j, v in enumerate(a.delta[x].entries[i]):
+                if v != bottom:
+                    grouped.setdefault(j, []).append((x, v))
+        for j, pairs in grouped.items():
+            label = _merged_label(pairs, lat)
             out.append(f"  q{i + 1} -> q{j + 1} [label={_quote(label)}];")
     if not boolean:
         for i in range(a.n):

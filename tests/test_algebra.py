@@ -11,6 +11,7 @@ from fuzzdet import (
     GOGUEN,
     LUKASIEWICZ,
     DimensionMismatch,
+    FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyVector,
     InvalidCap,
@@ -160,6 +161,15 @@ def test_dimension_errors():
         FuzzyMatrix.from_rows(GOGUEN, [["0", "1"], ["1"]])
     with pytest.raises(DimensionMismatch):
         FuzzyVector.from_values(GOGUEN, [])
+    with pytest.raises(DimensionMismatch):
+        FuzzyVector(GOGUEN, ())
+    with pytest.raises(DimensionMismatch):
+        FuzzyMatrix(GOGUEN, ())
+    with pytest.raises(DimensionMismatch):
+        FuzzyMatrix(GOGUEN, ((F(0),), (F(0), F(1))))
+    with pytest.raises(DimensionMismatch):
+        FuzzyAutomaton(GOGUEN, ("x",), FuzzyVector(GOGUEN, ()),
+                       {"x": FuzzyMatrix(GOGUEN, ())}, FuzzyVector(GOGUEN, ()))
 
 
 def test_lattice_mismatch_errors():

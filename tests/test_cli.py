@@ -182,10 +182,16 @@ def test_psi_file_errors_before_any_report(capsys, tmp_path, goguen3_path):
     wide.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n")
     latin = tmp_path / "latin.mat"
     latin.write_bytes(b"1 0 \xbd\n0 1 0\n0 0 1\n")
+    ones = tmp_path / "ones.mat"
+    ones.write_text("1 1 1\n1 1 1\n1 1 1\n")
+    zero = tmp_path / "zero.mat"
+    zero.write_text("0 0 0\n0 1 0\n0 0 1\n")
     for psi, says in (("/missing", "--psi: cannot read /missing: No such file"),
                       (str(wide), "--psi: line 1: row 1 needs 3 values, got 4"),
                       (str(latin), f"--psi: cannot read {latin}: not UTF-8 text "
-                                   "(byte 0xbd at offset 4)")):
+                                   "(byte 0xbd at offset 4)"),
+                      (str(ones), "--psi: (sigma ∘ psi)[2] = 1 exceeds sigma[2] = 0"),
+                      (str(zero), "--psi: psi[1,1] = 0, expected top")):
         code, out, err = run_cli(capsys, "det", goguen3_path, "--method", "psi", "--psi", psi)
         assert (code, out) == (2, ""), psi
         assert err.startswith("error: " + says), err

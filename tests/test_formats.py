@@ -41,14 +41,32 @@ transitions y
 0 0.3 1
 """
 
+# the same automaton with its blocks in another order the parser accepts
+GOGUEN3_REORDERED = """states 3
+alphabet x y
+lattice goguen
+transitions y
+0 1 0.3
+0 1 0
+0 0.3 1
+terminal 0 1 0
+transitions x
+0 0.5 1
+0 1 0
+0 1 0.5
+initial 1 0 0
+"""
+
 
 def test_parse_fixture_document(goguen3):
-    assert goguen3.lattice == GOGUEN
-    assert goguen3.alphabet == ("x", "y")
-    assert goguen3.n == 3
-    assert goguen3.delta["x"].row(0) == (F(0), F(1, 2), F(1))
-    assert goguen3.sigma.entries == (F(1), F(0), F(0))
-    assert goguen3.tau.entries == (F(0), F(1), F(0))
+    for a in (goguen3, parse_automaton(GOGUEN3_REORDERED)):
+        assert a == parse_automaton(GOGUEN3_CANONICAL)
+        assert a.lattice == GOGUEN
+        assert a.alphabet == ("x", "y")
+        assert a.n == 3
+        assert a.delta["x"].row(0) == (F(0), F(1, 2), F(1))
+        assert a.sigma.entries == (F(1), F(0), F(0))
+        assert a.tau.entries == (F(0), F(1), F(0))
 
 
 def test_parse_tolerates_comments_blank_lines_tabs():

@@ -153,6 +153,10 @@ def test_value_guards():
     with pytest.raises(LatticeMismatch):
         chain(4).meet(2, F(1, 2))
     with pytest.raises(LatticeMismatch):
+        chain(4).meet(True, 3)
+    with pytest.raises(LatticeMismatch):
+        chain(4).tmul(True, 4)
+    with pytest.raises(LatticeMismatch):
         GOGUEN.coerce(0.5)
     with pytest.raises(LatticeMismatch):
         chain(4).coerce(True)
