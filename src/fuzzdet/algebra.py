@@ -6,22 +6,23 @@ refuse to mix lattices. All five structures are chains, so every
 composition is one of two loops over plain tuples: the sup-product
 (_sup_product, join of tmul) and the implication meet (_residual_meet, meet
 of resid). Both skip the factors that cannot move the result and stop early
-at top or bottom. The public operations run them with the lattice's own
-guarded operations; the constructions run them on a Carrier, the
-construction's values encoded once, with tmul and resid bound to bare
-arithmetic on the codes. semiring_closure and preflight bound a
-construction before it runs, so that semiring needs no determinize.
+at top or bottom. Both run on a Carrier, with tmul and resid from
+lattice.operations: the public operations on the lattice's identity
+carrier, on values checked when their container was built, and the
+constructions on their values encoded once. semiring_closure and
+preflight bound a construction before it runs, so that semiring needs
+no determinize.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from operator import mul
 
 from .errors import DimensionMismatch, InvalidCap, LatticeMismatch
-from .lattice import Lattice, Record, Value, _set
+from .lattice import Lattice, Record, Value, _set, operations
 
 
 def _same_lattice(a, b) -> None:
@@ -104,22 +105,21 @@ class FuzzyMatrix(Record):
 
 # -- the two loops --------------------------------------------------------
 #
-# ops is a Lattice or a Carrier: anything with bottom, top, tmul and resid
-# over one chain, so that join and meet are comparisons. A row is given as
-# the (k, x) pairs of its entries other than bottom (_pairs): a bottom
-# entry moves neither loop, and the rows the constructions use again and
-# again are sparse.
+# c is a Carrier: bottom, top, tmul and resid over one chain, so that join
+# and meet are comparisons. A row is given as the (k, x) pairs of its
+# entries other than bottom (_pairs): a bottom entry moves neither loop,
+# and the rows the constructions use again and again are sparse.
 
 
-def _pairs(ops, rows) -> tuple:
+def _pairs(c: Carrier, rows) -> tuple:
     """Each row as the (k, x) pairs of its entries other than bottom."""
-    bottom = ops.bottom
+    bottom = c.bottom
     return tuple(tuple((k, x) for k, x in enumerate(row) if x != bottom) for row in rows)
 
 
-def _sup_product(ops, rows, vec) -> tuple:
+def _sup_product(c: Carrier, rows, vec) -> tuple:
     """(join_k tmul(x, vec[k]) over (k, x) in row, for each row)."""
-    bottom, top, tmul = ops.bottom, ops.top, ops.tmul
+    bottom, top, tmul = c.bottom, c.top, c.tmul
     out = []
     for row in rows:
         acc = bottom
@@ -136,12 +136,12 @@ def _sup_product(ops, rows, vec) -> tuple:
     return tuple(out)
 
 
-def _residual_meet(ops, rows, vec) -> tuple:
+def _residual_meet(c: Carrier, rows, vec) -> tuple:
     """(meet_k resid(x, vec[k]) over (k, x) in row, for each row).
 
     resid(x, y) is top exactly when x <= y, so only x > y can lower the meet.
     """
-    bottom, top, resid = ops.bottom, ops.top, ops.resid
+    bottom, top, resid = c.bottom, c.top, c.resid
     out = []
     for row in rows:
         acc = top
@@ -158,10 +158,10 @@ def _residual_meet(ops, rows, vec) -> tuple:
     return tuple(out)
 
 
-def _compose(ops, a_rows, b_rows) -> tuple:
+def _compose(c: Carrier, a_rows, b_rows) -> tuple:
     """Rows of the sup-product a ∘ b: each row of a against the columns of b."""
-    cols = _pairs(ops, zip(*b_rows))
-    return tuple(_sup_product(ops, cols, row) for row in a_rows)
+    cols = _pairs(c, zip(*b_rows))
+    return tuple(_sup_product(c, cols, row) for row in a_rows)
 
 
 def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
@@ -169,7 +169,8 @@ def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
     _same_lattice(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot compose {a.n_cols} columns with {b.n_rows} rows")
-    return FuzzyMatrix(a.lattice, _compose(a.lattice, a.entries, b.entries))
+    c = Carrier.identity(a.lattice)
+    return FuzzyMatrix(a.lattice, _compose(c, a.entries, b.entries))
 
 
 def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
@@ -177,8 +178,8 @@ def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
     _same_lattice(f, m)
     if len(f) != m.n_rows:
         raise DimensionMismatch(f"vector of length {len(f)} against {m.n_rows} rows")
-    lat = f.lattice
-    return FuzzyVector(lat, _sup_product(lat, _pairs(lat, zip(*m.entries)), f.entries))
+    c = Carrier.identity(f.lattice)
+    return FuzzyVector(f.lattice, _sup_product(c, _pairs(c, zip(*m.entries)), f.entries))
 
 
 def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
@@ -186,8 +187,8 @@ def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
     _same_lattice(f, g)
     if len(f) != len(g):
         raise DimensionMismatch(f"dot of lengths {len(f)} and {len(g)}")
-    lat = f.lattice
-    return _sup_product(lat, _pairs(lat, (f.entries,)), g.entries)[0]
+    c = Carrier.identity(f.lattice)
+    return _sup_product(c, _pairs(c, (f.entries,)), g.entries)[0]
 
 
 # -- the encoded carrier ---------------------------------------------------
@@ -213,17 +214,15 @@ class Carrier:
     """The values of one construction encoded once, with tmul and resid bound.
 
     Codes are compared, hashed and combined as bare values; join and meet
-    are max and min, because every structure is a chain. The encodings:
+    are max and min, because every structure is a chain. tmul and resid
+    are lattice.operations on the codes' ends. The encodings:
       chain K      the indices themselves;
       lukasiewicz, boolean
-                   numerators x over q, the lcm of the denominators:
-                   tmul is max(x + y - q, 0), resid(x, y) is q - x + y
-                   when x > y;
-      godel        ranks in the sorted start set (values plus 0 and 1):
-                   tmul is min, resid(x, y) is y when x > y;
-      goguen       the Fractions themselves, with x * y and y / x: a value
-                   strictly inside (0, 1) makes the closure infinite, so
-                   no finite code table exists.
+                   numerators x over q, the lcm of the denominators;
+      godel        ranks in the sorted start set (values plus 0 and 1);
+      goguen       the Fractions themselves: a value strictly inside
+                   (0, 1) makes the closure infinite, so no finite code
+                   table exists.
     Every value a construction can reach lies in the closure of the values
     the carrier was built from, so build it from every value that enters.
     encode and decode map one value; decode returns the lattice's own
@@ -232,38 +231,32 @@ class Carrier:
 
     __slots__ = ("lattice", "bottom", "top", "tmul", "resid", "encode", "decode")
 
-    def __init__(self, lattice: Lattice, bottom, top, tmul: Callable, resid: Callable,
-                 encode: Callable, decode: Callable):
+    def __init__(self, lattice: Lattice, bottom, top, encode: Callable, decode: Callable):
         self.lattice, self.bottom, self.top = lattice, bottom, top
-        self.tmul, self.resid = tmul, resid
+        self.tmul, self.resid = operations(lattice.kind, bottom, top)
         self.encode, self.decode = encode, decode
 
     @classmethod
+    @cache
+    def identity(cls, lattice: Lattice) -> "Carrier":
+        """The lattice's values as their own codes, made once per lattice."""
+        return cls(lattice, lattice.bottom, lattice.top, _same, _same)
+
+    @classmethod
     def of(cls, lattice: Lattice, values: Iterable[Value]) -> "Carrier":
-        """The carrier for lattice values (checked already) plus bottom and top."""
+        """The carrier for lattice values (checked already) plus bottom and top;
+        on a chain and on goguen, the identity carrier."""
         kind = lattice.kind
+        if kind in ("chain", "goguen"):
+            return cls.identity(lattice)
         values = {*values, lattice.bottom, lattice.top}
         if kind == "godel":
             ranked = sorted(values)
             rank = {v: i for i, v in enumerate(ranked)}
-            top = len(ranked) - 1
-            return cls(lattice, 0, top, min,
-                       lambda x, y: top if x <= y else y,
-                       rank.__getitem__, ranked.__getitem__)
-        if kind == "goguen":
-            one = lattice.top
-            return cls(lattice, lattice.bottom, one, mul,
-                       lambda x, y: one if x <= y else y / x, _same, _same)
-        if kind == "chain":
-            q, encode, decode = lattice.top_index, _same, _same
-        else:
-            q = lcm(*(v.denominator for v in values))
-            encode = lambda v: v.numerator * (q // v.denominator)  # noqa: E731
-            decode = _Fractions(q).__getitem__
-        return cls(lattice, 0, q,
-                   lambda x, y: x + y - q if x + y > q else 0,
-                   lambda x, y: q if x <= y else q - x + y,
-                   encode, decode)
+            return cls(lattice, 0, len(ranked) - 1, rank.__getitem__, ranked.__getitem__)
+        q = lcm(*(v.denominator for v in values))
+        return cls(lattice, 0, q, lambda v: v.numerator * (q // v.denominator),
+                   _Fractions(q).__getitem__)
 
     def codes(self, entries: Iterable[Value]) -> tuple:
         return tuple(map(self.encode, entries))

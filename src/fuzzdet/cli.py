@@ -131,8 +131,16 @@ def cmd_det(args) -> int:
     a = _load(args.file)
     psi = _parse_psi(_read_psi(args.psi), a)
     closure = _closure_line(a)
-    # construct before the first report line, so that a bad psi prints none
+    # construct, and write a DOT file, before the first report line, so that
+    # a bad psi or an unwritable --dot PATH prints none
     outcome = _determinize(a, args.method, args.max_states, psi)
+    dot = export_dot(outcome.cdfa) if outcome.ok and args.dot is not None else None
+    if dot is not None and args.dot != "-":
+        try:
+            with open(args.dot, "w", encoding="utf-8") as f:
+                f.write(dot)
+        except OSError as e:
+            raise FuzzdetError(f"--dot: cannot write {args.dot}: {e.strerror}") from None
     print(f"semiring: {closure}")
     if closure.startswith("cap exceeded"):
         print("warning: membership values did not close, "
@@ -151,16 +159,8 @@ def cmd_det(args) -> int:
     for s in range(c.n):
         word = format_word(c.labels[s].word)
         print(f"state {s + 1}: word={word}, terminal={fmt(c.terminal[s])}")
-    if args.dot is not None:
-        text = export_dot(c)
-        if args.dot == "-":
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(args.dot, "w", encoding="utf-8") as f:
-                    f.write(text)
-            except OSError as e:
-                raise FuzzdetError(f"--dot: cannot write {args.dot}: {e.strerror}") from None
+    if args.dot == "-":
+        sys.stdout.write(dot)
     return EXIT_OK
 
 

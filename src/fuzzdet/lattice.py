@@ -1,7 +1,8 @@
 """Exact arithmetic in complete residuated lattices.
 
 Every structure here is a chain, so meet and join are min and max and all
-that distinguishes the structures is the multiplication and its residuum.
+that distinguishes the structures is the multiplication and its residuum,
+written once for all five in operations().
 Values are plain ``fractions.Fraction`` objects for the unit-interval
 structures and plain ``int`` indices for finite chains; no floats anywhere.
 The lattice descriptor travels with containers (vectors, matrices), not with
@@ -11,8 +12,10 @@ the values themselves.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from fractions import Fraction
-from operator import attrgetter
+from functools import cache
+from operator import attrgetter, mul
 
 from .errors import LatticeMismatch
 
@@ -123,24 +126,19 @@ class Lattice(Record):
             return f"chain {self.top_index}"
         return self.kind
 
-    def _guard(self, v: Value) -> None:
-        """The one value-type test: an exact int on a chain, so never a bool,
-        and a Fraction otherwise."""
-        if self.kind == "chain":
-            if type(v) is not int:
-                raise LatticeMismatch(f"expected a chain index, got {v!r}")
-        elif not isinstance(v, Fraction):
-            raise LatticeMismatch(f"expected a Fraction in [0, 1], got {v!r}")
-
     def check(self, v: Value) -> Value:
-        """Validate that v belongs to this lattice's carrier; a bool never does.
+        """Validate that v belongs to this lattice's carrier: an exact int on
+        a chain, so never a bool, and a Fraction in [0, 1] otherwise.
 
         Compares plain ints (a Fraction's numerator and its positive
         denominator), since every automaton checks each of its entries.
         """
-        self._guard(v)
         if self.kind == "chain":
+            if type(v) is not int:
+                raise LatticeMismatch(f"expected a chain index, got {v!r}")
             inside = 0 <= v <= self.top_index
+        elif not isinstance(v, Fraction):
+            raise LatticeMismatch(f"expected a Fraction in [0, 1], got {v!r}")
         else:
             inside = 0 <= v.numerator <= v.denominator
         if not inside:
@@ -212,55 +210,54 @@ class Lattice(Record):
 
     # -- operations ------------------------------------------------------
     #
-    # These check their arguments' type (_guard) and dispatch on the kind at
-    # every call, so that a stray value from a caller fails loudly. The
-    # constructions never call them: they run on an algebra.Carrier, whose
-    # operations are bound once per automaton to bare arithmetic.
+    # These check both arguments, so that a stray value fails loudly. The
+    # constructions and the vector algebra never call them: they run on an
+    # algebra.Carrier, whose operations come from operations() as these do.
+
+    @property
+    @cache
+    def _ops(self) -> tuple[Callable, Callable]:
+        """(tmul, resid) on this lattice's values, made once per lattice."""
+        return operations(self.kind, self.bottom, self.top)
 
     def meet(self, x: Value, y: Value) -> Value:
-        self._guard(x)
-        self._guard(y)
+        x, y = self.check(x), self.check(y)
         return x if x <= y else y
 
     def join(self, x: Value, y: Value) -> Value:
-        self._guard(x)
-        self._guard(y)
+        x, y = self.check(x), self.check(y)
         return x if x >= y else y
 
     def tmul(self, x: Value, y: Value) -> Value:
-        """Multiplication: min for godel, product for goguen,
-        max(x+y-1, 0) for lukasiewicz/boolean, index truncation for chains."""
-        self._guard(x)
-        self._guard(y)
-        k = self.kind
-        if k == "godel":
-            return x if x <= y else y
-        if k == "goguen":
-            return x * y
-        if k == "chain":
-            s = x + y - self.top_index
-            return s if s > 0 else 0
-        s = x + y - _ONE
-        return s if s > 0 else _ZERO
+        """Multiplication: min for godel, product for goguen, and the truncated
+        sum max(x + y - top, 0) for lukasiewicz, boolean and chains."""
+        return self._ops[0](self.check(x), self.check(y))
 
     def resid(self, x: Value, y: Value) -> Value:
         """Residuum, the largest z with tmul(x, z) <= y."""
-        self._guard(x)
-        self._guard(y)
-        if x <= y:
-            return self.top
-        k = self.kind
-        if k == "godel":
-            return y
-        if k == "goguen":
-            return y / x
-        if k == "chain":
-            return self.top_index - x + y
-        return _ONE - x + y
+        return self._ops[1](self.check(x), self.check(y))
 
     def biresid(self, x: Value, y: Value) -> Value:
         """Biresiduum resid(x, y) meet resid(y, x); equals 1 iff x == y."""
         return self.meet(self.resid(x, y), self.resid(y, x))
+
+
+def operations(kind: str, bottom, top) -> tuple[Callable, Callable]:
+    """The one definition of each kind's (tmul, resid), on bottom..top.
+
+    The ends are a lattice's own on its values and 0..q, the Gödel ranks or
+    0..K on a Carrier's codes; Goguen keeps its Fractions. The truncated
+    sum, with residuum top - x + y, is lukasiewicz, boolean and chain K on
+    values and codes alike. Never memoize this on (kind, bottom, top):
+    0 == Fraction(0) and they hash alike, so int codes would leak to values.
+    """
+    if kind == "godel":
+        return min, lambda x, y: top if x <= y else y
+    if kind == "goguen":
+        return mul, lambda x, y: top if x <= y else y / x
+    # one sum, not two: a Fraction sum costs microseconds
+    return (lambda x, y: s if (s := x + y - top) > bottom else bottom,
+            lambda x, y: top if x <= y else top - x + y)
 
 
 def _decimal_digits(den: int) -> int | None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .algebra import (
+    Carrier,
     FuzzyMatrix,
     FuzzyVector,
     _pairs,
@@ -49,8 +50,8 @@ def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
     _same_lattice(m, g)
     if m.n_cols != len(g):
         raise DimensionMismatch(f"{m.n_cols} columns against vector of length {len(g)}")
-    lat = m.lattice
-    return FuzzyVector(lat, _sup_product(lat, _pairs(lat, m.entries), g.entries))
+    c = Carrier.identity(m.lattice)
+    return FuzzyVector(m.lattice, _sup_product(c, _pairs(c, m.entries), g.entries))
 
 
 def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
@@ -61,8 +62,8 @@ def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
     _same_lattice(f, g)
     if len(f) != len(g):
         raise DimensionMismatch(f"inclusion of lengths {len(f)} and {len(g)}")
-    lat = f.lattice
-    return _residual_meet(lat, _pairs(lat, (f.entries,)), g.entries)[0]
+    c = Carrier.identity(f.lattice)
+    return _residual_meet(c, _pairs(c, (f.entries,)), g.entries)[0]
 
 
 # -- the inclusion-degree vectors ------------------------------------------
@@ -71,8 +72,9 @@ def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
 def _implication_meet(lattice: Lattice, vectors: Sequence[FuzzyVector],
                       scalars: Sequence[Value]) -> FuzzyVector:
     """Componentwise meet_j (vectors[j][i] -> scalars[j])."""
-    columns = _pairs(lattice, zip(*(mu.entries for mu in vectors)))
-    return FuzzyVector(lattice, _residual_meet(lattice, columns, scalars))
+    c = Carrier.identity(lattice)
+    columns = _pairs(c, zip(*(mu.entries for mu in vectors)))
+    return FuzzyVector(lattice, _residual_meet(c, columns, scalars))
 
 
 def _check_rn_states(a: FuzzyAutomaton, rn_states: Sequence[FuzzyVector]) -> None:

@@ -273,7 +273,7 @@ def saturate_closure(lattice, seed, cap):
 
 
 def _sup(lattice, xs, ys):
-    """join_k tmul(xs[k], ys[k]), one guarded scalar operation at a time."""
+    """join_k tmul(xs[k], ys[k]), one checked scalar operation at a time."""
     acc = lattice.bottom
     for x, y in zip(xs, ys):
         acc = lattice.join(acc, lattice.tmul(x, y))
@@ -281,7 +281,7 @@ def _sup(lattice, xs, ys):
 
 
 def _inf_resid(lattice, xs, ys):
-    """meet_k resid(xs[k], ys[k]), one guarded scalar operation at a time."""
+    """meet_k resid(xs[k], ys[k]), one checked scalar operation at a time."""
     acc = lattice.top
     for x, y in zip(xs, ys):
         acc = lattice.meet(acc, lattice.resid(x, y))

@@ -27,7 +27,14 @@ from fuzzdet import (
     semiring_closure,
     vec_mat,
 )
-from support import random_matrix, random_vector, saturate_closure
+from support import (
+    _inf_resid,
+    _sup,
+    random_matrix,
+    random_value,
+    random_vector,
+    saturate_closure,
+)
 
 # the three-state product-structure fixture, built directly
 DELTA_X = FuzzyMatrix.from_rows(GOGUEN, [
@@ -111,6 +118,52 @@ def test_compose_associative():
             assert vec_mat(vec_mat(f, a), b) == vec_mat(f, mat_compose(a, b))
             g = random_vector(rng, lat, 3)
             assert mat_vec(a, mat_vec(b, g)) == mat_vec(mat_compose(a, b), g)
+
+
+def _random_rect(rng, lat, n_rows, n_cols):
+    return FuzzyMatrix(lat, tuple(tuple(random_value(rng, lat) for _ in range(n_cols))
+                                  for _ in range(n_rows)))
+
+
+def test_public_algebra_against_the_scalar_folds():
+    """vec_mat, mat_vec, dot, mat_compose and inclusion_degree give what the
+    folds of checked scalar operations give, in the lattice's own type."""
+    rng = random.Random(41)
+    for lat in (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ, chain(1), chain(3), chain(7)):
+        kind = int if lat.kind == "chain" else F
+        for _ in range(40):
+            n, m, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a, b = _random_rect(rng, lat, n, m), _random_rect(rng, lat, m, p)
+            f, g, h = (random_vector(rng, lat, k) for k in (n, m, m))
+            got_vm, got_mv = vec_mat(f, a).entries, mat_vec(a, g).entries
+            got_mc = mat_compose(a, b).entries
+            got_dot, got_incl = dot(g, h), inclusion_degree(g, h)
+            assert got_vm == tuple(_sup(lat, f, col) for col in zip(*a.entries))
+            assert got_mv == tuple(_sup(lat, row, g) for row in a.entries)
+            assert got_mc == tuple(tuple(_sup(lat, row, col) for col in zip(*b.entries))
+                                   for row in a.entries)
+            assert got_dot == _sup(lat, g, h)
+            assert got_incl == _inf_resid(lat, g, h)
+            values = [*got_vm, *got_mv, *(v for row in got_mc for v in row),
+                      got_dot, got_incl]
+            assert all(type(v) is kind for v in values)
+
+
+def test_boolean_code_carrier_keeps_values_fractions(python_child):
+    """A boolean code carrier has int codes on 0..1, the ends of the boolean
+    values as numbers. Built first in a fresh interpreter, it must not hand
+    its int operations to the lattice's values."""
+    done = python_child("-c", """if True:
+        from fractions import Fraction as F
+        from fuzzdet import BOOLEAN, FuzzyMatrix, FuzzyVector, vec_mat
+        from fuzzdet.algebra import Carrier
+        c = Carrier.of(BOOLEAN, {F(0), F(1)})
+        v = vec_mat(FuzzyVector(BOOLEAN, (F(1), F(0))),
+                    FuzzyMatrix(BOOLEAN, ((F(1), F(0)), (F(1), F(1)))))
+        ops = BOOLEAN.tmul(F(1), F(1)), BOOLEAN.tmul(F(1), F(0)), BOOLEAN.resid(F(0), F(1))
+        print(type(c.tmul(1, 1)).__name__, *(type(x).__name__ for x in (*ops, *v)))
+    """)
+    assert (done.returncode, done.stdout) == (0, "int" + " Fraction" * 5 + "\n"), done.stderr
 
 
 def test_inclusion_degree_examples():

@@ -156,6 +156,15 @@ def test_value_guards():
         chain(4).meet(True, 3)
     with pytest.raises(LatticeMismatch):
         chain(4).tmul(True, 4)
+    # the scalar operations check the range too, not only the type
+    with pytest.raises(LatticeMismatch):
+        chain(4).tmul(7, 7)
+    with pytest.raises(LatticeMismatch):
+        LUKASIEWICZ.resid(F(3, 2), F(-1))
+    with pytest.raises(LatticeMismatch):
+        GODEL.meet(F(2), F(1, 2))
+    with pytest.raises(LatticeMismatch):
+        chain(4).join(-1, 2)
     with pytest.raises(LatticeMismatch):
         GOGUEN.coerce(0.5)
     with pytest.raises(LatticeMismatch):
