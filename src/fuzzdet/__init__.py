@@ -7,32 +7,37 @@ reversal), a psi-glued generalization, a line-oriented document format and
 DOT export.
 
 Modules: lattice (the five structures), algebra (vectors, matrices, the
-encoded carrier and the pre-flight closure), automata (fuzzy automata and
-cdfa), determinize (the constructions), formats (documents, words, DOT),
-errors, cli, and reference (the definitional oracles and the automaton
-writers, which no command line call runs). The package imports a module
-the first time one of its names is used (PEP 562), so `import fuzzdet`
-loads none of them and each command compiles only what it runs.
+sup-product, the encoded carrier), automata (fuzzy automata, evaluate),
+formats (documents, words), closure (the value closure and preflight),
+determinize (the constructions, Cdfa, find_witness), errors, cli and
+detcli (the command line; detcli also holds DOT export and parse_matrix),
+and reference (the definitional oracles, cdfa_evaluate and the automaton
+writers, which no command runs). The package imports a module the first
+time one of its names is used (PEP 562), so `import fuzzdet` loads none
+of them, and each command compiles only what it runs: eval loads cli,
+formats, automata, algebra, lattice and errors; semiring adds closure;
+det and equiv add detcli and determinize.
 """
 
 __version__ = "0.1.0"
 
 # Each module and the public names it defines.
 _EXPORTS = {
-    "algebra": "DEFAULT_CAP FuzzyMatrix FuzzyVector PreflightReport SemiringClosure "
-               "ValueSet automaton_values dot mat_compose preflight semiring_closure "
-               "vec_mat",
-    "automata": "Cdfa FuzzyAutomaton StateLabel Word cdfa_evaluate evaluate find_witness",
-    "determinize": "BuildStats CapExceeded DetOutcome InvarianceViolation TransitionTree "
-                   "TreeVertex brzozowski check_left_invariant d_automaton nerode "
-                   "psi_d_automaton reverse_nerode reverse_nerode_tree",
+    "algebra": "DEFAULT_CAP FuzzyMatrix FuzzyVector dot vec_mat",
+    "automata": "FuzzyAutomaton Word evaluate",
+    "closure": "PreflightReport SemiringClosure ValueSet automaton_values preflight "
+               "semiring_closure",
+    "detcli": "export_dot parse_matrix",
+    "determinize": "BuildStats CapExceeded Cdfa DetOutcome InvarianceViolation StateLabel "
+                   "TransitionTree brzozowski check_left_invariant d_automaton find_witness "
+                   "mat_compose nerode psi_d_automaton reverse_nerode reverse_nerode_tree",
     "errors": "AlphabetMismatch DimensionMismatch FormatError FuzzdetError InvalidCap "
               "LatticeMismatch PsiNotLeftInvariant PsiNotReflexive UnknownSymbol",
-    "formats": "export_dot format_word parse_automaton parse_matrix parse_word",
+    "formats": "format_word parse_automaton parse_word",
     "lattice": "BOOLEAN GODEL GOGUEN LUKASIEWICZ Lattice Value chain",
-    "reference": "cdfa_as_fuzzy_automaton cdfa_equivalent d_epsilon d_step "
-                 "identity_matrix inclusion_degree mat_vec reverse right_language_step "
-                 "serialize_automaton",
+    "reference": "TreeVertex cdfa_as_fuzzy_automaton cdfa_equivalent cdfa_evaluate "
+                 "d_epsilon d_step identity_matrix inclusion_degree mat_vec reverse "
+                 "right_language_step serialize_automaton",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
@@ -44,8 +49,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     return value
 
 

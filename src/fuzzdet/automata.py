@@ -1,24 +1,17 @@
-"""Fuzzy finite automata and their crisp-deterministic counterparts.
+"""Fuzzy finite automata.
 
 A fuzzy automaton is (sigma, delta, tau): a fuzzy set of initial states, one
 transition matrix per symbol, a fuzzy set of terminal states. The degree of
-a word u is sigma ∘ delta_u ∘ tau. A cdfa keeps fuzziness only in its
-terminal map: transitions are an ordinary deterministic table and each state
-carries the vector plus a canonical word that produced it.
+a word u is sigma ∘ delta_u ∘ tau. Their crisp-deterministic counterparts,
+the Cdfa, are in determinize.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 
 from .algebra import FuzzyMatrix, FuzzyVector, dot, vec_mat
-from .errors import (
-    AlphabetMismatch,
-    DimensionMismatch,
-    LatticeMismatch,
-    UnknownSymbol,
-)
+from .errors import DimensionMismatch, LatticeMismatch, UnknownSymbol
 from .lattice import Lattice, Record, Value, _set
 
 Word = tuple[str, ...]
@@ -111,111 +104,3 @@ def evaluate(a: FuzzyAutomaton, word: Sequence[str]) -> Value:
     for x in word:
         state = vec_mat(state, a.matrix(x))
     return dot(state, a.tau)
-
-
-class StateLabel(Record):
-    """Canonical word and defining vector of one cdfa state."""
-
-    __slots__ = ("word", "vector")
-
-    def __init__(self, word: Word, vector: FuzzyVector):
-        _set(self, "word", word)
-        _set(self, "vector", vector)
-
-
-class Cdfa(Record):
-    """Crisp-deterministic fuzzy automaton.
-
-    transitions[state][symbol_index] is the successor state; terminal[state]
-    is the degree returned after reading a word that lands there. Every
-    state must be reachable from initial. Equality, hash and repr cover
-    exactly these six fields.
-    """
-
-    __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "labels")
-
-    def __init__(self, lattice: Lattice, alphabet: tuple[str, ...],
-                 transitions: tuple[tuple[int, ...], ...], initial: int,
-                 terminal: tuple[Value, ...], labels: tuple[StateLabel, ...]):
-        alphabet = check_alphabet(alphabet)
-        n = len(transitions)
-        if n < 1:
-            raise ValueError("a cdfa needs at least one state")
-        m = len(alphabet)
-        for row in transitions:
-            if len(row) != m:
-                raise DimensionMismatch(f"transition row of width {len(row)}, expected {m}")
-            for t in row:
-                if not 0 <= t < n:
-                    raise ValueError(f"transition target {t} out of range")
-        if not 0 <= initial < n:
-            raise ValueError(f"initial state {initial} out of range")
-        if len(terminal) != n:
-            raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
-        lattice.check_all(terminal)
-        if len(labels) != n:
-            raise DimensionMismatch(f"{len(labels)} labels for {n} states")
-        reached = {initial}
-        frontier = deque([initial])
-        while frontier:
-            s = frontier.popleft()
-            for t in transitions[s]:
-                if t not in reached:
-                    reached.add(t)
-                    frontier.append(t)
-        if len(reached) != n:
-            missing = sorted(set(range(n)) - reached)
-            raise ValueError(f"unreachable states: {missing}")
-        _set(self, "lattice", lattice)
-        _set(self, "alphabet", alphabet)
-        _set(self, "transitions", transitions)
-        _set(self, "initial", initial)
-        _set(self, "terminal", terminal)
-        _set(self, "labels", labels)
-
-    @property
-    def n(self) -> int:
-        return len(self.transitions)
-
-    def step(self, state: int, symbol: str) -> int:
-        if symbol not in self.alphabet:
-            raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet")
-        return self.transitions[state][self.alphabet.index(symbol)]
-
-
-def cdfa_evaluate(c: Cdfa, word: Sequence[str]) -> Value:
-    """Run the deterministic table and read off the terminal degree."""
-    state = c.initial
-    for x in word:
-        state = c.step(state, x)
-    return c.terminal[state]
-
-
-def find_witness(c1: Cdfa, c2: Cdfa) -> Word | None:
-    """Shortest word on which the two cdfa disagree, None when equivalent.
-
-    Breadth-first product search; ties inside one length break toward the
-    earlier alphabet symbol, so the witness is shortlex-least. Callers must
-    compare against None, the empty word is a valid witness.
-    """
-    if c1.lattice != c2.lattice:
-        raise LatticeMismatch("cannot compare cdfa over different lattices")
-    if c1.alphabet != c2.alphabet:
-        raise AlphabetMismatch(f"alphabets differ: {c1.alphabet} vs {c2.alphabet}")
-    start = (c1.initial, c2.initial)
-    if c1.terminal[c1.initial] != c2.terminal[c2.initial]:
-        return ()
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
-    while queue:
-        (s1, s2), word = queue.popleft()
-        for i, x in enumerate(c1.alphabet):
-            pair = (c1.transitions[s1][i], c2.transitions[s2][i])
-            if pair in seen:
-                continue
-            extended = word + (x,)
-            if c1.terminal[pair[0]] != c2.terminal[pair[1]]:
-                return extended
-            seen.add(pair)
-            queue.append((pair, extended))
-    return None

@@ -1,5 +1,9 @@
 """Crisp determinization of fuzzy automata.
 
+A crisp-deterministic fuzzy automaton (Cdfa) has a crisp transition table,
+fuzzy terminal degrees and a word and vector labelling each state, and
+find_witness compares two. Only det and equiv load this module.
+
 Every construction here grows the same kind of transition tree: start from a
 root vector, expand each state by every alphabet symbol in order, and glue
 a child to an earlier state the moment its vector repeats that state's.
@@ -11,8 +15,8 @@ A tree is kept as its glued state table, which fixes it: each state has
 one open vertex, open vertices are expanded in the order their states were
 made, children in alphabet order. A state keeps its vector, its terminal
 degree, its edge row and the word of the vertex that made it, and
-TransitionTree derives the vertex list and canonical words from those. One
-_Run carries a construction: its cap, clock, counters and encoded automaton.
+TransitionTree derives the canonical words from those. One _Run carries
+a construction: its cap, clock, counters and encoded automaton.
 
 Constructions:
   nerode           states sigma_u, children sigma_u ∘ delta_x
@@ -34,46 +38,151 @@ w_eps is the reverse terminal column, w_{ux}[s] = w_u[edge(s, x)] and
 L(u) = w_u[0]. Words glue exactly when their d vectors do, and d_u is the
 implication meet of the mu_s against w_u, recovered once per state.
 
-Every construction runs on a Carrier (see algebra): the values that enter
-it, psi's included, encoded once, so that its vectors are tuples of bare
-codes (ints on every lattice but Goguen) and its tmul and resid are bound
-for that automaton.
+Every construction runs on a Carrier (see algebra and closure.carrier_of):
+the values that enter it, psi's included, encoded once, so that its vectors
+are tuples of bare codes (ints on every lattice but Goguen) and its tmul
+and resid are bound for that automaton.
 Decoding happens at one boundary, the TransitionTree: to_cdfa decodes the
 cdfa's terminals and label vectors, and state_vectors and state_terminals
-decode the tree's states. reference.d_epsilon and reference.d_step compute
-the d vectors from their definitions, on the public algebra of lattice
-values, as the reference the gather is tested against.
+decode the tree's states.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from operator import itemgetter
 
-from .algebra import (
-    DEFAULT_CAP,
-    Carrier,
-    FuzzyMatrix,
-    FuzzyVector,
-    _compose,
-    _pairs,
-    _residual_meet,
-    _sup_product,
-    automaton_values,
-    mat_compose,
-    require_cap,
-    vec_mat,
-)
-from .automata import Cdfa, FuzzyAutomaton, StateLabel, Word
-from .errors import (
-    DimensionMismatch,
-    LatticeMismatch,
-    PsiNotLeftInvariant,
-    PsiNotReflexive,
-)
+from .algebra import (DEFAULT_CAP, Carrier, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet,
+                      _same_lattice, _sup_product, vec_mat)
+from .automata import FuzzyAutomaton, Word, check_alphabet
+from .closure import automaton_values, carrier_of, require_cap
+from .errors import (AlphabetMismatch, DimensionMismatch, LatticeMismatch, PsiNotLeftInvariant,
+                     PsiNotReflexive, UnknownSymbol)
 from .lattice import Lattice, Record, Value, _set
+
+
+# -- composition, which only the psi construction runs ----------------------
+
+
+def _compose(c: Carrier, a_rows, b_rows) -> tuple:
+    """Rows of the sup-product a ∘ b: each row of a against the columns of b."""
+    cols = _pairs(c, zip(*b_rows))
+    return tuple(_sup_product(c, cols, row) for row in a_rows)
+
+
+def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
+    """Sup-multiplication product: (a∘b)[i][j] = join_k tmul(a[i][k], b[k][j])."""
+    _same_lattice(a, b)
+    if a.n_cols != b.n_rows:
+        raise DimensionMismatch(f"cannot compose {a.n_cols} columns with {b.n_rows} rows")
+    c = Carrier.identity(a.lattice)
+    return FuzzyMatrix(a.lattice, _compose(c, a.entries, b.entries))
+
+
+# -- crisp-deterministic automata -----------------------------------------
+
+
+class StateLabel(Record):
+    """Canonical word and defining vector of one cdfa state."""
+
+    __slots__ = ("word", "vector")
+
+    def __init__(self, word: Word, vector: FuzzyVector):
+        _set(self, "word", word)
+        _set(self, "vector", vector)
+
+
+class Cdfa(Record):
+    """Crisp-deterministic fuzzy automaton.
+
+    transitions[state][symbol_index] is the successor state; terminal[state]
+    is the degree returned after reading a word that lands there. Every
+    state must be reachable from initial. Equality, hash and repr cover
+    exactly these six fields.
+    """
+
+    __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "labels")
+
+    def __init__(self, lattice: Lattice, alphabet: tuple[str, ...],
+                 transitions: tuple[tuple[int, ...], ...], initial: int,
+                 terminal: tuple[Value, ...], labels: tuple[StateLabel, ...]):
+        alphabet = check_alphabet(alphabet)
+        n = len(transitions)
+        if n < 1:
+            raise ValueError("a cdfa needs at least one state")
+        m = len(alphabet)
+        for row in transitions:
+            if len(row) != m:
+                raise DimensionMismatch(f"transition row of width {len(row)}, expected {m}")
+            for t in row:
+                if not 0 <= t < n:
+                    raise ValueError(f"transition target {t} out of range")
+        if not 0 <= initial < n:
+            raise ValueError(f"initial state {initial} out of range")
+        if len(terminal) != n:
+            raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
+        lattice.check_all(terminal)
+        if len(labels) != n:
+            raise DimensionMismatch(f"{len(labels)} labels for {n} states")
+        reached = {initial}
+        frontier = deque([initial])
+        while frontier:
+            s = frontier.popleft()
+            for t in transitions[s]:
+                if t not in reached:
+                    reached.add(t)
+                    frontier.append(t)
+        if len(reached) != n:
+            missing = sorted(set(range(n)) - reached)
+            raise ValueError(f"unreachable states: {missing}")
+        _set(self, "lattice", lattice)
+        _set(self, "alphabet", alphabet)
+        _set(self, "transitions", transitions)
+        _set(self, "initial", initial)
+        _set(self, "terminal", terminal)
+        _set(self, "labels", labels)
+
+    @property
+    def n(self) -> int:
+        return len(self.transitions)
+
+    def step(self, state: int, symbol: str) -> int:
+        if symbol not in self.alphabet:
+            raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet")
+        return self.transitions[state][self.alphabet.index(symbol)]
+
+
+def find_witness(c1: Cdfa, c2: Cdfa) -> Word | None:
+    """Shortest word on which the two cdfa disagree, None when equivalent.
+
+    Breadth-first product search; ties inside one length break toward the
+    earlier alphabet symbol, so the witness is shortlex-least. Callers must
+    compare against None, the empty word is a valid witness.
+    """
+    if c1.lattice != c2.lattice:
+        raise LatticeMismatch("cannot compare cdfa over different lattices")
+    if c1.alphabet != c2.alphabet:
+        raise AlphabetMismatch(f"alphabets differ: {c1.alphabet} vs {c2.alphabet}")
+    start = (c1.initial, c2.initial)
+    if c1.terminal[c1.initial] != c2.terminal[c2.initial]:
+        return ()
+    seen = {start}
+    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
+    while queue:
+        (s1, s2), word = queue.popleft()
+        for i, x in enumerate(c1.alphabet):
+            pair = (c1.transitions[s1][i], c2.transitions[s2][i])
+            if pair in seen:
+                continue
+            extended = word + (x,)
+            if c1.terminal[pair[0]] != c2.terminal[pair[1]]:
+                return extended
+            seen.add(pair)
+            queue.append((pair, extended))
+    return None
 
 
 class BuildStats(Record, frozen=False):
@@ -118,25 +227,6 @@ class DetOutcome(Record):
         return self.result
 
 
-class TreeVertex(Record, frozen=False):
-    """One vertex of a transition tree, as TransitionTree.vertices lists it.
-
-    pointer is the 1-based state number the vertex is glued to, and its
-    vector is that state's; closed vertices repeat an earlier vector and
-    get no children. parent is the parent vertex's index in the list.
-    """
-
-    __slots__ = ("word", "pointer", "closed", "parent", "symbol")
-
-    def __init__(self, word: Word, pointer: int, closed: bool, parent: int | None,
-                 symbol: str | None):
-        self.word = word
-        self.pointer = pointer
-        self.closed = closed
-        self.parent = parent
-        self.symbol = symbol
-
-
 class TransitionTree:
     """A transition tree as its glued state table; vertices lists the tree.
 
@@ -170,22 +260,9 @@ class TransitionTree:
 
     @cached_property
     def vertices(self) -> list[TreeVertex]:
-        """The root, then each state's children in alphabet order.
-
-        A child is open iff it made its state, that is iff it has its
-        word; a state's children hang off the vertex that made it.
-        """
-        vertices = [TreeVertex((), 1, False, None, None)]
-        made = [0]
-        for s, row in enumerate(self.state_edges):
-            u = self.words[s]
-            for x, t in zip(self.alphabet, row):
-                word = (x,) + u if self.prepend else u + (x,)
-                closed = word != self.words[t]
-                if not closed:
-                    made.append(len(vertices))
-                vertices.append(TreeVertex(word, t + 1, closed, made[s], x))
-        return vertices
+        """The tree's vertices, which no construction reads: reference.tree_vertices."""
+        from .reference import tree_vertices
+        return tree_vertices(self)
 
     @cached_property
     def state_vectors(self) -> list[FuzzyVector]:
@@ -251,7 +328,7 @@ class _Run:
         self.cap = cap
         self.stats = BuildStats()
         self.t0 = time.perf_counter()
-        c = self.carrier = Carrier.of(a.lattice, automaton_values(a).elements.union(extra))
+        c = self.carrier = carrier_of(a.lattice, automaton_values(a).elements.union(extra))
         self.alphabet = a.alphabet
         self.sigma = c.codes(a.sigma)
         self.tau = c.codes(a.tau)

@@ -1,4 +1,4 @@
-"""Line-oriented automaton documents and DOT export.
+"""Line-oriented automaton documents, and words.
 
 Document grammar (one directive per line, '#' starts a comment, blank lines
 ignored, tokens separated by whitespace):
@@ -21,14 +21,15 @@ decimals preferred over p/q. Parsing a serialized document yields an equal
 automaton.
 
 Words elsewhere in the package render as '_' for the empty word and
-dot-separated symbols otherwise, e.g. 'x.y.x'.
+dot-separated symbols otherwise, e.g. 'x.y.x'. DOT export and the psi
+matrix documents, which only det and equiv write and read, are in detcli.
 """
 
 from __future__ import annotations
 
 import re
 
-from .automata import RESERVED_SYMBOL, Cdfa, FuzzyAutomaton, Word
+from .automata import RESERVED_SYMBOL, FuzzyAutomaton, Word
 from .algebra import FuzzyMatrix, FuzzyVector
 from .errors import FormatError, LatticeMismatch, UnknownSymbol
 from .lattice import NAMED, Lattice, Value, chain
@@ -50,6 +51,11 @@ def parse_word(text: str, alphabet: tuple[str, ...]) -> Word:
         if p not in alphabet:
             raise UnknownSymbol(f"symbol {p!r} is not in the alphabet")
     return tuple(parts)
+
+
+def _quote(s: str) -> str:
+    """s as a DOT string literal, for the writers in detcli and reference."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # -- parsing ---------------------------------------------------------------
@@ -95,9 +101,9 @@ def _parse_value(lattice: Lattice, tok: _Token) -> Value:
 
 
 def _parse_values(lattice: Lattice, tokens: list[_Token], count: int,
-                  what: str) -> list[Value]:
+                  what: str, line: int) -> list[Value]:
+    """The count values of tokens, read on the given line."""
     if len(tokens) != count:
-        line = tokens[0].line if tokens else None
         raise FormatError(f"{what} needs {count} values, got {len(tokens)}", line)
     return [_parse_value(lattice, t) for t in tokens]
 
@@ -149,7 +155,7 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
         elif kw in ("initial", "terminal"):
             if lattice is None or n is None:
                 raise FormatError(f"{kw} block before lattice and states", head.line)
-            values = _parse_values(lattice, rest, n, kw)
+            values = _parse_values(lattice, rest, n, kw, head.line)
             if kw == "initial":
                 if sigma is not None:
                     raise FormatError("duplicate initial block", head.line)
@@ -180,7 +186,7 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
             for r in range(n):
                 row_tokens = lines[i + 1 + r]
                 rows.append(tuple(_parse_values(
-                    lattice, row_tokens, n, f"transition row {r + 1}")))
+                    lattice, row_tokens, n, f"transition row {r + 1}", row_tokens[0].line)))
             delta[symbol] = FuzzyMatrix(lattice, tuple(rows))
             i += 1 + n
         else:
@@ -210,60 +216,3 @@ def _parse_lattice(rest: list[_Token], head: _Token) -> Lattice:
     if name not in NAMED:
         raise FormatError(f"unknown lattice {name!r}", rest[0].line, rest[0].column)
     return NAMED[name]
-
-
-def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
-    """Parse a bare n x n matrix document (used for psi relations)."""
-    lines = _tokenize(text)
-    if len(lines) != n:
-        raise FormatError(f"expected {n} rows, got {len(lines)}")
-    rows = []
-    for r, tokens in enumerate(lines):
-        rows.append(tuple(_parse_values(lattice, tokens, n, f"row {r + 1}")))
-    return FuzzyMatrix(lattice, tuple(rows))
-
-
-# -- DOT export --------------------------------------------------------------
-
-
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(obj) -> str:
-    """Render an automaton or a cdfa as a DOT digraph.
-
-    Fuzzy automata: one node per state, transition edges labelled
-    'symbol/degree' with zero edges omitted and parallel edges merged;
-    initial and terminal degrees hang off point-shaped marker nodes. The
-    boolean lattice drops the degrees: plain symbol labels, unlabelled
-    initial arrows, doublecircle terminal states.
-
-    Cdfa: one node per state labelled 'word/terminal degree', a hidden
-    start marker pointing at the initial state, merged symbol-only edges.
-    """
-    if isinstance(obj, Cdfa):
-        return _cdfa_dot(obj)
-    if isinstance(obj, FuzzyAutomaton):
-        from .reference import _automaton_dot
-        return _automaton_dot(obj)
-    raise TypeError(f"cannot export {type(obj).__name__} as DOT")
-
-
-def _cdfa_dot(c: Cdfa) -> str:
-    fmt = c.lattice.format_value
-    out = ["digraph cdfa {", "  rankdir=LR;"]
-    out.append('  __start [shape=point, label=""];')
-    for s in range(c.n):
-        label = f"{format_word(c.labels[s].word)}/{fmt(c.terminal[s])}"
-        out.append(f"  s{s + 1} [shape=circle, label={_quote(label)}];")
-    out.append(f"  __start -> s{c.initial + 1};")
-    for s in range(c.n):
-        grouped: dict[int, list[str]] = {}
-        for t, x in zip(c.transitions[s], c.alphabet):
-            grouped.setdefault(t, []).append(x)
-        for t, symbols in grouped.items():
-            label = ",".join(symbols)
-            out.append(f"  s{s + 1} -> s{t + 1} [label={_quote(label)}];")
-    out.append("}")
-    return "\n".join(out) + "\n"

@@ -6,10 +6,12 @@ module, so `python -m fuzzdet` compiles none of it:
     identity_matrix, mat_vec and inclusion_degree;
   - the d vectors from their definitions, d_epsilon and d_step, the
     reference the inclusion-degree gather is tested against;
+  - a transition tree's vertex list, TreeVertex and tree_vertices, which
+    TransitionTree.vertices returns;
   - automaton transforms and comparisons: reverse, right_language_step,
-    cdfa_equivalent and cdfa_as_fuzzy_automaton;
+    cdfa_evaluate, cdfa_equivalent and cdfa_as_fuzzy_automaton;
   - the writers of a FuzzyAutomaton: serialize_automaton, and the DOT
-    form that formats.export_dot renders for one.
+    form that detcli.export_dot renders for one.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .algebra import (
     _sup_product,
     dot,
 )
-from .automata import Cdfa, FuzzyAutomaton, find_witness
+from .automata import FuzzyAutomaton, Word
 from .errors import DimensionMismatch, LatticeMismatch, UnknownSymbol
 from .formats import _quote
-from .lattice import Lattice, Value
+from .lattice import Lattice, Record, Value
 
 
 # -- algebra ---------------------------------------------------------------
@@ -129,6 +131,47 @@ def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
     return _implication_meet(a.lattice, rn_states, scalars)
 
 
+# -- the transition tree as vertices ----------------------------------------
+
+
+class TreeVertex(Record, frozen=False):
+    """One vertex of a transition tree, as TransitionTree.vertices lists it.
+
+    pointer is the 1-based state number the vertex is glued to, and its
+    vector is that state's; closed vertices repeat an earlier vector and
+    get no children. parent is the parent vertex's index in the list.
+    """
+
+    __slots__ = ("word", "pointer", "closed", "parent", "symbol")
+
+    def __init__(self, word: Word, pointer: int, closed: bool, parent: int | None,
+                 symbol: str | None):
+        self.word = word
+        self.pointer = pointer
+        self.closed = closed
+        self.parent = parent
+        self.symbol = symbol
+
+
+def tree_vertices(tree: TransitionTree) -> list[TreeVertex]:
+    """The root, then each state's children in alphabet order.
+
+    A child is open iff it made its state, that is iff it has its
+    word; a state's children hang off the vertex that made it.
+    """
+    vertices = [TreeVertex((), 1, False, None, None)]
+    made = [0]
+    for s, row in enumerate(tree.state_edges):
+        u = tree.words[s]
+        for x, t in zip(tree.alphabet, row):
+            word = (x,) + u if tree.prepend else u + (x,)
+            closed = word != tree.words[t]
+            if not closed:
+                made.append(len(vertices))
+            vertices.append(TreeVertex(word, t + 1, closed, made[s], x))
+    return vertices
+
+
 # -- automata --------------------------------------------------------------
 
 
@@ -146,8 +189,18 @@ def right_language_step(a: FuzzyAutomaton, symbol: str, t: FuzzyVector) -> Fuzzy
     return mat_vec(a.matrix(symbol), t)
 
 
+def cdfa_evaluate(c: Cdfa, word: Sequence[str]) -> Value:
+    """Run the deterministic table and read off the terminal degree."""
+    state = c.initial
+    for x in word:
+        state = c.step(state, x)
+    return c.terminal[state]
+
+
 def cdfa_equivalent(c1: Cdfa, c2: Cdfa) -> bool:
     """True when the two cdfa assign every word the same degree."""
+    # imported here, so that importing this module loads no construction
+    from .determinize import find_witness
     return find_witness(c1, c2) is None
 
 
@@ -199,6 +252,14 @@ def _merged_label(pairs: list[tuple[str, Value]], lattice: Lattice) -> str:
 
 
 def _automaton_dot(a: FuzzyAutomaton) -> str:
+    """export_dot of a fuzzy automaton.
+
+    One node per state, transition edges labelled 'symbol/degree' with
+    zero edges omitted and parallel edges merged; initial and terminal
+    degrees hang off point-shaped marker nodes. The boolean lattice drops
+    the degrees: plain symbol labels, unlabelled initial arrows,
+    doublecircle terminal states.
+    """
     lat = a.lattice
     boolean = lat.kind == "boolean"
     fmt = lat.format_value

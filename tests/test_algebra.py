@@ -156,8 +156,8 @@ def test_boolean_code_carrier_keeps_values_fractions(python_child):
     done = python_child("-c", """if True:
         from fractions import Fraction as F
         from fuzzdet import BOOLEAN, FuzzyMatrix, FuzzyVector, vec_mat
-        from fuzzdet.algebra import Carrier
-        c = Carrier.of(BOOLEAN, {F(0), F(1)})
+        from fuzzdet.closure import carrier_of
+        c = carrier_of(BOOLEAN, {F(0), F(1)})
         v = vec_mat(FuzzyVector(BOOLEAN, (F(1), F(0))),
                     FuzzyMatrix(BOOLEAN, ((F(1), F(0)), (F(1), F(1)))))
         ops = BOOLEAN.tmul(F(1), F(1)), BOOLEAN.tmul(F(1), F(0)), BOOLEAN.resid(F(0), F(1))

@@ -32,7 +32,7 @@ from fuzzdet import (
     reverse_nerode_tree,
     semiring_closure,
 )
-from fuzzdet.algebra import Carrier
+from fuzzdet.closure import carrier_of
 from support import oracle_cdfa
 
 CAP = 40
@@ -168,7 +168,7 @@ def test_carrier_operations_match_the_lattice():
     for lattice, pool, psi_pool in CASES:
         closure = semiring_closure(lattice, pool + psi_pool, 200)
         values = sorted(closure.values) if closure.closed else sorted({*pool, *psi_pool})
-        c = Carrier.of(lattice, values)
+        c = carrier_of(lattice, values)
         for x, y in itertools.product(values, repeat=2):
             cx, cy = c.encode(x), c.encode(y)
             assert c.decode(cx) == x and type(c.decode(cx)) is type(x)

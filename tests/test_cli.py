@@ -1,16 +1,22 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import fuzzdet
 from fuzzdet import FuzzyAutomaton, chain, parse_automaton, serialize_automaton
 from fuzzdet.cli import main
 from dotcheck import validate_dot
 
 BENCH = Path(__file__).parent.parent / "bench"
+HELP = Path(__file__).parent / "data" / "help"
 
 
 def run_cli(capsys, *args):
@@ -353,3 +359,50 @@ def test_tracer_replacements_take_effect(python_child, goguen3_path, boolean3_pa
     paths = {"goguen3": goguen3_path, "boolean3": boolean3_path}
     proc = python_child("-c", TRACED_CHILD, str(BENCH), *(paths.get(a, a) for a in argv))
     assert json.loads(proc.stderr.splitlines()[-1]) == [code, False, counts], proc.stderr
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone away: every write and flush fails."""
+
+    def write(self, text):
+        self.flush()
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "goguen3", "x"],
+    ["semiring", "goguen3"],
+    ["det", "boolean3", "--method", "nerode", "--dot", "-"],
+    ["equiv", "goguen3", "goguen3"],
+])
+def test_closed_stdout_is_named(capsys, monkeypatch, goguen3_path, boolean3_path, argv):
+    paths = {"goguen3": goguen3_path, "boolean3": boolean3_path}
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    code = main([paths.get(a, a) for a in argv])
+    assert (code, capsys.readouterr().err) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_2(goguen3_path, unbuffered):
+    """A reader that closes the pipe at once: one error line, exit 2, and no
+    second failure when the interpreter flushes stdout at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent),
+           "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "fuzzdet", "det", goguen3_path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (proc.wait(), err.splitlines()[-1:]) == (
+        2, ["error: cannot write stdout: Broken pipe"]), err
+    assert "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("command", ["", "eval", "det", "equiv", "semiring"])
+def test_help_text_unchanged(capsys, monkeypatch, command):
+    """Each --help prints, at 80 columns, what tests/data/help holds."""
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (HELP / f"{command or 'top'}.txt").read_text(encoding="utf-8")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    assert capsys.readouterr() == (expected, "")

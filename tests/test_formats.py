@@ -23,6 +23,7 @@ from fuzzdet import (
     parse_word,
     serialize_automaton,
 )
+from fuzzdet.cli import main
 from dotcheck import validate_dot
 from support import random_automaton
 
@@ -91,6 +92,23 @@ def test_parse_value_error_carries_line_and_column():
         parse_automaton(text)
     assert err.value.line == 4
     assert err.value.column == 11
+
+
+def test_empty_value_line_names_its_line(capsys, tmp_path):
+    """An initial or terminal line with no values has no value token to take
+    the line from; the error names the directive's line."""
+    for kw, line in (("initial", 4), ("terminal", 5)):
+        lines = ["lattice goguen", "alphabet x", "states 2", "initial 1 0", "terminal 0 1",
+                 "transitions x", "0 1", "0 0"]
+        lines[line - 1] = kw
+        with pytest.raises(FormatError) as err:
+            parse_automaton("\n".join(lines) + "\n")
+        assert (err.value.line, err.value.column) == (line, None)
+        assert str(err.value) == f"line {line}: {kw} needs 2 values, got 0"
+        doc = tmp_path / f"{kw}.fza"
+        doc.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(doc), "_"]) == 2
+        assert capsys.readouterr() == ("", f"error: line {line}: {kw} needs 2 values, got 0\n")
 
 
 def test_parse_chain_range_error():

@@ -5,6 +5,7 @@ import importlib
 import pickle
 import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,16 @@ def test_import_loads_no_submodule(python_child):
     assert _loaded(proc) == set()
 
 
+# Most lines one call may compile: the package, __main__ and every module the
+# call loads. Without a bytecode cache each call compiles them, at about 12 µs
+# a line (2-core x86-64 host, Python 3.11).
+LINE_BUDGETS = {"eval": 1_200, "semiring": 1_350, "det": 2_072, "equiv": 2_072}
+
+
+def _lines(module: str) -> int:
+    return (Path(fuzzdet.__file__).parent / f"{module}.py").read_text(encoding="utf-8").count("\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "{f}", "x"],
     ["semiring", "{f}"],
@@ -114,8 +125,14 @@ def test_command_loads_only_what_it_runs(python_child, goguen3_path, argv):
                         *(a.format(f=goguen3_path) for a in argv))
     assert proc.returncode == 0, proc.stderr
     loaded = _loaded(proc)
+    command = argv[0]
     assert "fuzzdet.cli" in loaded and "fuzzdet.reference" not in loaded
-    assert ("fuzzdet.determinize" in loaded) == (argv[0] in ("det", "equiv"))
+    assert ("fuzzdet.determinize" in loaded) == (command in ("det", "equiv"))
+    assert ("fuzzdet.detcli" in loaded) == (command in ("det", "equiv"))
+    assert ("fuzzdet.closure" in loaded) == (command != "eval")
+    modules = ["__init__", "__main__", *(name.split(".", 1)[1] for name in loaded)]
+    compiled = sum(map(_lines, modules))
+    assert compiled <= LINE_BUDGETS[command], (compiled, sorted(loaded))
 
 
 def test_every_export_resolves_to_its_module_object():
