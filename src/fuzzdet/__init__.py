@@ -9,14 +9,14 @@ DOT export.
 Modules: lattice (the five structures), algebra (vectors, matrices, the
 sup-product, the encoded carrier), automata (fuzzy automata, evaluate),
 formats (documents, words), closure (the value closure and preflight),
-determinize (the constructions, Cdfa, find_witness), errors, cli and
-detcli (the command line; detcli also holds DOT export and parse_matrix),
-and reference (the definitional oracles, cdfa_evaluate and the automaton
-writers, which no command runs). The package imports a module the first
-time one of its names is used (PEP 562), so `import fuzzdet` loads none
-of them, and each command compiles only what it runs: eval loads cli,
-formats, automata, algebra, lattice and errors; semiring adds closure;
-det and equiv add detcli and determinize.
+determinize (the constructions, Cdfa, find_witness), errors, cli, detcli
+(DOT export, parse_matrix) and usage (--help, a command line not plainly
+spelt), and reference (what no command runs: the oracles,
+reverse_nerode_tree, cdfa_evaluate, the automaton writers). The package
+imports a module the first time one of its names is used (PEP 562), so
+`import fuzzdet` loads none of them, and each command compiles only what
+it runs: eval loads cli, formats, automata, algebra, lattice and errors;
+semiring adds closure; det and equiv add detcli and determinize.
 """
 
 __version__ = "0.1.0"
@@ -30,14 +30,14 @@ _EXPORTS = {
     "detcli": "export_dot parse_matrix",
     "determinize": "BuildStats CapExceeded Cdfa DetOutcome InvarianceViolation StateLabel "
                    "TransitionTree brzozowski check_left_invariant d_automaton find_witness "
-                   "mat_compose nerode psi_d_automaton reverse_nerode reverse_nerode_tree",
+                   "mat_compose nerode psi_d_automaton reverse_nerode",
     "errors": "AlphabetMismatch DimensionMismatch FormatError FuzzdetError InvalidCap "
               "LatticeMismatch PsiNotLeftInvariant PsiNotReflexive UnknownSymbol",
     "formats": "format_word parse_automaton parse_word",
     "lattice": "BOOLEAN GODEL GOGUEN LUKASIEWICZ Lattice Value chain",
     "reference": "TreeVertex cdfa_as_fuzzy_automaton cdfa_equivalent cdfa_evaluate "
                  "d_epsilon d_step identity_matrix inclusion_degree mat_vec reverse "
-                 "right_language_step serialize_automaton",
+                 "reverse_nerode_tree right_language_step serialize_automaton",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

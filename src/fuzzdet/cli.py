@@ -5,17 +5,18 @@ byte-identical across runs on the same input; diagnostics and --stats go to
 stderr. Exit codes: 0 success, 1 not equivalent, 2 usage or input errors,
 3 a construction hit its state cap.
 
-Each call loads only what its command runs; det and equiv run in detcli.
-The library functions a command calls are looked up as names of this
-module at each call, so that bench/'s tracer can replace them by name.
+parse_args reads the command line as argparse read it, from COMMANDS; one
+not plainly spelt, --help and usage errors load usage. Each call loads only
+what its command runs; det and equiv run in detcli. The library functions a
+command calls are looked up as names of this module at each call, so that
+bench/'s tracer can replace them by name.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from collections.abc import Callable
+from types import SimpleNamespace
 
 from .algebra import DEFAULT_CAP
 from .automata import FuzzyAutomaton, evaluate
@@ -31,10 +32,21 @@ EXIT_CAP = 3
 METHODS = {"nerode": "nerode", "rnerode": "reverse_nerode", "incl": "d_automaton",
            "brzozowski": "brzozowski", "psi": "psi_d_automaton"}
 
-# The names of this module that eval does not use, and the module each
-# comes from; each is bound here the first time it is looked up.
+# Each command's positionals, and its flags with the kind of their value: str,
+# int, a choice of METHODS, or bool for a switch. Each also takes -h/--help.
+COMMANDS = {"eval": (("file", "word"), {}),
+            "det": (("file",), {"--method": METHODS, "--psi": str, "--max-states": int,
+                                "--dot": str, "--stats": bool}),
+            "equiv": (("file1", "file2"), {"--method": str, "--psi": str, "--max-states": int}),
+            "semiring": (("file",), {"--cap": int})}
+DEFAULTS = {"--method": "incl", "--psi": None, "--max-states": DEFAULT_CAP, "--dot": None,
+            "--stats": False, "--cap": DEFAULT_CAP}
+
+# The names of this module bound here the first time they are looked up, and
+# the module each comes from: what eval does not run, and usage's read_argv.
 _LAZY = {"format_word": "formats", "preflight": "closure", "export_dot": "detcli",
          "find_witness": "determinize", "cmd_det": "detcli", "cmd_equiv": "detcli",
+         "read_argv": "usage",
          **dict.fromkeys(METHODS.values(), "determinize")}
 
 
@@ -47,7 +59,7 @@ def __getattr__(name: str):
     return value
 
 
-def _bound(name: str) -> Callable:
+def _bound(name: str):
     """What this module's name stands for now, binding it on first use."""
     return globals()[name] if name in globals() else __getattr__(name)
 
@@ -98,61 +110,58 @@ def cmd_semiring(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fuzzdet",
-        description="Evaluate and crisp-determinize fuzzy finite automata.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """argv's namespace when it is plainly spelt, else None: a command, then
+    its flags in full and values that start with no '-' but for '-' itself,
+    one after each flag that takes one and one for each positional."""
+    names, flags = COMMANDS.get(argv[0] if argv else "", ((), None))
+    if flags is None:
+        return None
+    args = SimpleNamespace(command=argv[0], **{f[2:].replace("-", "_"): DEFAULTS[f] for f in flags})
+    values, tokens = [], iter(argv[1:])
+    for token in tokens:
+        kind = flags.get(token)
+        value = True if kind is bool else next(tokens, "--") if kind else token
+        if value is not True and value[:1] == "-" and value != "-":
+            return None  # an option, '--', a missing value or one like -5
+        if kind is None:
+            values.append(value)
+            continue
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is METHODS and value not in METHODS:
+            return None
+        setattr(args, token[2:].replace("-", "_"), value)
+    if len(values) != len(names):
+        return None
+    args.__dict__.update(zip(names, values))
+    return args
 
-    p = sub.add_parser("eval", help="membership degree of one word")
-    p.add_argument("file", help="automaton document")
-    p.add_argument("word", help="dot-separated symbols, or _ for the empty word")
-    p.set_defaults(handler="cmd_eval")
 
-    p = sub.add_parser("det", help="determinize to a cdfa and report it")
-    p.add_argument("file", help="automaton document")
-    p.add_argument("--method", choices=METHODS, default="incl")
-    p.add_argument("--psi", default=None, metavar="FILE",
-                   help="psi matrix document, or 'identity' (psi method only)")
-    p.add_argument("--max-states", type=int, default=DEFAULT_CAP, metavar="N")
-    p.add_argument("--dot", default=None, metavar="FILE",
-                   help="write DOT here, '-' for stdout")
-    p.add_argument("--stats", action="store_true",
-                   help="print build counters to stderr")
-    p.set_defaults(handler="cmd_det")
-
-    p = sub.add_parser("equiv", help="compare the languages of two automata")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--method", default="incl", metavar="M[,M]",
-                   help="construction per input, one name or a comma pair")
-    p.add_argument("--psi", default=None, metavar="FILE")
-    p.add_argument("--max-states", type=int, default=DEFAULT_CAP, metavar="N")
-    p.set_defaults(handler="cmd_equiv")
-
-    p = sub.add_parser("semiring", help="close the value set, report the k^n bound")
-    p.add_argument("file", help="automaton document")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N",
-                   help="stop after this many distinct values")
-    p.set_defaults(handler="cmd_semiring")
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read as argparse read it: the command, and an attribute per
+    positional and flag. --help prints its text and raises SystemExit(0); a
+    usage error prints to stderr and raises SystemExit(2)."""
+    return _read_plain(argv) or _bound("read_argv")(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
-        return int(e.code or 0)
-    handler = _bound(args.handler)
+        return e.code
+    handler = _bound(f"cmd_{args.command}")
     try:
         code = handler(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
-    except BrokenPipeError as e:
-        # The reader of stdout went away, which says nothing about the input.
-        # Drop what stdout still buffers, so that exit does not fail again.
-        print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
+    except (BrokenPipeError, UnicodeEncodeError) as e:
+        # The reader of stdout went away, or stdout cannot encode a symbol of
+        # the report: neither says anything about the input. Drop what stdout
+        # still buffers, so that exit does not fail again.
+        print(f"error: cannot write stdout: {getattr(e, 'strerror', e)}", file=sys.stderr)
         try:
             fd = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)

@@ -25,10 +25,10 @@ def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
     lines = _tokenize(text)
     if len(lines) != n:
         raise FormatError(f"expected {n} rows, got {len(lines)}")
-    rows = []
-    for r, tokens in enumerate(lines):
-        rows.append(tuple(_parse_values(lattice, tokens, n, f"row {r + 1}", tokens[0].line)))
-    return FuzzyMatrix(lattice, tuple(rows))
+    parsed = {}  # one value per distinct token text
+    rows = tuple(tuple(_parse_values(lattice, tokens, n, f"row {r + 1}", tokens[0].line, parsed))
+                 for r, tokens in enumerate(lines))
+    return FuzzyMatrix(lattice, rows)
 
 
 # -- DOT export --------------------------------------------------------------

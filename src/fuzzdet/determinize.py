@@ -432,16 +432,6 @@ def nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
                              lambda v: _sup_product(c, tau, v)[0]))
 
 
-def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
-                        ) -> TransitionTree | CapExceeded:
-    """The reverse Nerode transition tree: states are the vectors tau_u.
-
-    tau_eps is tau itself and tau_{xu} = delta_x ∘ tau_u, so words grow on
-    the left while the tree grows downward.
-    """
-    return _Run(a, cap).reverse()
-
-
 def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Determinize through right derivative vectors, terminal sigma ∘ tau_u."""
     run = _Run(a, cap)

@@ -93,19 +93,19 @@ def _positive_int(tokens: list[_Token], message: str, line: int) -> int:
     return value
 
 
-def _parse_value(lattice: Lattice, tok: _Token) -> Value:
-    try:
-        return lattice.parse_value(tok.text)
-    except (ValueError, LatticeMismatch) as e:
-        raise FormatError(str(e), tok.line, tok.column) from None
-
-
-def _parse_values(lattice: Lattice, tokens: list[_Token], count: int,
-                  what: str, line: int) -> list[Value]:
-    """The count values of tokens, read on the given line."""
+def _parse_values(lattice: Lattice, tokens: list[_Token], count: int, what: str, line: int,
+                  parsed: dict[str, Value]) -> list[Value]:
+    """The count values of tokens, read on the given line. parsed maps each
+    token text its document has shown so far to its value, read once."""
     if len(tokens) != count:
         raise FormatError(f"{what} needs {count} values, got {len(tokens)}", line)
-    return [_parse_value(lattice, t) for t in tokens]
+    for t in tokens:
+        if t.text not in parsed:
+            try:
+                parsed[t.text] = lattice.parse_value(t.text)
+            except (ValueError, LatticeMismatch) as e:
+                raise FormatError(str(e), t.line, t.column) from None
+    return [parsed[t.text] for t in tokens]
 
 
 def parse_automaton(text: str) -> FuzzyAutomaton:
@@ -115,6 +115,7 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
     sense) on any syntax or validation problem.
     """
     lines = _tokenize(text)
+    parsed: dict[str, Value] = {}  # one value per distinct token text
     lattice: Lattice | None = None
     alphabet: tuple[str, ...] | None = None
     n: int | None = None
@@ -155,7 +156,7 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
         elif kw in ("initial", "terminal"):
             if lattice is None or n is None:
                 raise FormatError(f"{kw} block before lattice and states", head.line)
-            values = _parse_values(lattice, rest, n, kw, head.line)
+            values = _parse_values(lattice, rest, n, kw, head.line, parsed)
             if kw == "initial":
                 if sigma is not None:
                     raise FormatError("duplicate initial block", head.line)
@@ -185,8 +186,8 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
             rows = []
             for r in range(n):
                 row_tokens = lines[i + 1 + r]
-                rows.append(tuple(_parse_values(
-                    lattice, row_tokens, n, f"transition row {r + 1}", row_tokens[0].line)))
+                rows.append(tuple(_parse_values(lattice, row_tokens, n, f"transition row {r + 1}",
+                                                row_tokens[0].line, parsed)))
             delta[symbol] = FuzzyMatrix(lattice, tuple(rows))
             i += 1 + n
         else:

@@ -6,7 +6,8 @@ module, so `python -m fuzzdet` compiles none of it:
     identity_matrix, mat_vec and inclusion_degree;
   - the d vectors from their definitions, d_epsilon and d_step, the
     reference the inclusion-degree gather is tested against;
-  - a transition tree's vertex list, TreeVertex and tree_vertices, which
+  - the reverse Nerode tree on its own, reverse_nerode_tree, and a
+    transition tree's vertex list, TreeVertex and tree_vertices, which
     TransitionTree.vertices returns;
   - automaton transforms and comparisons: reverse, right_language_step,
     cdfa_evaluate, cdfa_equivalent and cdfa_as_fuzzy_automaton;
@@ -19,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .algebra import (
+    DEFAULT_CAP,
     Carrier,
     FuzzyMatrix,
     FuzzyVector,
@@ -131,7 +133,19 @@ def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
     return _implication_meet(a.lattice, rn_states, scalars)
 
 
-# -- the transition tree as vertices ----------------------------------------
+# -- the transition tree, and its vertices ----------------------------------
+
+
+def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
+                        ) -> TransitionTree | CapExceeded:
+    """The reverse Nerode transition tree: states are the vectors tau_u.
+
+    tau_eps is tau itself and tau_{xu} = delta_x ∘ tau_u, so words grow on
+    the left while the tree grows downward.
+    """
+    # imported here, so that importing this module loads no construction
+    from .determinize import _Run
+    return _Run(a, cap).reverse()
 
 
 class TreeVertex(Record, frozen=False):

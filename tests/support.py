@@ -4,6 +4,7 @@ The boolean oracle below works on plain Python sets and lists on purpose:
 it must not share code with the library paths it checks.
 """
 
+import argparse
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -25,6 +26,7 @@ from fuzzdet import (
     mat_compose,
     vec_mat,
 )
+from fuzzdet.cli import METHODS
 
 
 def value_pool(lattice):
@@ -102,9 +104,16 @@ def subset_dfa(a):
     return transitions, accepting
 
 
-def moore_classes(transitions, accepting):
-    """Number of Nerode classes of a complete accessible DFA."""
-    cls = [1 if acc else 0 for acc in accepting]
+def moore_classes(transitions, terminals):
+    """The Nerode classes of a complete accessible deterministic automaton,
+    crisp or fuzzy: a class index per state.
+
+    Moore's refinement (E. F. Moore, 1956, "Gedanken-experiments on
+    sequential machines") from the partition by terminal degree, or by
+    acceptance: states stay together while their successors do.
+    """
+    first = {}
+    cls = [first.setdefault(t, len(first)) for t in terminals]
     while True:
         signatures = {}
         refined = []
@@ -114,13 +123,8 @@ def moore_classes(transitions, accepting):
                 signatures[key] = len(signatures)
             refined.append(signatures[key])
         if refined == cls:
-            return len(set(cls))
+            return cls
         cls = refined
-
-
-def minimal_dfa_size(a):
-    transitions, accepting = subset_dfa(a)
-    return moore_classes(transitions, accepting)
 
 
 def subset_accepts(a, word):
@@ -436,3 +440,47 @@ def oracle_cdfa(a, method, psi=None, cap=DEFAULT_CAP):
     root = d_vector(_sup(lat, a.sigma, mu) for mu in mus)
     tree = _oracle_tree(alphabet, root, d_next, same, cap, False)
     return cdfa(tree, lambda d: _sup(lat, d, a.tau))
+
+
+# -- the argparse command line that cli.parse_args replaced: its oracle -------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fuzzdet",
+        description="Evaluate and crisp-determinize fuzzy finite automata.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("eval", help="membership degree of one word")
+    p.add_argument("file", help="automaton document")
+    p.add_argument("word", help="dot-separated symbols, or _ for the empty word")
+    p.set_defaults(handler="cmd_eval")
+
+    p = sub.add_parser("det", help="determinize to a cdfa and report it")
+    p.add_argument("file", help="automaton document")
+    p.add_argument("--method", choices=METHODS, default="incl")
+    p.add_argument("--psi", default=None, metavar="FILE",
+                   help="psi matrix document, or 'identity' (psi method only)")
+    p.add_argument("--max-states", type=int, default=DEFAULT_CAP, metavar="N")
+    p.add_argument("--dot", default=None, metavar="FILE",
+                   help="write DOT here, '-' for stdout")
+    p.add_argument("--stats", action="store_true",
+                   help="print build counters to stderr")
+    p.set_defaults(handler="cmd_det")
+
+    p = sub.add_parser("equiv", help="compare the languages of two automata")
+    p.add_argument("file1")
+    p.add_argument("file2")
+    p.add_argument("--method", default="incl", metavar="M[,M]",
+                   help="construction per input, one name or a comma pair")
+    p.add_argument("--psi", default=None, metavar="FILE")
+    p.add_argument("--max-states", type=int, default=DEFAULT_CAP, metavar="N")
+    p.set_defaults(handler="cmd_equiv")
+
+    p = sub.add_parser("semiring", help="close the value set, report the k^n bound")
+    p.add_argument("file", help="automaton document")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N",
+                   help="stop after this many distinct values")
+    p.set_defaults(handler="cmd_semiring")
+
+    return parser

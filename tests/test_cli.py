@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import errno
+import io
 import json
 import os
 import subprocess
@@ -243,7 +244,7 @@ def test_equiv_methods_agree(capsys, goguen3_path):
 
 
 def test_equiv_flipped_terminal(capsys, tmp_path, boolean3_path):
-    original = parse_automaton(open(boolean3_path).read())
+    original = parse_automaton(Path(boolean3_path).read_text(encoding="utf-8"))
     flipped_tau = [str(1 - v) for v in original.tau]
     flipped = FuzzyAutomaton.build(
         original.lattice, original.alphabet,
@@ -390,13 +391,24 @@ def test_closed_stdout_pipe_exits_2(goguen3_path, unbuffered):
     second failure when the interpreter flushes stdout at exit."""
     env = {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent),
            "PYTHONUNBUFFERED": unbuffered}
-    proc = subprocess.Popen([sys.executable, "-m", "fuzzdet", "det", goguen3_path],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert (proc.wait(), err.splitlines()[-1:]) == (
-        2, ["error: cannot write stdout: Broken pipe"]), err
+    with subprocess.Popen([sys.executable, "-m", "fuzzdet", "det", goguen3_path],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait()
+    assert (code, err.splitlines()[-1:]) == (2, ["error: cannot write stdout: Broken pipe"]), err
     assert "Exception ignored" not in err
+
+
+def test_stdout_that_cannot_encode_a_symbol(capsys, monkeypatch, tmp_path, boolean3_path):
+    alpha = tmp_path / "alpha.fza"
+    alpha.write_text(Path(boolean3_path).read_text(encoding="utf-8").replace("x", "\u03b1"),
+                     encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert main(["det", str(alpha)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write stdout: 'ascii' codec can't encode character '\\u03b1' "
+        "in position 14: ordinal not in range(128)\n")
 
 
 @pytest.mark.parametrize("command", ["", "eval", "det", "equiv", "semiring"])
@@ -406,3 +418,12 @@ def test_help_text_unchanged(capsys, monkeypatch, command):
     expected = (HELP / f"{command or 'top'}.txt").read_text(encoding="utf-8")
     assert main([command, "--help"] if command else ["--help"]) == 0
     assert capsys.readouterr() == (expected, "")
+
+
+def test_help_text_ignores_terminal_width(capsys, monkeypatch):
+    """argparse rewrapped --help to the terminal; the texts are now fixed."""
+    monkeypatch.setenv("COLUMNS", "40")
+    for command in ("", "eval", "det", "equiv", "semiring"):
+        expected = (HELP / f"{command or 'top'}.txt").read_text(encoding="utf-8")
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        assert capsys.readouterr() == (expected, ""), command

@@ -2,6 +2,7 @@
 double reversal, the psi variant, and the pre-flight bound."""
 
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from fuzzdet import (
     BOOLEAN,
     GODEL,
     GOGUEN,
+    LUKASIEWICZ,
     CapExceeded,
     FuzzyAutomaton,
     FuzzyMatrix,
@@ -40,6 +42,7 @@ from support import (
     all_words,
     boolean_accepts_from,
     clone_extend,
+    moore_classes,
     random_automaton,
 )
 
@@ -297,3 +300,53 @@ def test_preflight_bound_respected_by_constructions():
             outcome = construct(a, cap=report.bound + 1)
             assert outcome.ok
             assert outcome.cdfa.n <= report.bound
+
+
+def _isomorphic(c, transitions, terminals, initial):
+    """Whether cdfa c is the automaton (transitions, terminals, initial):
+    states paired by a breadth-first search in alphabet order from the
+    initial ones, with equal terminal degrees."""
+    pair = {c.initial: initial}
+    queue = deque([c.initial])
+    while queue:
+        s = queue.popleft()
+        if c.terminal[s] != terminals[pair[s]]:
+            return False
+        for t, u in zip(c.transitions[s], transitions[pair[s]]):
+            if t not in pair:
+                pair[t] = u
+                queue.append(t)
+            elif pair[t] != u:
+                return False
+    return len(pair) == c.n == len(transitions) == len(set(pair.values()))
+
+
+def test_minimal_on_every_lattice_against_moore_quotient():
+    """incl, brzozowski and psi with the identity are the Moore quotient of
+    nerode's cdfa, the minimal cdfa, wherever all four finish."""
+    rng = random.Random(5)
+    cap = 1_000
+    agreed = skipped = 0
+    for lattice in (BOOLEAN, GODEL, LUKASIEWICZ, chain(3), chain(7)):
+        for n in range(2, 6):
+            for _ in range(15):
+                a = random_automaton(rng, lattice, n)
+                full = nerode(a, cap)
+                minimal = [d_automaton(a, cap), brzozowski(a, cap),
+                           psi_d_automaton(a, identity_matrix(lattice, n), cap)]
+                if not all(outcome.ok for outcome in (full, *minimal)):
+                    skipped += 1  # nerode or the reverse phase hit the cap
+                    continue
+                c = full.cdfa
+                cls = moore_classes(c.transitions, c.terminal)
+                k = len(set(cls))
+                transitions = [None] * k
+                terminals = [None] * k
+                for s in range(c.n):
+                    transitions[cls[s]] = [cls[t] for t in c.transitions[s]]
+                    terminals[cls[s]] = c.terminal[s]
+                for outcome in minimal:
+                    assert _isomorphic(outcome.cdfa, transitions, terminals,
+                                       cls[c.initial]), (lattice, a)
+                agreed += 1
+    assert agreed >= 250 and skipped <= 50, (agreed, skipped)

@@ -94,6 +94,21 @@ def test_parse_value_error_carries_line_and_column():
     assert err.value.column == 11
 
 
+def test_repeated_bad_value_is_reported_where_it_first_stands():
+    """Each distinct token text is parsed once per document; a bad one still
+    fails at its first position, and a good one gives one shared value."""
+    text = ("lattice goguen\nalphabet x\nstates 2\ninitial 1 0\nterminal 0 1/2\n"
+            "transitions x\n0 3/2\n3/2 0\n")
+    with pytest.raises(FormatError) as err:
+        parse_automaton(text)
+    assert (err.value.line, err.value.column) == (7, 3)
+    a = parse_automaton(text.replace("3/2", "1/2"))
+    assert a.tau[1] is a.delta["x"].entries[0][1] is a.delta["x"].entries[1][0]
+    with pytest.raises(FormatError) as err:
+        parse_matrix("1 3/2\n3/2 1\n", GOGUEN, 2)
+    assert (err.value.line, err.value.column) == (1, 3)
+
+
 def test_empty_value_line_names_its_line(capsys, tmp_path):
     """An initial or terminal line with no values has no value token to take
     the line from; the error names the directive's line."""

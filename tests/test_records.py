@@ -91,11 +91,15 @@ def test_cli_import_loads_no_dataclasses(python_child):
     assert proc.stdout == "\n"
 
 
+def _imported(proc) -> set[str]:
+    """The modules a `-X importtime` child imported."""
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def _loaded(proc) -> set[str]:
     """The fuzzdet modules a `-X importtime` child imported."""
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return {n for n in names if n.startswith("fuzzdet.")}
+    return {n for n in _imported(proc) if n.startswith("fuzzdet.")}
 
 
 def test_import_loads_no_submodule(python_child):
@@ -126,7 +130,8 @@ def test_command_loads_only_what_it_runs(python_child, goguen3_path, argv):
     assert proc.returncode == 0, proc.stderr
     loaded = _loaded(proc)
     command = argv[0]
-    assert "fuzzdet.cli" in loaded and "fuzzdet.reference" not in loaded
+    assert not {"argparse", "gettext", "locale"} & _imported(proc)
+    assert "fuzzdet.cli" in loaded and not {"fuzzdet.reference", "fuzzdet.usage"} & loaded
     assert ("fuzzdet.determinize" in loaded) == (command in ("det", "equiv"))
     assert ("fuzzdet.detcli" in loaded) == (command in ("det", "equiv"))
     assert ("fuzzdet.closure" in loaded) == (command != "eval")
