@@ -72,8 +72,7 @@ class FuzzyMatrix(Record):
                 raise DimensionMismatch(
                     f"row {r + 1} has {len(row)} entries, expected {width}")
             lattice.check_all(row)
-        _set(self, "lattice", lattice)
-        _set(self, "entries", entries)
+        super().__init__(lattice, entries)
 
     @classmethod
     def from_rows(cls, lattice: Lattice, rows: Iterable[Iterable]) -> "FuzzyMatrix":

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .algebra import FuzzyMatrix, FuzzyVector, dot, vec_mat
 from .errors import DimensionMismatch, LatticeMismatch, UnknownSymbol
-from .lattice import Lattice, Record, Value, _set
+from .lattice import Lattice, Record, Value
 
 Word = tuple[str, ...]
 RESERVED_SYMBOL = "alphabet symbol {!r} is ambiguous in words: '_' and '.' are reserved"
@@ -71,11 +71,7 @@ class FuzzyAutomaton(Record):
                 raise DimensionMismatch(
                     f"transition matrix for {x!r} is {m.n_rows}x{m.n_cols}, expected {n}x{n}")
             ordered[x] = m
-        _set(self, "lattice", lattice)
-        _set(self, "alphabet", alphabet)
-        _set(self, "sigma", sigma)
-        _set(self, "delta", ordered)
-        _set(self, "tau", tau)
+        super().__init__(lattice, alphabet, sigma, ordered, tau)
 
     @property
     def n(self) -> int:

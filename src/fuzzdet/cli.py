@@ -18,6 +18,7 @@ import os
 import sys
 from types import SimpleNamespace
 
+from . import _MODULE_OF
 from .algebra import DEFAULT_CAP
 from .automata import FuzzyAutomaton, evaluate
 from .errors import FuzzdetError
@@ -42,16 +43,13 @@ COMMANDS = {"eval": (("file", "word"), {}),
 DEFAULTS = {"--method": "incl", "--psi": None, "--max-states": DEFAULT_CAP, "--dot": None,
             "--stats": False, "--cap": DEFAULT_CAP}
 
-# The names of this module bound here the first time they are looked up, and
-# the module each comes from: what eval does not run, and usage's read_argv.
-_LAZY = {"format_word": "formats", "preflight": "closure", "export_dot": "detcli",
-         "find_witness": "determinize", "cmd_det": "detcli", "cmd_equiv": "detcli",
-         "read_argv": "usage",
-         **dict.fromkeys(METHODS.values(), "determinize")}
+# Names bound here the first time they are looked up, from their module: the
+# det and equiv handlers, usage's read_argv and the package's public names.
+_LAZY = {"cmd_det": "detcli", "cmd_equiv": "detcli", "read_argv": "usage"}
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
+    module = _LAZY.get(name) or _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, unlike importlib.import_module, shows in -X importtime
@@ -65,7 +63,7 @@ def _bound(name: str):
 
 
 def _read(path: str) -> str:
-    # The parsers split lines with str.splitlines, so reading bytes needs no
+    # The parsers split lines at \r\n, \r and \n, so reading bytes needs no
     # newline translation, and a decode error's offset is the file's.
     try:
         with open(path, "rb") as f:

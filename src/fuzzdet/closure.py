@@ -15,7 +15,7 @@ from math import lcm
 
 from .algebra import DEFAULT_CAP, Carrier
 from .errors import InvalidCap, LatticeMismatch
-from .lattice import Lattice, Record, Value, _set
+from .lattice import Lattice, Record, Value
 
 
 class _Fractions(dict):
@@ -65,8 +65,7 @@ class ValueSet(Record):
 
     def __init__(self, lattice: Lattice, elements: frozenset):
         lattice.check_all(elements)
-        _set(self, "lattice", lattice)
-        _set(self, "elements", elements)
+        super().__init__(lattice, elements)
 
     @classmethod
     def of(cls, lattice: Lattice, values: Iterable) -> "ValueSet":
@@ -92,12 +91,6 @@ class SemiringClosure(Record):
     """
 
     __slots__ = ("closed", "values", "reached", "cap")
-
-    def __init__(self, closed: bool, values: ValueSet | None, reached: int, cap: int):
-        _set(self, "closed", closed)
-        _set(self, "values", values)
-        _set(self, "reached", reached)
-        _set(self, "cap", cap)
 
     @property
     def k(self) -> int | None:
@@ -194,10 +187,6 @@ class PreflightReport(Record):
     """Value subsemiring closure plus the k^n state bound it implies."""
 
     __slots__ = ("closure", "n")
-
-    def __init__(self, closure: SemiringClosure, n: int):
-        _set(self, "closure", closure)
-        _set(self, "n", n)
 
     @property
     def bound(self) -> int | None:

@@ -138,12 +138,7 @@ class Cdfa(Record):
         if len(reached) != n:
             missing = sorted(set(range(n)) - reached)
             raise ValueError(f"unreachable states: {missing}")
-        _set(self, "lattice", lattice)
-        _set(self, "alphabet", alphabet)
-        _set(self, "transitions", transitions)
-        _set(self, "initial", initial)
-        _set(self, "terminal", terminal)
-        _set(self, "labels", labels)
+        super().__init__(lattice, alphabet, transitions, initial, terminal, labels)
 
     @property
     def n(self) -> int:
@@ -185,15 +180,10 @@ def find_witness(c1: Cdfa, c2: Cdfa) -> Word | None:
     return None
 
 
-class BuildStats(Record, frozen=False):
+class BuildStats(Record):
     """Counters for one construction run; elapsed is wall seconds."""
 
     __slots__ = ("vertices", "closure_checks", "elapsed")
-
-    def __init__(self, vertices: int = 0, closure_checks: int = 0, elapsed: float = 0.0):
-        self.vertices = vertices
-        self.closure_checks = closure_checks
-        self.elapsed = elapsed
 
 
 class CapExceeded(Record):
@@ -201,19 +191,11 @@ class CapExceeded(Record):
 
     __slots__ = ("states_built", "cap")
 
-    def __init__(self, states_built: int, cap: int):
-        _set(self, "states_built", states_built)
-        _set(self, "cap", cap)
-
 
 class DetOutcome(Record):
     """Result of a determinization: a cdfa or a cap report, plus counters."""
 
     __slots__ = ("result", "stats")
-
-    def __init__(self, result: Cdfa | CapExceeded, stats: BuildStats):
-        _set(self, "result", result)
-        _set(self, "stats", stats)
 
     @property
     def ok(self) -> bool:
@@ -326,7 +308,7 @@ class _Run:
     def __init__(self, a: FuzzyAutomaton, cap: int, extra: Iterable[Value] = ()):
         require_cap(cap, "state cap")
         self.cap = cap
-        self.stats = BuildStats()
+        self.vertices = self.checks = 0
         self.t0 = time.perf_counter()
         c = self.carrier = carrier_of(a.lattice, automaton_values(a).elements.union(extra))
         self.alphabet = a.alphabet
@@ -344,7 +326,7 @@ class _Run:
         state would be created. Each child is one closure check, and each
         vertex made, the root included, one vertex.
         """
-        alphabet, cap, stats = self.alphabet, self.cap, self.stats
+        alphabet, cap = self.alphabet, self.cap
         m = len(alphabet)
         index_of = {root: 0}
         codes = [root]
@@ -360,8 +342,8 @@ class _Run:
                 if t is None:
                     t = len(codes)
                     if t >= cap:
-                        stats.closure_checks += s * m + i + 1
-                        stats.vertices += s * m + i + 1
+                        self.checks += s * m + i + 1
+                        self.vertices += s * m + i + 1
                         return CapExceeded(states_built=t, cap=cap)
                     index_of[v] = t
                     codes.append(v)
@@ -369,8 +351,8 @@ class _Run:
                     words.append((x,) + u if prepend else u + (x,))
                 row.append(t)
             edges.append(tuple(row))
-        stats.closure_checks += len(codes) * m
-        stats.vertices += len(codes) * m + 1
+        self.checks += len(codes) * m
+        self.vertices += len(codes) * m + 1
         return TransitionTree(self.carrier, alphabet, codes, terminals, edges, words, prepend)
 
     def reverse(self, root: tuple | None = None, matrices: Sequence[tuple] | None = None
@@ -409,10 +391,8 @@ class _Run:
     def done(self, tree: TransitionTree | CapExceeded,
              labels: Sequence[tuple] | None = None) -> DetOutcome:
         """Stop the clock, then decode tree with labels, or report its cap."""
-        self.stats.elapsed = time.perf_counter() - self.t0
-        if isinstance(tree, CapExceeded):
-            return DetOutcome(tree, self.stats)
-        return DetOutcome(tree.to_cdfa(labels), self.stats)
+        stats = BuildStats(self.vertices, self.checks, time.perf_counter() - self.t0)
+        return DetOutcome(tree if isinstance(tree, CapExceeded) else tree.to_cdfa(labels), stats)
 
 
 # -- forward and reverse Nerode ------------------------------------------
@@ -479,12 +459,6 @@ class InvarianceViolation(Record):
     """
 
     __slots__ = ("constraint", "position", "lhs", "rhs")
-
-    def __init__(self, constraint: str, position: tuple[int, ...], lhs: Value, rhs: Value):
-        _set(self, "constraint", constraint)
-        _set(self, "position", position)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
 
     def __str__(self) -> str:
         spot = ",".join(str(p + 1) for p in self.position)

@@ -73,7 +73,9 @@ class _Token:
 def _tokenize(text: str) -> list[list[_Token]]:
     """Split into logical lines of tokens, dropping comments and blanks."""
     lines = []
-    for number, raw in enumerate(text.splitlines(), 1):
+    # Lines end at \r\n, \r and \n, as in universal newlines, not also at the
+    # form feeds and Unicode separators of str.splitlines: those separate tokens.
+    for number, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         body = raw.split("#", 1)[0]
         tokens = [_Token(m.group(), number, m.start() + 1) for m in re.finditer(r"\S+", body)]
         if tokens:

@@ -32,34 +32,39 @@ _INDEX = re.compile(r"^\d+$")
 
 
 class Record:
-    """Base of the package's records: eq, hash and repr over the fields.
+    """Base of the package's records: immutable values with eq, hash and repr.
 
-    A subclass names its fields in __slots__, the one list of them, and
-    sets them in its own straight-line __init__ with _set, because
-    assignment raises AttributeError. `class R(Record, frozen=False)`
-    makes a mutable, unhashable record instead. Records are equal when
-    they are of one class and their fields are equal.
+    A subclass lists its fields once, in __slots__; Record(*values, **named)
+    sets them in that order or by name, and a subclass that checks its
+    arguments ends its own __init__ by calling it. Records of one class
+    with equal fields are equal. FuzzyVector and StateLabel, one of each
+    made per cdfa state, set their fields with _set in a straight-line
+    __init__: 0.38 µs a call against 0.86 µs here, which would add about
+    4 ms to a 4,096-state cdfa (medians of 15 alternating timeit rounds).
 
     Not a dataclass: importing dataclasses loads inspect, ast and dis, and
-    each decorated class generates its methods with exec at import, which
-    every CLI call paid. Cold `import fuzzdet.cli` in a child without a
-    bytecode cache for the package took 53 ms with 15 dataclasses and
-    34 ms with these records (medians of 30 alternating runs, 2-core
-    x86-64 host, Python 3.11).
+    a cold `import fuzzdet.cli` without a bytecode cache took 53 ms with 15
+    dataclasses, 34 ms with these records (medians of 30 alternating runs).
+    Both measured on a 2-core x86-64 host, Python 3.11.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__slots__
         # attrgetter is not a function, so self._key is unbound
-        cls._fields, cls._key = fields, attrgetter(*fields)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
+        cls._fields, cls._key = cls.__slots__, attrgetter(*cls.__slots__)
+
+    def __init__(self, *values, **named):
+        fields, n = self._fields, len(values)
+        if n + len(named) != len(fields) or named and named.keys() - fields[n:]:
+            raise TypeError(f"{type(self).__qualname__}({', '.join(fields)}) takes each field "
+                            f"once: got {n} by position and {sorted(named)} by name")
+        for field, v in zip(fields, values):
+            _set(self, field, v)
+        for field, v in named.items():
+            _set(self, field, v)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -84,7 +89,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-_set = object.__setattr__  # how a frozen record's __init__ sets a field
+_set = object.__setattr__  # how a record's __init__ sets a field
 
 
 class Lattice(Record):
@@ -107,8 +112,7 @@ class Lattice(Record):
                 raise ValueError("a chain lattice needs a top index >= 1")
         elif top_index is not None:
             raise ValueError(f"{kind} takes no top index")
-        _set(self, "kind", kind)
-        _set(self, "top_index", top_index)
+        super().__init__(kind, top_index)
 
     # -- carrier ---------------------------------------------------------
 

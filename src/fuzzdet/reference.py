@@ -30,7 +30,7 @@ from .algebra import (
     _sup_product,
     dot,
 )
-from .automata import FuzzyAutomaton, Word
+from .automata import FuzzyAutomaton
 from .errors import DimensionMismatch, LatticeMismatch, UnknownSymbol
 from .formats import _quote
 from .lattice import Lattice, Record, Value
@@ -148,23 +148,16 @@ def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
     return _Run(a, cap).reverse()
 
 
-class TreeVertex(Record, frozen=False):
+class TreeVertex(Record):
     """One vertex of a transition tree, as TransitionTree.vertices lists it.
 
     pointer is the 1-based state number the vertex is glued to, and its
     vector is that state's; closed vertices repeat an earlier vector and
-    get no children. parent is the parent vertex's index in the list.
+    get no children. parent is the parent vertex's index in the list and
+    symbol labels the edge from it; both are None at the root.
     """
 
     __slots__ = ("word", "pointer", "closed", "parent", "symbol")
-
-    def __init__(self, word: Word, pointer: int, closed: bool, parent: int | None,
-                 symbol: str | None):
-        self.word = word
-        self.pointer = pointer
-        self.closed = closed
-        self.parent = parent
-        self.symbol = symbol
 
 
 def tree_vertices(tree: TransitionTree) -> list[TreeVertex]:

@@ -24,6 +24,7 @@ from fuzzdet import (
     dot,
     identity_matrix,
     mat_compose,
+    mat_vec,
     vec_mat,
 )
 from fuzzdet.cli import METHODS
@@ -174,6 +175,12 @@ def clone_extend(a):
     base[n][n - 1] = lat.top
     psi = FuzzyMatrix(lat, tuple(tuple(row) for row in base))
     return extended, psi
+
+
+def psi_glued(a, psi):
+    """The automaton (sigma, psi ∘ delta_x, psi ∘ tau) whose reverse tree psi glues."""
+    delta = {x: mat_compose(psi, m) for x, m in a.delta.items()}
+    return FuzzyAutomaton(a.lattice, a.alphabet, a.sigma, delta, mat_vec(psi, a.tau))
 
 
 def quasi_order_automaton(rng, lattice, n, alphabet=("x", "y"), zero_bias=0.45):

@@ -30,6 +30,7 @@ from fuzzdet import (
     d_epsilon,
     d_step,
     evaluate,
+    find_witness,
     identity_matrix,
     nerode,
     preflight,
@@ -43,6 +44,8 @@ from support import (
     boolean_accepts_from,
     clone_extend,
     moore_classes,
+    psi_glued,
+    quasi_order_automaton,
     random_automaton,
 )
 
@@ -350,3 +353,28 @@ def test_minimal_on_every_lattice_against_moore_quotient():
                                        cls[c.initial]), (lattice, a)
                 agreed += 1
     assert agreed >= 250 and skipped <= 50, (agreed, skipped)
+
+
+def test_coarser_psi_keeps_the_language_on_every_lattice():
+    """A quasi-order psi, left invariant and coarser than the identity, glues
+    the reverse tree more, never changing the language: find_witness finds
+    no word on which psi's cdfa and incl's differ."""
+    rng = random.Random(7)
+    cap = 1_000
+    agreed = coarser = fewer = skipped = 0
+    for lattice in (BOOLEAN, GODEL, LUKASIEWICZ, chain(3), chain(7)):
+        for n in range(2, 6):
+            for _ in range(12):
+                a, psi = quasi_order_automaton(rng, lattice, n)
+                assert check_left_invariant(a, psi) is None
+                outcome, minimal = psi_d_automaton(a, psi, cap), d_automaton(a, cap)
+                if not (outcome.ok and minimal.ok):
+                    skipped += 1  # a reverse or forward phase hit the cap
+                    continue
+                assert find_witness(outcome.cdfa, minimal.cdfa) is None, (lattice, a, psi)
+                agreed += 1
+                coarser += psi != identity_matrix(lattice, n)
+                fewer += (reverse_nerode_tree(psi_glued(a, psi), cap).n_states
+                          < reverse_nerode_tree(a, cap).n_states)
+    assert agreed >= 200 and skipped <= 40, (agreed, skipped)
+    assert coarser >= 150 and fewer >= 50, (coarser, fewer)

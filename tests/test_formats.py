@@ -24,6 +24,7 @@ from fuzzdet import (
     serialize_automaton,
 )
 from fuzzdet.cli import main
+from conftest import DATA
 from dotcheck import validate_dot
 from support import random_automaton
 
@@ -124,6 +125,34 @@ def test_empty_value_line_names_its_line(capsys, tmp_path):
         doc.write_text("\n".join(lines) + "\n")
         assert main(["eval", str(doc), "_"]) == 2
         assert capsys.readouterr() == ("", f"error: line {line}: {kw} needs 2 values, got 0\n")
+
+
+# Characters str.splitlines ends a line at, and a document does not: within a
+# line they separate tokens, as any other whitespace does.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+def test_only_cr_and_lf_end_a_line(boolean3, sep, tmp_path, capsys):
+    lines = (DATA / "boolean3.fza").read_text(encoding="utf-8").splitlines()
+    lines.insert(2, f"# note{sep}lattice goguen")
+    assert parse_automaton("\n".join(lines)) == boolean3
+    assert parse_automaton("\n".join(lines).replace("0 1 0", f"0{sep}1 0")) == boolean3
+    for newline in ("\r", "\r\n"):
+        assert parse_automaton(newline.join(lines)) == boolean3
+    lines[4] = "states 0"
+    with pytest.raises(FormatError) as err:
+        parse_automaton("\r".join(lines))
+    assert err.value.line == 5
+    doc = tmp_path / "doc.fza"
+    doc.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["eval", str(doc), "_"]) == 2
+    assert capsys.readouterr() == ("", "error: line 5: states needs one positive integer\n")
+    identity = parse_matrix("1 0 0\n0 1 0\n0 0 1\n", BOOLEAN, 3)
+    assert parse_matrix(f"1 0 0 # note{sep}1 1 1\n0{sep}1 0\n0 0{sep}1", BOOLEAN, 3) == identity
+    with pytest.raises(FormatError) as err:
+        parse_matrix(f"# note{sep}1 1 1\n1 0 0\r\n0 1 0\r0 0 2\n", BOOLEAN, 3)
+    assert (err.value.line, err.value.column) == (4, 5)
 
 
 def test_parse_chain_range_error():

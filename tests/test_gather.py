@@ -24,8 +24,6 @@ from fuzzdet import (
     d_step,
     dot,
     identity_matrix,
-    mat_compose,
-    mat_vec,
     nerode,
     psi_d_automaton,
     reverse_nerode,
@@ -34,6 +32,7 @@ from fuzzdet import (
 from conftest import load_fixture
 from support import (
     clone_extend,
+    psi_glued,
     quasi_order_automaton,
     random_automaton,
     slow_d_forward,
@@ -121,17 +120,11 @@ def test_d_automaton_matches_d_step_oracle():
     assert seen == {"ok", "reverse", "forward"}
 
 
-def _glued(a, psi):
-    """The automaton (sigma, psi ∘ delta_x, psi ∘ tau) whose reverse tree psi glues."""
-    delta = {x: mat_compose(psi, m) for x, m in a.delta.items()}
-    return FuzzyAutomaton(a.lattice, a.alphabet, a.sigma, delta, mat_vec(psi, a.tau))
-
-
 def test_psi_d_automaton_matches_d_step_oracle():
     seen = set()
     moved_tau = 0
     for a, psi, cap in _psi_instances():
-        glued = _glued(a, psi)
+        glued = psi_glued(a, psi)
         kind = _check_against_d_oracle(
             a, psi_d_automaton(a, psi, cap), reverse_nerode_tree(glued, cap),
             reverse_nerode(glued, cap).stats, cap)
