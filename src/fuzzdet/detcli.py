@@ -16,7 +16,7 @@ from .cli import (EXIT_CAP, EXIT_NOT_EQUIVALENT, EXIT_OK, METHODS, _check_cap, _
                   _load, _read)
 from .determinize import Cdfa
 from .errors import FormatError, FuzzdetError, PsiNotLeftInvariant, PsiNotReflexive
-from .formats import _parse_values, _quote, _tokenize, format_word
+from .formats import _matrix, _quote, _tokenize, format_word
 from .lattice import Lattice
 
 
@@ -25,10 +25,7 @@ def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
     lines = _tokenize(text)
     if len(lines) != n:
         raise FormatError(f"expected {n} rows, got {len(lines)}")
-    parsed = {}  # one value per distinct token text
-    rows = tuple(tuple(_parse_values(lattice, tokens, n, f"row {r + 1}", tokens[0].line, parsed))
-                 for r, tokens in enumerate(lines))
-    return FuzzyMatrix(lattice, rows)
+    return _matrix(lattice, lines, "row", {})
 
 
 # -- DOT export --------------------------------------------------------------

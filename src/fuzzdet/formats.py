@@ -14,7 +14,7 @@ ignored, tokens separated by whitespace):
 Each block appears once. lattice and states come before initial and
 terminal, and lattice, alphabet and states before every transitions block;
 the order is otherwise free. Values are decimal literals, p/q rationals,
-or chain indices, and must lie in the declared lattice.
+or chain indices, in ASCII digits, and must lie in the declared lattice.
 reference.serialize_automaton writes the canonical form: blocks in the
 order above, symbols in alphabet order, reduced values, terminating
 decimals preferred over p/q. Parsing a serialized document yields an equal
@@ -22,7 +22,8 @@ automaton.
 
 Words elsewhere in the package render as '_' for the empty word and
 dot-separated symbols otherwise, e.g. 'x.y.x'. DOT export and the psi
-matrix documents, which only det and equiv write and read, are in detcli.
+matrix documents, which only det and equiv write and read, are in detcli;
+a psi matrix's rows are read by _matrix, as a transitions block's are.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ def _tokenize(text: str) -> list[list[_Token]]:
 
 
 def _positive_int(tokens: list[_Token], message: str, line: int) -> int:
-    """The value of a lone positive decimal token, else FormatError(message)."""
+    """The value of a lone positive ASCII decimal token, else FormatError(message)."""
     text = tokens[0].text if len(tokens) == 1 else ""
     try:
-        value = int(text) if text.isdecimal() else 0
+        value = int(text) if text.isascii() and text.isdecimal() else 0
     except ValueError:  # more digits than int() converts
         value = 0
     if value < 1:
@@ -110,6 +111,15 @@ def _parse_values(lattice: Lattice, tokens: list[_Token], count: int, what: str,
     return [parsed[t.text] for t in tokens]
 
 
+def _matrix(lattice: Lattice, lines: list[list[_Token]], what: str,
+            parsed: dict[str, Value]) -> FuzzyMatrix:
+    """The square matrix of the lines' values, row r named f"{what} {r + 1}" in errors."""
+    n = len(lines)
+    return FuzzyMatrix(lattice, tuple([
+        tuple(_parse_values(lattice, tokens, n, f"{what} {r}", tokens[0].line, parsed))
+        for r, tokens in enumerate(lines, 1)]))
+
+
 def parse_automaton(text: str) -> FuzzyAutomaton:
     """Parse a document into a fuzzy automaton.
 
@@ -118,11 +128,7 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
     """
     lines = _tokenize(text)
     parsed: dict[str, Value] = {}  # one value per distinct token text
-    lattice: Lattice | None = None
-    alphabet: tuple[str, ...] | None = None
-    n: int | None = None
-    sigma = None
-    tau = None
+    blocks: dict = {}  # directive -> what its block read, for all but transitions
     delta: dict[str, FuzzyMatrix] = {}
 
     i = 0
@@ -131,14 +137,12 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
         head = tokens[0]
         kw = head.text
         rest = tokens[1:]
+        i += 1
+        if kw in blocks and kw in ("lattice", "alphabet", "states"):
+            raise FormatError(f"duplicate {kw} block", head.line)
         if kw == "lattice":
-            if lattice is not None:
-                raise FormatError("duplicate lattice block", head.line)
-            lattice = _parse_lattice(rest, head)
-            i += 1
+            blocks[kw] = _parse_lattice(rest, head)
         elif kw == "alphabet":
-            if alphabet is not None:
-                raise FormatError("duplicate alphabet block", head.line)
             if not rest:
                 raise FormatError("alphabet needs at least one symbol", head.line)
             seen = set()
@@ -148,63 +152,47 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
                 if t.text in seen:
                     raise FormatError(f"duplicate symbol {t.text!r}", t.line, t.column)
                 seen.add(t.text)
-            alphabet = tuple(t.text for t in rest)
-            i += 1
+            blocks[kw] = tuple(t.text for t in rest)
         elif kw == "states":
-            if n is not None:
-                raise FormatError("duplicate states block", head.line)
-            n = _positive_int(rest, "states needs one positive integer", head.line)
-            i += 1
+            blocks[kw] = _positive_int(rest, "states needs one positive integer", head.line)
         elif kw in ("initial", "terminal"):
-            if lattice is None or n is None:
+            if "lattice" not in blocks or "states" not in blocks:
                 raise FormatError(f"{kw} block before lattice and states", head.line)
-            values = _parse_values(lattice, rest, n, kw, head.line, parsed)
-            if kw == "initial":
-                if sigma is not None:
-                    raise FormatError("duplicate initial block", head.line)
-                sigma = FuzzyVector(lattice, tuple(values))
-            else:
-                if tau is not None:
-                    raise FormatError("duplicate terminal block", head.line)
-                tau = FuzzyVector(lattice, tuple(values))
-            i += 1
+            values = _parse_values(blocks["lattice"], rest, blocks["states"], kw, head.line, parsed)
+            if kw in blocks:
+                raise FormatError(f"duplicate {kw} block", head.line)
+            blocks[kw] = FuzzyVector(blocks["lattice"], tuple(values))
         elif kw == "transitions":
-            if lattice is None or alphabet is None or n is None:
+            if "lattice" not in blocks or "alphabet" not in blocks or "states" not in blocks:
                 raise FormatError(
                     "transitions block before lattice, alphabet and states", head.line)
             if len(rest) != 1:
                 raise FormatError("transitions needs exactly one symbol", head.line)
             symbol = rest[0].text
-            if symbol not in alphabet:
+            if symbol not in blocks["alphabet"]:
                 raise FormatError(f"symbol {symbol!r} is not in the alphabet",
                                   rest[0].line, rest[0].column)
             if symbol in delta:
-                raise FormatError(f"duplicate transitions block for {symbol!r}",
-                                  head.line)
-            if len(lines) - (i + 1) < n:
-                raise FormatError(
-                    f"transitions {symbol} needs {n} rows, document ends after "
-                    f"{len(lines) - (i + 1)}", head.line)
-            rows = []
-            for r in range(n):
-                row_tokens = lines[i + 1 + r]
-                rows.append(tuple(_parse_values(lattice, row_tokens, n, f"transition row {r + 1}",
-                                                row_tokens[0].line, parsed)))
-            delta[symbol] = FuzzyMatrix(lattice, tuple(rows))
-            i += 1 + n
+                raise FormatError(f"duplicate transitions block for {symbol!r}", head.line)
+            n = blocks["states"]
+            rows = lines[i:i + n]
+            if len(rows) < n:
+                raise FormatError(f"transitions {symbol} needs {n} rows, document ends after "
+                                  f"{len(rows)}", head.line)
+            delta[symbol] = _matrix(blocks["lattice"], rows, "transition row", parsed)
+            i += n
         else:
             raise FormatError(f"unknown directive {kw!r}", head.line, head.column)
 
-    missing = [name for name, part in (
-        ("lattice", lattice), ("alphabet", alphabet), ("states", n),
-        ("initial", sigma), ("terminal", tau)) if part is None]
+    missing = [kw for kw in ("lattice", "alphabet", "states", "initial", "terminal")
+               if kw not in blocks]
     if missing:
         raise FormatError("missing blocks: " + ", ".join(missing))
-    assert alphabet is not None
-    for x in alphabet:
+    for x in blocks["alphabet"]:
         if x not in delta:
             raise FormatError(f"missing transitions block for {x!r}")
-    return FuzzyAutomaton(lattice, alphabet, sigma, delta, tau)
+    return FuzzyAutomaton(blocks["lattice"], blocks["alphabet"], blocks["initial"], delta,
+                          blocks["terminal"])
 
 
 def _parse_lattice(rest: list[_Token], head: _Token) -> Lattice:

@@ -26,9 +26,9 @@ _ONE = Fraction(1)
 
 KINDS = ("boolean", "godel", "goguen", "lukasiewicz", "chain")
 
-_DECIMAL = re.compile(r"^\d+(?:\.\d+)?$")
-_RATIO = re.compile(r"^(\d+)/(\d+)$")
-_INDEX = re.compile(r"^\d+$")
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # each read by fullmatch, ASCII digits only
+_RATIO = re.compile(r"([0-9]+)/([0-9]+)")
+_INDEX = re.compile(r"[0-9]+")
 
 
 class Record:
@@ -187,16 +187,16 @@ class Lattice(Record):
         parsed value falls outside the carrier.
         """
         if self.kind == "chain":
-            if not _INDEX.match(token):
+            if not _INDEX.fullmatch(token):
                 raise ValueError(f"not a chain index: {token!r}")
             return self.check(int(token))
-        m = _RATIO.match(token)
+        m = _RATIO.fullmatch(token)
         if m:
             num, den = int(m.group(1)), int(m.group(2))
             if den == 0:
                 raise ValueError(f"zero denominator: {token!r}")
             return self.check(Fraction(num, den))
-        if not _DECIMAL.match(token):
+        if not _DECIMAL.fullmatch(token):
             raise ValueError(f"not a value literal: {token!r}")
         return self.check(Fraction(token))
 

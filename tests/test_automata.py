@@ -11,6 +11,7 @@ from fuzzdet import (
     GOGUEN,
     AlphabetMismatch,
     Cdfa,
+    DimensionMismatch,
     FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyVector,
@@ -31,6 +32,7 @@ from fuzzdet import (
     right_language_step,
     vec_mat,
 )
+from fuzzdet.automata import check_alphabet
 from support import all_words, random_automaton
 
 
@@ -157,6 +159,71 @@ def test_cdfa_validation():
     with pytest.raises(ValueError):
         Cdfa(GOGUEN, ("x",), ((5,),), 0, (F(0),),
              (StateLabel((), FuzzyVector(GOGUEN, (F(0),))),))
+
+
+@pytest.mark.parametrize("symbols, message", [
+    ((), "alphabet must not be empty"),
+    (("x", ""), "bad alphabet symbol ''"),
+    (("x y",), "bad alphabet symbol 'x y'"),
+    (("x", 1), "bad alphabet symbol 1"),
+    (("x", "y", "x"), "duplicate alphabet symbol 'x'"),
+])
+def test_check_alphabet_rejects(symbols, message):
+    with pytest.raises(ValueError) as err:
+        check_alphabet(symbols)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+ONE_STATE = StateLabel((), FuzzyVector(GOGUEN, (F(0),)))
+
+
+@pytest.mark.parametrize("transitions, initial, terminal, labels, error, message", [
+    ((), 0, (), (), ValueError, "a cdfa needs at least one state"),
+    (((0, 0),), 0, (F(0),), (ONE_STATE,), DimensionMismatch,
+     "transition row of width 2, expected 1"),
+    (((1,),), 0, (F(0),), (ONE_STATE,), ValueError, "transition target 1 out of range"),
+    (((-1,),), 0, (F(0),), (ONE_STATE,), ValueError, "transition target -1 out of range"),
+    (((0,),), 1, (F(0),), (ONE_STATE,), ValueError, "initial state 1 out of range"),
+    (((0,),), 0, (F(0), F(1)), (ONE_STATE,), DimensionMismatch,
+     "2 terminal degrees for 1 states"),
+    (((0,),), 0, (F(0),), (ONE_STATE,) * 2, DimensionMismatch, "2 labels for 1 states"),
+])
+def test_cdfa_constructor_rejects(transitions, initial, terminal, labels, error, message):
+    with pytest.raises(error) as err:
+        Cdfa(GOGUEN, ("x",), transitions, initial, terminal, labels)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+def _vector(lattice, *values):
+    return FuzzyVector(lattice, tuple(map(F, values)))
+
+
+def _square(lattice, n):
+    return FuzzyMatrix(lattice, ((F(1),) * n,) * n)
+
+
+@pytest.mark.parametrize("sigma, delta, tau, error, message", [
+    (_vector(GODEL, 1), {"x": _square(GOGUEN, 1)}, _vector(GOGUEN, 1), LatticeMismatch,
+     "sigma/tau lattice differs from the automaton's"),
+    (_vector(GOGUEN, 1), {"x": _square(GOGUEN, 1)}, _vector(GODEL, 1), LatticeMismatch,
+     "sigma/tau lattice differs from the automaton's"),
+    (_vector(GOGUEN, 1), {"x": _square(GOGUEN, 1)}, _vector(GOGUEN, 1, 0), DimensionMismatch,
+     "tau has length 2, expected 1"),
+    (_vector(GOGUEN, 1), {"y": _square(GOGUEN, 1)}, _vector(GOGUEN, 1), ValueError,
+     "delta keys must match the alphabet exactly"),
+    (_vector(GOGUEN, 1), {"x": _square(GOGUEN, 1), "y": _square(GOGUEN, 1)},
+     _vector(GOGUEN, 1), ValueError, "delta keys must match the alphabet exactly"),
+    (_vector(GOGUEN, 1), {"x": _square(GODEL, 1)}, _vector(GOGUEN, 1), LatticeMismatch,
+     "transition matrix for 'x' is in another lattice"),
+    (_vector(GOGUEN, 1), {"x": _square(GOGUEN, 2)}, _vector(GOGUEN, 1), DimensionMismatch,
+     "transition matrix for 'x' is 2x2, expected 1x1"),
+    (_vector(GOGUEN, 1), {"x": FuzzyMatrix(GOGUEN, ((F(1), F(0)),))}, _vector(GOGUEN, 1),
+     DimensionMismatch, "transition matrix for 'x' is 1x2, expected 1x1"),
+])
+def test_fuzzy_automaton_constructor_rejects(sigma, delta, tau, error, message):
+    with pytest.raises(error) as err:
+        FuzzyAutomaton(GOGUEN, ("x",), sigma, delta, tau)
+    assert (type(err.value), str(err.value)) == (error, message)
 
 
 def test_find_witness_none_on_equal():

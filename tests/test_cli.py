@@ -192,12 +192,19 @@ def test_psi_file_errors_before_any_report(capsys, tmp_path, goguen3_path):
     ones.write_text("1 1 1\n1 1 1\n1 1 1\n")
     zero = tmp_path / "zero.mat"
     zero.write_text("0 0 0\n0 1 0\n0 0 1\n")
+    arabic = tmp_path / "arabic.mat"
+    arabic.write_text("1 0 0\n0 \u0661 0\n0 0 1\n", encoding="utf-8")
+    fullwidth = tmp_path / "fullwidth.mat"
+    fullwidth.write_text("1 0 0\n0 1 0\n0 0 \uff11\n", encoding="utf-8")
     for psi, says in (("/missing", "--psi: cannot read /missing: No such file"),
                       (str(wide), "--psi: line 1: row 1 needs 3 values, got 4"),
                       (str(latin), f"--psi: cannot read {latin}: not UTF-8 text "
                                    "(byte 0xbd at offset 4)"),
                       (str(ones), "--psi: (sigma ∘ psi)[2] = 1 exceeds sigma[2] = 0"),
-                      (str(zero), "--psi: psi[1,1] = 0, expected top")):
+                      (str(zero), "--psi: psi[1,1] = 0, expected top"),
+                      (str(arabic), "--psi: line 2, column 3: not a value literal: '\u0661'\n"),
+                      (str(fullwidth),
+                       "--psi: line 3, column 5: not a value literal: '\uff11'\n")):
         code, out, err = run_cli(capsys, "det", goguen3_path, "--method", "psi", "--psi", psi)
         assert (code, out) == (2, ""), psi
         assert err.startswith("error: " + says), err
@@ -266,6 +273,11 @@ def test_equiv_mismatched_alphabets(capsys, tmp_path, goguen3_path):
     code, _, err = run_cli(capsys, "equiv", goguen3_path, str(other))
     assert code == 2
     assert "alphabets differ" in err
+
+
+def test_equiv_mismatched_lattices(capsys, goguen3_path, boolean3_path):
+    assert run_cli(capsys, "equiv", goguen3_path, boolean3_path) == (
+        2, "", "error: lattices differ: goguen vs boolean\n")
 
 
 def test_equiv_bad_method_pair(capsys, goguen3_path):

@@ -13,10 +13,12 @@ from fuzzdet import (
     GOGUEN,
     LUKASIEWICZ,
     CapExceeded,
+    DimensionMismatch,
     FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyVector,
     InvalidCap,
+    LatticeMismatch,
     PsiNotLeftInvariant,
     PsiNotReflexive,
     UnknownSymbol,
@@ -243,6 +245,18 @@ def test_check_left_invariant(goguen3):
     assert violation is not None
     assert violation.constraint == "sigma"
     assert "sigma" in str(violation)
+
+
+@pytest.mark.parametrize("check", [psi_d_automaton, check_left_invariant])
+@pytest.mark.parametrize("psi, error, message", [
+    (identity_matrix(GODEL, 3), LatticeMismatch, "psi is in another lattice"),
+    (identity_matrix(GOGUEN, 2), DimensionMismatch, "psi is 2x2, expected 3x3"),
+    (FuzzyMatrix(GOGUEN, ((F(1),) * 2,) * 3), DimensionMismatch, "psi is 3x2, expected 3x3"),
+])
+def test_psi_of_another_lattice_or_shape_is_rejected(goguen3, check, psi, error, message):
+    with pytest.raises(error) as err:
+        check(goguen3, psi)
+    assert (type(err.value), str(err.value)) == (error, message)
 
 
 def test_psi_identity_collapses_to_d(goguen3, boolean3):

@@ -177,6 +177,13 @@ def test_parse_structural_errors():
         parse_automaton(base + "transitions y\n1\n")
     with pytest.raises(FormatError, match="duplicate transitions"):
         parse_automaton(base + "transitions x\n1\n")
+    for repeated in ("alphabet y", "states 1", "initial 1", "terminal 0"):
+        kw = repeated.split()[0]
+        with pytest.raises(FormatError, match=f"^line 8: duplicate {kw} block$"):
+            parse_automaton(base + repeated + "\n")
+    # a repeated initial block's values are read before it counts as a duplicate
+    with pytest.raises(FormatError, match="^line 8, column 9: .* is outside goguen$"):
+        parse_automaton(base + "initial 2\n")
     with pytest.raises(FormatError, match="needs 1 rows|document ends"):
         parse_automaton(base.replace("transitions x\n1\n", "transitions x\n"))
     with pytest.raises(FormatError, match="unknown lattice"):
@@ -189,6 +196,28 @@ def test_parse_structural_errors():
             parse_automaton(base.replace("states 1", f"states {count}"))
         with pytest.raises(FormatError, match="chain needs a positive top index"):
             parse_automaton(base.replace("lattice goguen", f"lattice chain {count}"))
+
+
+# Arabic-Indic and fullwidth digits are decimal digits to Python, not to a document
+@pytest.mark.parametrize("fixture, line, says", [
+    ("boolean3", "initial \u0661 0 0", "line 6, column 9: not a value literal: '\u0661'"),
+    ("goguen3", "initial 1 \uff10.\uff15 0",
+     "line 6, column 11: not a value literal: '\uff10.\uff15'"),
+    ("goguen3", "initial 1 \u0660.\u0665 0",
+     "line 6, column 11: not a value literal: '\u0660.\u0665'"),
+    ("boolean3", "states \u0663", "line 5: states needs one positive integer"),
+    ("boolean3", "states \uff13", "line 5: states needs one positive integer"),
+    ("boolean3", "lattice chain \u0663", "line 3: chain needs a positive top index"),
+    ("boolean3", "lattice chain \uff14", "line 3: chain needs a positive top index"),
+])
+def test_only_ascii_digits_are_digits(capsys, tmp_path, fixture, line, says):
+    lines = (DATA / f"{fixture}.fza").read_text(encoding="utf-8").split("\n")
+    kw = line.split()[0]
+    lines = [line if text.startswith(kw + " ") else text for text in lines]
+    doc = tmp_path / "doc.fza"
+    doc.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["eval", str(doc), "_"]) == 2
+    assert capsys.readouterr() == ("", f"error: {says}\n")
 
 
 def test_parse_rejects_reserved_alphabet_symbols():

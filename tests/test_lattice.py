@@ -137,6 +137,14 @@ def test_parse_value():
         BOOLEAN.parse_value("0.5")
     with pytest.raises(LatticeMismatch):
         chain(4).parse_value("5")
+    # a value is the whole token, in ASCII digits: no final newline and no
+    # Arabic-Indic or fullwidth digits, though int() and Fraction() take both
+    for lattice, token in ((chain(4), "3\n"), (GOGUEN, "1\n"), (GOGUEN, "1/2\n"),
+                           (GOGUEN, "0.5\n"), (chain(4), "\u0663"), (GOGUEN, "\uff10.\uff15"),
+                           (GOGUEN, "\u0661/\u0662")):
+        for read in (lattice.parse_value, lattice.coerce):
+            with pytest.raises(ValueError, match="^not a (chain index|value literal): "):
+                read(token)
 
 
 def test_parse_format_round_trip():
