@@ -50,7 +50,7 @@ def _cdfa_dot(c: Cdfa) -> str:
     out = ["digraph cdfa {", "  rankdir=LR;"]
     out.append('  __start [shape=point, label=""];')
     for s in range(c.n):
-        label = f"{format_word(c.labels[s].word)}/{fmt(c.terminal[s])}"
+        label = f"{format_word(c.words[s])}/{fmt(c.terminal[s])}"
         out.append(f"  s{s + 1} [shape=circle, label={_quote(label)}];")
     out.append(f"  __start -> s{c.initial + 1};")
     for s in range(c.n):
@@ -132,7 +132,7 @@ def cmd_det(args) -> int:
     fmt = c.lattice.format_value
     print(f"states: {c.n}")
     for s in range(c.n):
-        word = cli.format_word(c.labels[s].word)
+        word = cli.format_word(c.words[s])
         print(f"state {s + 1}: word={word}, terminal={fmt(c.terminal[s])}")
     if args.dot == "-":
         sys.stdout.write(dot)

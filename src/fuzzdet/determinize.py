@@ -1,8 +1,8 @@
 """Crisp determinization of fuzzy automata.
 
 A crisp-deterministic fuzzy automaton (Cdfa) has a crisp transition table,
-fuzzy terminal degrees and a word and vector labelling each state, and
-find_witness compares two. Only det and equiv load this module.
+fuzzy terminal degrees, and a canonical word and a vector for each state,
+and find_witness compares two. Only det and equiv load this module.
 
 Every construction here grows the same kind of transition tree: start from a
 root vector, expand each state by every alphabet symbol in order, and glue
@@ -43,7 +43,7 @@ the values that enter it, psi's included, encoded once, so that its vectors
 are tuples of bare codes (ints on every lattice but Goguen) and its tmul
 and resid are bound for that automaton.
 Decoding happens at one boundary, the TransitionTree: to_cdfa decodes the
-cdfa's terminals and label vectors, and state_vectors and state_terminals
+cdfa's terminals and state vectors, and state_vectors and state_terminals
 decode the tree's states.
 """
 
@@ -61,7 +61,7 @@ from .automata import FuzzyAutomaton, Word, check_alphabet
 from .closure import automaton_values, carrier_of, require_cap
 from .errors import (AlphabetMismatch, DimensionMismatch, LatticeMismatch, PsiNotLeftInvariant,
                      PsiNotReflexive, UnknownSymbol)
-from .lattice import Lattice, Record, Value, _set
+from .lattice import Lattice, Record, Value
 
 
 # -- composition, which only the psi construction runs ----------------------
@@ -85,30 +85,25 @@ def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
 # -- crisp-deterministic automata -----------------------------------------
 
 
-class StateLabel(Record):
-    """Canonical word and defining vector of one cdfa state."""
-
-    __slots__ = ("word", "vector")
-
-    def __init__(self, word: Word, vector: FuzzyVector):
-        _set(self, "word", word)
-        _set(self, "vector", vector)
-
-
 class Cdfa(Record):
     """Crisp-deterministic fuzzy automaton.
 
     transitions[state][symbol_index] is the successor state; terminal[state]
-    is the degree returned after reading a word that lands there. Every
-    state must be reachable from initial. Equality, hash and repr cover
-    exactly these six fields.
+    is the degree returned after reading a word that lands there. words[state]
+    is the state's canonical access word and vectors[state] the FuzzyVector
+    that defines it: sigma_u for nerode, tau_u for reverse_nerode, d_u for
+    d_automaton and psi_d_automaton, w_u for brzozowski. Every state must be
+    reachable from initial. Equality, hash and repr cover exactly these seven
+    fields.
     """
 
-    __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "labels")
+    __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "words",
+                 "vectors")
 
     def __init__(self, lattice: Lattice, alphabet: tuple[str, ...],
                  transitions: tuple[tuple[int, ...], ...], initial: int,
-                 terminal: tuple[Value, ...], labels: tuple[StateLabel, ...]):
+                 terminal: tuple[Value, ...], words: tuple[Word, ...],
+                 vectors: tuple[FuzzyVector, ...]):
         alphabet = check_alphabet(alphabet)
         n = len(transitions)
         if n < 1:
@@ -125,8 +120,9 @@ class Cdfa(Record):
         if len(terminal) != n:
             raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
         lattice.check_all(terminal)
-        if len(labels) != n:
-            raise DimensionMismatch(f"{len(labels)} labels for {n} states")
+        for name, table in (("words", words), ("vectors", vectors)):
+            if len(table) != n:
+                raise DimensionMismatch(f"{len(table)} {name} for {n} states")
         reached = {initial}
         frontier = deque([initial])
         while frontier:
@@ -138,7 +134,7 @@ class Cdfa(Record):
         if len(reached) != n:
             missing = sorted(set(range(n)) - reached)
             raise ValueError(f"unreachable states: {missing}")
-        super().__init__(lattice, alphabet, transitions, initial, terminal, labels)
+        super().__init__(lattice, alphabet, transitions, initial, terminal, words, vectors)
 
     @property
     def n(self) -> int:
@@ -285,17 +281,14 @@ class TransitionTree:
                         words[t] = w
         return words
 
-    def to_cdfa(self, labels: Sequence[tuple] | None = None) -> Cdfa:
+    def to_cdfa(self, vectors: Sequence[tuple] | None = None) -> Cdfa:
         """The glued table as a cdfa, decoded: the one place codes become values.
 
-        labels are the states' label vectors as codes, the state vectors
-        by default.
+        vectors are the cdfa's state vectors as codes, the tree's by default.
         """
-        words = self.canonical_words()
-        vectors = self.codes if labels is None else labels
         return Cdfa(self.lattice, self.alphabet, tuple(self.state_edges), 0,
-                    self.carrier.values(self.terminal_codes),
-                    tuple(StateLabel(w, self._decoded(v)) for w, v in zip(words, vectors)))
+                    self.carrier.values(self.terminal_codes), tuple(self.canonical_words()),
+                    tuple(map(self._decoded, self.codes if vectors is None else vectors)))
 
 
 class _Run:
@@ -355,26 +348,27 @@ class _Run:
         self.vertices += len(codes) * m + 1
         return TransitionTree(self.carrier, alphabet, codes, terminals, edges, words, prepend)
 
-    def reverse(self, root: tuple | None = None, matrices: Sequence[tuple] | None = None
-                ) -> TransitionTree | CapExceeded:
-        """Grow v_eps = root and v_{xu} = matrices[x] ∘ v_u, terminal sigma ∘ v.
+    def sup_tree(self, root: tuple, matrices: Iterable[Iterable[tuple]], terminal: tuple,
+                 prepend: bool) -> TransitionTree | CapExceeded:
+        """Grow from root, with x-child matrices[x] ∘ v and terminal degree terminal ∘ v.
 
-        By default root is tau and matrices are the delta_x: reverse Nerode.
+        Each matrix is given as its rows. nerode passes the columns of the
+        delta_x, and tau; the reverse trees pass the delta_x (psi-glued for
+        psi_d_automaton), and sigma, and grow words on the left.
         """
         c = self.carrier
-        rows = [_pairs(c, m) for m in (self.delta if matrices is None else matrices)]
-        sigma = _pairs(c, (self.sigma,))
-        return self.grow(self.tau if root is None else root,
-                         lambda v, i: _sup_product(c, rows[i], v),
-                         lambda v: _sup_product(c, sigma, v)[0], True)
+        rows = [_pairs(c, m) for m in matrices]
+        terminal_row = _pairs(c, (terminal,))
+        return self.grow(root, lambda v, i: _sup_product(c, rows[i], v),
+                         lambda v: _sup_product(c, terminal_row, v)[0], prepend)
 
-    def forward(self, rn: TransitionTree | CapExceeded, d_labels: bool) -> DetOutcome:
+    def forward(self, rn: TransitionTree | CapExceeded, d_vectors: bool) -> DetOutcome:
         """The index gather over a finished reverse tree rn, as the outcome.
 
         w_eps is rn's terminal column, w_{ux}[s] = w_u[edge(s, x)] and the
-        terminal degree is w_u[0]; words grow on the right. States are
-        labelled by w, or with d_labels by the d vector recovered from w:
-        the implication meet of the reverse states' columns against w.
+        terminal degree is w_u[0]; words grow on the right. The state
+        vectors are the w, or with d_vectors the d vectors recovered from
+        w: the implication meet of the reverse states' columns against w.
         """
         if isinstance(rn, CapExceeded):
             return self.done(rn)
@@ -383,16 +377,16 @@ class _Run:
         # itemgetter of one index returns the item, not a tuple
         child = (lambda w, i: w) if rn.n_states == 1 else (lambda w, i: pick[i](w))
         tree = self.grow(tuple(rn.terminal_codes), child, itemgetter(0))
-        if isinstance(tree, CapExceeded) or not d_labels:
+        if isinstance(tree, CapExceeded) or not d_vectors:
             return self.done(tree)
         columns = _pairs(self.carrier, zip(*rn.codes))
         return self.done(tree, [_residual_meet(self.carrier, columns, w) for w in tree.codes])
 
     def done(self, tree: TransitionTree | CapExceeded,
-             labels: Sequence[tuple] | None = None) -> DetOutcome:
-        """Stop the clock, then decode tree with labels, or report its cap."""
+             vectors: Sequence[tuple] | None = None) -> DetOutcome:
+        """Stop the clock, then decode tree with its state vectors, or report its cap."""
         stats = BuildStats(self.vertices, self.checks, time.perf_counter() - self.t0)
-        return DetOutcome(tree if isinstance(tree, CapExceeded) else tree.to_cdfa(labels), stats)
+        return DetOutcome(tree if isinstance(tree, CapExceeded) else tree.to_cdfa(vectors), stats)
 
 
 # -- forward and reverse Nerode ------------------------------------------
@@ -405,17 +399,13 @@ def nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     CapExceeded outcome.
     """
     run = _Run(a, cap)
-    c = run.carrier
-    columns = [_pairs(c, zip(*rows)) for rows in run.delta]
-    tau = _pairs(c, (run.tau,))
-    return run.done(run.grow(run.sigma, lambda v, i: _sup_product(c, columns[i], v),
-                             lambda v: _sup_product(c, tau, v)[0]))
+    return run.done(run.sup_tree(run.sigma, [zip(*rows) for rows in run.delta], run.tau, False))
 
 
 def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Determinize through right derivative vectors, terminal sigma ∘ tau_u."""
     run = _Run(a, cap)
-    return run.done(run.reverse())
+    return run.done(run.sup_tree(run.tau, run.delta, run.sigma, True))
 
 
 # -- inclusion-degree construction ---------------------------------------
@@ -425,12 +415,12 @@ def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Minimal cdfa for the language via inclusion-degree vectors.
 
     Phase one grows the reverse Nerode tree; phase two gathers over its
-    table, and each state is labelled by its d vector: d_eps at the root,
+    table, and each state's vector is its d vector: d_eps at the root,
     d_step(d_u, x) on the x-successor of d_u. Each phase respects the cap
     on its own state count. Terminates whenever the reverse phase does.
     """
     run = _Run(a, cap)
-    return run.forward(run.reverse(), True)
+    return run.forward(run.sup_tree(run.tau, run.delta, run.sigma, True), True)
 
 
 # -- double reversal ------------------------------------------------------
@@ -440,12 +430,12 @@ def brzozowski(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Reverse-determinize twice; the second pass canonizes the first.
 
     Over the first pass's crisp table the second reverse Nerode pass is the
-    gather d_automaton uses, so both share states and transitions; states
-    are labelled by access words and the vectors w_u. Minimal, and
-    terminates whenever reverse Nerode does.
+    gather d_automaton uses, so both share states and transitions; the
+    state vectors are the w_u. Minimal, and terminates whenever reverse
+    Nerode does.
     """
     run = _Run(a, cap)
-    return run.forward(run.reverse(), False)
+    return run.forward(run.sup_tree(run.tau, run.delta, run.sigma, True), False)
 
 
 # -- psi-glued construction ----------------------------------------------
@@ -506,7 +496,7 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     psi must be reflexive and left invariant; None means the identity
     relation, which is d_automaton exactly. The reverse phase grows
     vectors psi^eps = psi ∘ tau and psi^{xu} = psi ∘ delta_x ∘ psi^u; the
-    forward phase is d_automaton's gather over that tree, with d labels. A
+    forward phase is d_automaton's gather over that tree, with d vectors. A
     coarser psi can only glue more, never change the language.
     """
     if psi is None:
@@ -522,6 +512,6 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
         raise PsiNotLeftInvariant(str(violation))
     c = run.carrier
     p = tuple(map(c.codes, psi.entries))
-    rn = run.reverse(_sup_product(c, _pairs(c, p), run.tau),
-                     [_compose(c, p, rows) for rows in run.delta])
+    rn = run.sup_tree(_sup_product(c, _pairs(c, p), run.tau),
+                      [_compose(c, p, rows) for rows in run.delta], run.sigma, True)
     return run.forward(rn, True)

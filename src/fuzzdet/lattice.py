@@ -37,10 +37,10 @@ class Record:
     A subclass lists its fields once, in __slots__; Record(*values, **named)
     sets them in that order or by name, and a subclass that checks its
     arguments ends its own __init__ by calling it. Records of one class
-    with equal fields are equal. FuzzyVector and StateLabel, one of each
-    made per cdfa state, set their fields with _set in a straight-line
-    __init__: 0.38 µs a call against 0.86 µs here, which would add about
-    4 ms to a 4,096-state cdfa (medians of 15 alternating timeit rounds).
+    with equal fields are equal. Only FuzzyVector, one made per cdfa
+    state, sets its fields with _set in a straight-line __init__: 0.38 µs
+    a call against 0.86 µs here, which would add about 2 ms to a
+    4,096-state cdfa (medians of 15 alternating timeit rounds).
 
     Not a dataclass: importing dataclasses loads inspect, ast and dis, and
     a cold `import fuzzdet.cli` without a bytecode cache took 53 ms with 15
@@ -130,12 +130,14 @@ class Lattice(Record):
             return f"chain {self.top_index}"
         return self.kind
 
-    def check(self, v: Value) -> Value:
+    def check(self, v: Value, token: str | None = None) -> Value:
         """Validate that v belongs to this lattice's carrier: an exact int on
         a chain, so never a bool, and a Fraction in [0, 1] otherwise.
 
-        Compares plain ints (a Fraction's numerator and its positive
-        denominator), since every automaton checks each of its entries.
+        A value read from text is named in errors by its token, any other
+        by its repr. Compares plain ints (a Fraction's numerator and its
+        positive denominator), since every automaton checks each of its
+        entries.
         """
         if self.kind == "chain":
             if type(v) is not int:
@@ -146,9 +148,9 @@ class Lattice(Record):
         else:
             inside = 0 <= v.numerator <= v.denominator
         if not inside:
-            raise LatticeMismatch(f"{v!r} is outside {self.describe()}")
+            raise LatticeMismatch(f"{token or repr(v)} is outside {self.describe()}")
         if self.kind == "boolean" and v.denominator != 1:
-            raise LatticeMismatch(f"{v!r} is not a boolean degree")
+            raise LatticeMismatch(f"{token or repr(v)} is not a boolean degree")
         return v
 
     def check_all(self, values: tuple | frozenset) -> None:
@@ -189,16 +191,16 @@ class Lattice(Record):
         if self.kind == "chain":
             if not _INDEX.fullmatch(token):
                 raise ValueError(f"not a chain index: {token!r}")
-            return self.check(int(token))
+            return self.check(int(token), token)
         m = _RATIO.fullmatch(token)
         if m:
             num, den = int(m.group(1)), int(m.group(2))
             if den == 0:
                 raise ValueError(f"zero denominator: {token!r}")
-            return self.check(Fraction(num, den))
+            return self.check(Fraction(num, den), token)
         if not _DECIMAL.fullmatch(token):
             raise ValueError(f"not a value literal: {token!r}")
-        return self.check(Fraction(token))
+        return self.check(Fraction(token), token)
 
     def format_value(self, v: Value) -> str:
         """Canonical text for a value: terminating decimal if one exists, else p/q."""

@@ -145,7 +145,8 @@ def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
     """
     # imported here, so that importing this module loads no construction
     from .determinize import _Run
-    return _Run(a, cap).reverse()
+    run = _Run(a, cap)
+    return run.sup_tree(run.tau, run.delta, run.sigma, True)
 
 
 class TreeVertex(Record):
@@ -214,7 +215,7 @@ def cdfa_equivalent(c1: Cdfa, c2: Cdfa) -> bool:
 def cdfa_as_fuzzy_automaton(c: Cdfa) -> FuzzyAutomaton:
     """Embed a cdfa as a fuzzy automaton with crisp initial set and transitions.
 
-    State labels are dropped; only the language matters to callers.
+    State words and vectors are dropped; only the language matters to callers.
     """
     lat = c.lattice
     top, bottom = lat.top, lat.bottom

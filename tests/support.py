@@ -17,7 +17,6 @@ from fuzzdet import (
     FuzzyMatrix,
     FuzzyVector,
     SemiringClosure,
-    StateLabel,
     ValueSet,
     d_epsilon,
     d_step,
@@ -410,7 +409,7 @@ def oracle_cdfa(a, method, psi=None, cap=DEFAULT_CAP):
             return tree
         keys, payloads, transitions, words = tree
         return Cdfa(lat, alphabet, transitions, 0, tuple(terminal(p) for p in payloads),
-                    tuple(StateLabel(w, k) for w, k in zip(words, keys)))
+                    tuple(words), tuple(keys))
 
     def same(v):
         return v

@@ -76,7 +76,7 @@ def test_criterion_02_inclusion_fixture(goguen3):
         c = d_automaton(goguen3).cdfa
         elapsed = time.perf_counter() - t0
         assert c.n == 3
-        assert [lab.vector.entries for lab in c.labels] == [
+        assert [v.entries for v in c.vectors] == [
             (F(1), F(0), F(1, 2)),
             (F(1, 2), F(1, 2), F(1)),
             (F(1), F(1), F(1)),
@@ -134,10 +134,10 @@ def test_criterion_06_dot_identity(goguen3, boolean3):
             tree = reverse_nerode_tree(a)
             assert not isinstance(tree, CapExceeded)
             c = d_automaton(a).cdfa
-            for lab in c.labels:
-                s_u = _sigma_along(a, lab.word)
+            for word, vector in zip(c.words, c.vectors):
+                s_u = _sigma_along(a, word)
                 for tau_v in tree.state_vectors:
-                    assert dot(lab.vector, tau_v) == dot(s_u, tau_v)
+                    assert dot(vector, tau_v) == dot(s_u, tau_v)
 
 
 def test_criterion_07_language_equality(goguen3, boolean3):

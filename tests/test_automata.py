@@ -16,7 +16,6 @@ from fuzzdet import (
     FuzzyMatrix,
     FuzzyVector,
     LatticeMismatch,
-    StateLabel,
     UnknownSymbol,
     ValueSet,
     cdfa_as_fuzzy_automaton,
@@ -116,6 +115,11 @@ def test_right_language_step_fixture(goguen3):
         right_language_step(goguen3, "z", tau)
 
 
+# the word and the vector of a one-state cdfa
+ONE_WORD = ((),)
+ONE_VECTOR = (FuzzyVector(GOGUEN, (F(0),)),)
+
+
 def _product_cdfa():
     # minimal three-state machine of the product fixture, built by hand
     return Cdfa(
@@ -124,10 +128,11 @@ def _product_cdfa():
         transitions=((1, 2), (2, 1), (2, 2)),
         initial=0,
         terminal=(F(0), F(1, 2), F(1)),
-        labels=(
-            StateLabel((), FuzzyVector(GOGUEN, (F(1), F(0), F(1, 2)))),
-            StateLabel(("x",), FuzzyVector(GOGUEN, (F(1, 2), F(1, 2), F(1)))),
-            StateLabel(("y",), FuzzyVector(GOGUEN, (F(1), F(1), F(1)))),
+        words=((), ("x",), ("y",)),
+        vectors=(
+            FuzzyVector(GOGUEN, (F(1), F(0), F(1, 2))),
+            FuzzyVector(GOGUEN, (F(1, 2), F(1, 2), F(1))),
+            FuzzyVector(GOGUEN, (F(1), F(1), F(1))),
         ),
     )
 
@@ -148,17 +153,15 @@ def test_alphabet_rejects_reserved_symbols():
         with pytest.raises(ValueError, match="reserved"):
             FuzzyAutomaton.build(GOGUEN, alphabet, [1], {x: [[1]] for x in alphabet}, [1])
         with pytest.raises(ValueError, match="reserved"):
-            Cdfa(GOGUEN, alphabet, ((0,) * len(alphabet),), 0, (F(0),),
-                 (StateLabel((), FuzzyVector(GOGUEN, (F(0),))),))
+            Cdfa(GOGUEN, alphabet, ((0,) * len(alphabet),), 0, (F(0),), ONE_WORD, ONE_VECTOR)
 
 
 def test_cdfa_validation():
     with pytest.raises(ValueError):
         Cdfa(GOGUEN, ("x",), ((0,), (1,)), 0, (F(0), F(1)),
-             (StateLabel((), FuzzyVector(GOGUEN, (F(0),))),) * 2)  # state 1 unreachable
+             ONE_WORD * 2, ONE_VECTOR * 2)  # state 1 unreachable
     with pytest.raises(ValueError):
-        Cdfa(GOGUEN, ("x",), ((5,),), 0, (F(0),),
-             (StateLabel((), FuzzyVector(GOGUEN, (F(0),))),))
+        Cdfa(GOGUEN, ("x",), ((5,),), 0, (F(0),), ONE_WORD, ONE_VECTOR)
 
 
 @pytest.mark.parametrize("symbols, message", [
@@ -174,23 +177,28 @@ def test_check_alphabet_rejects(symbols, message):
     assert (type(err.value), str(err.value)) == (ValueError, message)
 
 
-ONE_STATE = StateLabel((), FuzzyVector(GOGUEN, (F(0),)))
-
-
-@pytest.mark.parametrize("transitions, initial, terminal, labels, error, message", [
-    ((), 0, (), (), ValueError, "a cdfa needs at least one state"),
-    (((0, 0),), 0, (F(0),), (ONE_STATE,), DimensionMismatch,
+@pytest.mark.parametrize("transitions, initial, terminal, words, vectors, error, message", [
+    ((), 0, (), (), (), ValueError, "a cdfa needs at least one state"),
+    (((0, 0),), 0, (F(0),), ONE_WORD, ONE_VECTOR, DimensionMismatch,
      "transition row of width 2, expected 1"),
-    (((1,),), 0, (F(0),), (ONE_STATE,), ValueError, "transition target 1 out of range"),
-    (((-1,),), 0, (F(0),), (ONE_STATE,), ValueError, "transition target -1 out of range"),
-    (((0,),), 1, (F(0),), (ONE_STATE,), ValueError, "initial state 1 out of range"),
-    (((0,),), 0, (F(0), F(1)), (ONE_STATE,), DimensionMismatch,
+    (((1,),), 0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError, "transition target 1 out of range"),
+    (((-1,),), 0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
+     "transition target -1 out of range"),
+    (((0,),), 1, (F(0),), ONE_WORD, ONE_VECTOR, ValueError, "initial state 1 out of range"),
+    (((0,),), 0, (F(0), F(1)), ONE_WORD, ONE_VECTOR, DimensionMismatch,
      "2 terminal degrees for 1 states"),
-    (((0,),), 0, (F(0),), (ONE_STATE,) * 2, DimensionMismatch, "2 labels for 1 states"),
+    (((0,),), 0, (F(0),), ONE_WORD * 2, ONE_VECTOR, DimensionMismatch, "2 words for 1 states"),
+    (((0,),), 0, (F(0),), (), ONE_VECTOR, DimensionMismatch, "0 words for 1 states"),
+    (((0,),), 0, (F(0),), ONE_WORD, ONE_VECTOR * 2, DimensionMismatch,
+     "2 vectors for 1 states"),
+    (((0,),), 0, (F(0),), ONE_WORD, (), DimensionMismatch, "0 vectors for 1 states"),
+    (((0,), (0,)), 0, (F(0),) * 2, ONE_WORD, ONE_VECTOR * 2, DimensionMismatch,
+     "1 words for 2 states"),
 ])
-def test_cdfa_constructor_rejects(transitions, initial, terminal, labels, error, message):
+def test_cdfa_constructor_rejects(transitions, initial, terminal, words, vectors, error,
+                                  message):
     with pytest.raises(error) as err:
-        Cdfa(GOGUEN, ("x",), transitions, initial, terminal, labels)
+        Cdfa(GOGUEN, ("x",), transitions, initial, terminal, words, vectors)
     assert (type(err.value), str(err.value)) == (error, message)
 
 
@@ -234,8 +242,8 @@ def test_find_witness_none_on_equal():
 
 def test_find_witness_empty_word():
     def one_state(value):
-        return Cdfa(GOGUEN, ("x", "y"), ((0, 0),), 0, (value,),
-                    (StateLabel((), FuzzyVector(GOGUEN, (value,))),))
+        return Cdfa(GOGUEN, ("x", "y"), ((0, 0),), 0, (value,), ONE_WORD,
+                    (FuzzyVector(GOGUEN, (value,)),))
 
     w = find_witness(one_state(F(0)), one_state(F(1)))
     assert w == ()
@@ -250,8 +258,7 @@ def _word_acceptor(word_to_accept):
     transitions[1] = [3, 2] if second == 0 else [2, 3]
     return Cdfa(
         GOGUEN, ("x", "y"), tuple(tuple(r) for r in transitions), 0,
-        (F(0), F(0), F(0), F(1)),
-        tuple(StateLabel((), FuzzyVector(GOGUEN, (F(0),))) for _ in range(4)))
+        (F(0), F(0), F(0), F(1)), ONE_WORD * 4, ONE_VECTOR * 4)
 
 
 def test_find_witness_is_shortlex_least():
@@ -272,19 +279,19 @@ def test_find_witness_relabelled_copy_equivalent():
         transitions=((2, 1), (1, 1), (1, 2)),
         initial=0,
         terminal=(F(0), F(1), F(1, 2)),
-        labels=(c.labels[0], c.labels[2], c.labels[1]),
+        words=(c.words[0], c.words[2], c.words[1]),
+        vectors=(c.vectors[0], c.vectors[2], c.vectors[1]),
     )
     assert cdfa_equivalent(c, relabelled)
 
 
 def test_find_witness_mismatch_errors():
     c = _product_cdfa()
-    other_alphabet = Cdfa(GOGUEN, ("a", "b"), ((0, 0),), 0, (F(0),),
-                          (StateLabel((), FuzzyVector(GOGUEN, (F(0),))),))
+    other_alphabet = Cdfa(GOGUEN, ("a", "b"), ((0, 0),), 0, (F(0),), ONE_WORD, ONE_VECTOR)
     with pytest.raises(AlphabetMismatch):
         find_witness(c, other_alphabet)
-    other_lattice = Cdfa(chain(2), ("x", "y"), ((0, 0),), 0, (0,),
-                         (StateLabel((), FuzzyVector(chain(2), (0,))),))
+    other_lattice = Cdfa(chain(2), ("x", "y"), ((0, 0),), 0, (0,), ONE_WORD,
+                         (FuzzyVector(chain(2), (0,)),))
     with pytest.raises(LatticeMismatch):
         find_witness(c, other_lattice)
 

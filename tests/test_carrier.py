@@ -112,9 +112,9 @@ def _instances():
 
 
 def _types_ok(c):
-    """Every terminal and label entry has the lattice's own value type."""
+    """Every terminal and state vector entry has the lattice's own value type."""
     want = int if c.lattice.kind == "chain" else F
-    entries = itertools.chain(c.terminal, *(lab.vector.entries for lab in c.labels))
+    entries = itertools.chain(c.terminal, *(v.entries for v in c.vectors))
     return all(type(v) is want for v in entries)
 
 
@@ -155,7 +155,7 @@ def test_public_reverse_tree_is_decoded():
         if isinstance(want, CapExceeded):
             assert tree == want
             continue
-        assert tree.state_vectors == [lab.vector for lab in want.labels]
+        assert tree.state_vectors == list(want.vectors)
         assert tree.state_terminals == list(want.terminal)
         kind = int if a.lattice.kind == "chain" else F
         assert all(type(v) is kind for v in tree.state_terminals)

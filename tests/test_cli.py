@@ -196,6 +196,8 @@ def test_psi_file_errors_before_any_report(capsys, tmp_path, goguen3_path):
     arabic.write_text("1 0 0\n0 \u0661 0\n0 0 1\n", encoding="utf-8")
     fullwidth = tmp_path / "fullwidth.mat"
     fullwidth.write_text("1 0 0\n0 1 0\n0 0 \uff11\n", encoding="utf-8")
+    outside = tmp_path / "outside.mat"
+    outside.write_text("1 0 0\n0 1 3/2\n0 0 1\n")
     for psi, says in (("/missing", "--psi: cannot read /missing: No such file"),
                       (str(wide), "--psi: line 1: row 1 needs 3 values, got 4"),
                       (str(latin), f"--psi: cannot read {latin}: not UTF-8 text "
@@ -204,7 +206,8 @@ def test_psi_file_errors_before_any_report(capsys, tmp_path, goguen3_path):
                       (str(zero), "--psi: psi[1,1] = 0, expected top"),
                       (str(arabic), "--psi: line 2, column 3: not a value literal: '\u0661'\n"),
                       (str(fullwidth),
-                       "--psi: line 3, column 5: not a value literal: '\uff11'\n")):
+                       "--psi: line 3, column 5: not a value literal: '\uff11'\n"),
+                      (str(outside), "--psi: line 2, column 5: 3/2 is outside goguen\n")):
         code, out, err = run_cli(capsys, "det", goguen3_path, "--method", "psi", "--psi", psi)
         assert (code, out) == (2, ""), psi
         assert err.startswith("error: " + says), err
@@ -318,6 +321,45 @@ def test_stdout_byte_identical(capsys, goguen3_path):
     first = run_cli(capsys, "det", goguen3_path, "--method", "incl")
     second = run_cli(capsys, "det", goguen3_path, "--method", "incl")
     assert first[1] == second[1]
+
+
+# Runs each argv of argv[1] through fuzzdet.cli.main in this one process and
+# prints [exit code, stdout, stderr] for each, as JSON.
+CALLS_CHILD = """
+import contextlib, io, json, sys
+from fuzzdet.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_output_is_the_same_under_every_hash_seed(goguen3_path, boolean3_path):
+    """String hashing is seeded per process, so a report that iterated a set
+    or a dict of strings in hash order would differ between processes."""
+    calls = [["equiv", goguen3_path, boolean3_path]]
+    for f in (goguen3_path, boolean3_path):
+        calls += [["det", f, "--method", m, "--max-states", "100"] for m in fuzzdet.cli.METHODS]
+        # rnerode recognizes the reverse language, so equiv finds a witness
+        calls += [["det", f, "--dot", "-"], ["equiv", f, f, "--method", "rnerode,brzozowski"],
+                  ["eval", f, "x.y"], ["semiring", f, "--cap", "100"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent)}
+    children = [subprocess.Popen([sys.executable, "-c", CALLS_CHILD, json.dumps(calls)],
+                                 env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+                for seed in ("0", "12345")]
+    (out0, err0), (out1, err1) = (child.communicate(timeout=60) for child in children)
+    assert [child.returncode for child in children] == [0, 0], (err0, err1)
+    assert out0 == out1
+    results = json.loads(out0)
+    # the lattices differ; nerode on goguen3 meets its cap
+    assert [code for code, _, _ in results] == [2, 3, 0, 0, 0, 0, 0, 1, 0, 0,
+                                                0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert all(out for _, out, _ in results[1:])
 
 
 def test_no_subcommand_is_usage_error(capsys):

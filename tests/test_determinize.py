@@ -90,7 +90,7 @@ def test_nerode_boolean_fixture(boolean3):
     outcome = nerode(boolean3)
     c = outcome.cdfa
     assert c.n == 7
-    support_sets = [tuple(v for v in lab.vector) for lab in c.labels]
+    support_sets = [tuple(v) for v in c.vectors]
     assert support_sets == [
         (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)),
         (F(1), F(0), F(1)), (F(1), F(1), F(0)), (F(0), F(1), F(1)),
@@ -173,8 +173,8 @@ def test_d_automaton_fixture_structure(goguen3):
     c = d_automaton(goguen3).cdfa
     assert c.n == 3
     assert c.terminal == (F(0), F(1, 2), F(1))
-    assert [lab.word for lab in c.labels] == [(), ("x",), ("y",)]
-    assert [lab.vector.entries for lab in c.labels] == [
+    assert c.words == ((), ("x",), ("y",))
+    assert [v.entries for v in c.vectors] == [
         (F(1), F(0), F(1, 2)),
         (F(1, 2), F(1, 2), F(1)),
         (F(1), F(1), F(1)),

@@ -163,6 +163,21 @@ def test_parse_chain_range_error():
     assert "chain 4" in str(err.value)
 
 
+@pytest.mark.parametrize("lattice, token, says", [
+    ("goguen", "2", "2 is outside goguen"),
+    ("goguen", "3/2", "3/2 is outside goguen"),
+    ("boolean", "0.5", "0.5 is not a boolean degree"),
+    ("boolean", "1/2", "1/2 is not a boolean degree"),
+    ("chain 4", "7", "7 is outside chain 4"),
+])
+def test_value_outside_lattice_is_named_by_its_token(lattice, token, says):
+    text = (f"lattice {lattice}\nalphabet x\nstates 1\ninitial {token}\nterminal 0\n"
+            "transitions x\n0\n")
+    with pytest.raises(FormatError) as err:
+        parse_automaton(text)
+    assert str(err.value) == f"line 4, column 9: {says}"
+
+
 def test_parse_structural_errors():
     base = "lattice goguen\nalphabet x\nstates 1\ninitial 1\nterminal 1\ntransitions x\n1\n"
     with pytest.raises(FormatError, match="duplicate lattice"):

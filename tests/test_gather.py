@@ -97,17 +97,17 @@ def _check_against_d_oracle(a, outcome, rn, rn_stats, cap):
         assert outcome.stats.vertices == rn_stats.vertices + checks
         return "forward"
     c = outcome.cdfa
-    labels = [lab.vector for lab in c.labels]
-    assert (c.transitions, c.terminal, [lab.word for lab in c.labels], labels) == (
+    vectors = list(c.vectors)
+    assert (c.transitions, c.terminal, list(c.words), vectors) == (
         expected[0], expected[1], expected[2], expected[3])
     assert outcome.stats.vertices == rn_stats.vertices + checks + 1
     # the defining identities, read straight off the result
-    assert labels[c.initial] == d_epsilon(a, rn.state_vectors)
-    for s, label in enumerate(labels):
-        assert c.terminal[s] == dot(label, a.tau)
+    assert vectors[c.initial] == d_epsilon(a, rn.state_vectors)
+    for s, d in enumerate(vectors):
+        assert c.terminal[s] == dot(d, a.tau)
         for i, x in enumerate(a.alphabet):
-            assert d_step(a, label, x, rn) == labels[c.transitions[s][i]]
-    assert len(set(labels)) == c.n
+            assert d_step(a, d, x, rn) == vectors[c.transitions[s][i]]
+    assert len(set(vectors)) == c.n
     return "ok"
 
 
@@ -154,7 +154,7 @@ def test_brzozowski_matches_double_reverse_nerode():
         got, want = outcome.cdfa, second.cdfa
         assert got.transitions == want.transitions
         assert got.terminal == want.terminal
-        assert [lab.vector for lab in got.labels] == [lab.vector for lab in want.labels]
+        assert got.vectors == want.vectors
         assert got.transitions == d_automaton(a, cap).cdfa.transitions
         seen.add("ok")
     assert seen == {"ok", "first", "second"}
@@ -195,6 +195,6 @@ def test_label_words_are_shortlex_first_access_words():
         if not outcome.ok:
             continue
         c = outcome.cdfa
-        assert _first_words(c) == [lab.word for lab in c.labels]
+        assert _first_words(c) == list(c.words)
         checked += 1
     assert checked >= 150

@@ -20,7 +20,6 @@ from fuzzdet import (
     FuzzyVector,
     InvarianceViolation,
     Lattice,
-    StateLabel,
     automaton_values,
     chain,
     d_automaton,
@@ -34,7 +33,7 @@ from fuzzdet.lattice import Record
 def _cdfa():
     one = FuzzyVector(BOOLEAN, (F(1),))
     return Cdfa(lattice=BOOLEAN, alphabet=("a",), transitions=((0,),), initial=0,
-                terminal=(F(1),), labels=(StateLabel((), one),))
+                terminal=(F(1),), words=((),), vectors=(one,))
 
 
 def test_records_built_twice_are_equal_and_hash_equal():
@@ -67,7 +66,7 @@ def _one_of_each_record(goguen3, boolean3) -> list:
     report = preflight(boolean3)
     return [GODEL, goguen3.sigma, goguen3.delta["x"], goguen3, automaton_values(goguen3),
             report, report.closure, outcome, outcome.stats, outcome.cdfa,
-            outcome.cdfa.labels[0], nerode(boolean3, 1).result,
+            nerode(boolean3, 1).result,
             InvarianceViolation("sigma", (0,), F(1), F(0)),
             reverse_nerode_tree(boolean3).vertices[1]]
 
@@ -118,7 +117,8 @@ def test_record_init_refuses_missing_repeated_and_unknown_fields(args, named):
 
 def test_record_fields_are_its_slots():
     """__slots__ lists a record's fields; only the records that check their
-    arguments, and the two made per cdfa state, have an __init__ of their own."""
+    arguments, and FuzzyVector, made once per cdfa state, have an __init__ of
+    their own."""
     importlib.import_module("fuzzdet.reference")  # and every module it builds on
     classes = Record.__subclasses__()
     assert {"Cdfa", "FuzzyVector", "BuildStats", "TreeVertex"} <= {c.__name__ for c in classes}
@@ -126,7 +126,7 @@ def test_record_fields_are_its_slots():
         assert cls._fields == cls.__slots__, cls
     own = {c.__name__ for c in classes if "__init__" in vars(c)}
     assert own == {"Lattice", "FuzzyVector", "FuzzyMatrix", "FuzzyAutomaton", "ValueSet",
-                   "Cdfa", "StateLabel"}
+                   "Cdfa"}
 
 
 def test_records_survive_pickle(goguen3):
@@ -165,7 +165,7 @@ def test_import_loads_no_submodule(python_child):
 # Most lines one call may compile: the package, __main__ and every module the
 # call loads. Without a bytecode cache each call compiles them, at about 12 µs
 # a line (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_200, "semiring": 1_350, "det": 2_035, "equiv": 2_035}
+LINE_BUDGETS = {"eval": 1_200, "semiring": 1_350, "det": 2_012, "equiv": 2_012}
 
 
 def _lines(module: str) -> int:
@@ -210,5 +210,5 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from fuzzdet import *", namespace)
     del namespace["__builtins__"]
-    assert len(namespace) == 63
+    assert len(namespace) == 62
     assert sorted(namespace) == fuzzdet.__all__
