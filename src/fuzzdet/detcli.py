@@ -152,8 +152,9 @@ def cmd_equiv(args) -> int:
     if a1.lattice != a2.lattice:
         raise FuzzdetError(
             f"lattices differ: {a1.lattice.describe()} vs {a2.lattice.describe()}")
-    if a1.alphabet != a2.alphabet:
+    if set(a1.alphabet) != set(a2.alphabet):
         raise FuzzdetError(f"alphabets differ: {a1.alphabet} vs {a2.alphabet}")
+    a2 = FuzzyAutomaton(a2.lattice, a1.alphabet, a2.sigma, a2.delta, a2.tau)  # in file1's order
     psi_text = _read_psi(args.psi)
     psis = [_parse_psi(psi_text, a) if m == "psi" else None
             for a, m in zip((a1, a2), methods)]

@@ -41,10 +41,9 @@ implication meet of the mu_s against w_u, recovered once per state.
 Every construction runs on a Carrier (see algebra and closure.carrier_of):
 the values that enter it, psi's included, encoded once, so that its vectors
 are tuples of bare codes (ints on every lattice but Goguen) and its tmul
-and resid are bound for that automaton.
-Decoding happens at one boundary, the TransitionTree: to_cdfa decodes the
-cdfa's terminals and state vectors, and state_vectors and state_terminals
-decode the tree's states.
+and resid are bound for that automaton; psi's left invariance is checked on
+those codes too. Decoding happens at one boundary, the TransitionTree's
+state_vectors and state_terminals, which to_cdfa reads.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .algebra import (DEFAULT_CAP, Carrier, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet,
-                      _same_lattice, _sup_product, vec_mat)
+                      _same_lattice, _sup_product)
 from .automata import FuzzyAutomaton, Word, check_alphabet
 from .closure import automaton_values, carrier_of, require_cap
 from .errors import (AlphabetMismatch, DimensionMismatch, LatticeMismatch, PsiNotLeftInvariant,
@@ -282,13 +281,13 @@ class TransitionTree:
         return words
 
     def to_cdfa(self, vectors: Sequence[tuple] | None = None) -> Cdfa:
-        """The glued table as a cdfa, decoded: the one place codes become values.
+        """The glued table as a cdfa, with state_terminals and state_vectors.
 
-        vectors are the cdfa's state vectors as codes, the tree's by default.
+        vectors are the cdfa's state vectors as codes, state_vectors by default.
         """
         return Cdfa(self.lattice, self.alphabet, tuple(self.state_edges), 0,
-                    self.carrier.values(self.terminal_codes), tuple(self.canonical_words()),
-                    tuple(map(self._decoded, self.codes if vectors is None else vectors)))
+                    tuple(self.state_terminals), tuple(self.canonical_words()),
+                    tuple(self.state_vectors if vectors is None else map(self._decoded, vectors)))
 
 
 class _Run:
@@ -458,35 +457,38 @@ class InvarianceViolation(Record):
                 f"(psi ∘ delta_{self.constraint})[{spot}] = {self.rhs}")
 
 
-def check_left_invariant(a: FuzzyAutomaton, psi: FuzzyMatrix
-                         ) -> InvarianceViolation | None:
-    """Check sigma ∘ psi <= sigma and delta_x ∘ psi <= psi ∘ delta_x for all x.
-
-    Returns the first violated coordinate, or None when psi is left
-    invariant. Reflexivity is not required here.
-    """
-    _check_psi_shape(a, psi)
-    sp = vec_mat(a.sigma, psi)
-    for j in range(a.n):
-        if not sp[j] <= a.sigma[j]:
-            return InvarianceViolation("sigma", (j,), sp[j], a.sigma[j])
-    for x in a.alphabet:
-        left = mat_compose(a.delta[x], psi)
-        right = mat_compose(psi, a.delta[x])
-        for i in range(a.n):
-            for j in range(a.n):
-                if not left.entries[i][j] <= right.entries[i][j]:
-                    return InvarianceViolation(
-                        x, (i, j), left.entries[i][j], right.entries[i][j])
-    return None
-
-
-def _check_psi_shape(a: FuzzyAutomaton, psi: FuzzyMatrix) -> None:
+def _psi_run(a: FuzzyAutomaton, psi: FuzzyMatrix, cap: int) -> tuple:
+    """Check psi's shape, encode it on a's run and compose it with a, once:
+    return the run, psi's rows, each psi ∘ delta_x's rows and the first failed
+    left invariance inequality (sigma's, one row, then each delta_x's), or None."""
     if psi.lattice != a.lattice:
         raise LatticeMismatch("psi is in another lattice")
     if psi.n_rows != a.n or psi.n_cols != a.n:
         raise DimensionMismatch(
             f"psi is {psi.n_rows}x{psi.n_cols}, expected {a.n}x{a.n}")
+    run = _Run(a, cap, (v for row in psi.entries for v in row))
+    c = run.carrier
+    p = tuple(map(c.codes, psi.entries))
+    glued = [_compose(c, p, rows) for rows in run.delta]
+    sides = [("sigma", _compose(c, [run.sigma], p), [run.sigma])]
+    sides += zip(a.alphabet, (_compose(c, rows, p) for rows in run.delta), glued)
+    for k, (constraint, left, right) in enumerate(sides):
+        for i, (left_row, right_row) in enumerate(zip(left, right)):
+            for j, (lhs, rhs) in enumerate(zip(left_row, right_row)):
+                if lhs > rhs:
+                    return run, p, glued, InvarianceViolation(
+                        constraint, (i, j) if k else (j,), c.decode(lhs), c.decode(rhs))
+    return run, p, glued, None
+
+
+def check_left_invariant(a: FuzzyAutomaton, psi: FuzzyMatrix
+                         ) -> InvarianceViolation | None:
+    """Check sigma ∘ psi <= sigma and delta_x ∘ psi <= psi ∘ delta_x for all x.
+
+    Returns the first violated coordinate, or None when psi is left
+    invariant. Reflexivity is not required here. Runs on a's encoded values.
+    """
+    return _psi_run(a, psi, DEFAULT_CAP)[3]
 
 
 def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
@@ -501,17 +503,12 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     """
     if psi is None:
         return d_automaton(a, cap)
-    _check_psi_shape(a, psi)
-    run = _Run(a, cap, (v for row in psi.entries for v in row))
-    top = a.lattice.top
-    for i in range(a.n):
-        if psi.entries[i][i] != top:
+    run, p, glued, violation = _psi_run(a, psi, cap)
+    c = run.carrier
+    for i, row in enumerate(p):
+        if row[i] != c.top:
             raise PsiNotReflexive(f"psi[{i + 1},{i + 1}] = {psi.entries[i][i]}, expected top")
-    violation = check_left_invariant(a, psi)
     if violation is not None:
         raise PsiNotLeftInvariant(str(violation))
-    c = run.carrier
-    p = tuple(map(c.codes, psi.entries))
-    rn = run.sup_tree(_sup_product(c, _pairs(c, p), run.tau),
-                      [_compose(c, p, rows) for rows in run.delta], run.sigma, True)
+    rn = run.sup_tree(_sup_product(c, _pairs(c, p), run.tau), glued, run.sigma, True)
     return run.forward(rn, True)

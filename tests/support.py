@@ -13,9 +13,12 @@ from fuzzdet import (
     DEFAULT_CAP,
     CapExceeded,
     Cdfa,
+    DimensionMismatch,
     FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyVector,
+    InvarianceViolation,
+    LatticeMismatch,
     SemiringClosure,
     ValueSet,
     d_epsilon,
@@ -202,6 +205,39 @@ def quasi_order_automaton(rng, lattice, n, alphabet=("x", "y"), zero_bias=0.45):
              for x in alphabet}
     tau = random_vector(rng, lattice, n, zero_bias)
     return FuzzyAutomaton(lattice, tuple(alphabet), sigma, delta, tau), psi
+
+
+# -- the value-level left invariance check that determinize replaced: its oracle --
+
+
+def value_check_left_invariant(a, psi):
+    """Check sigma ∘ psi <= sigma and delta_x ∘ psi <= psi ∘ delta_x for all x.
+
+    Returns the first violated coordinate, or None when psi is left
+    invariant. Reflexivity is not required here.
+    """
+    _check_psi_shape(a, psi)
+    sp = vec_mat(a.sigma, psi)
+    for j in range(a.n):
+        if not sp[j] <= a.sigma[j]:
+            return InvarianceViolation("sigma", (j,), sp[j], a.sigma[j])
+    for x in a.alphabet:
+        left = mat_compose(a.delta[x], psi)
+        right = mat_compose(psi, a.delta[x])
+        for i in range(a.n):
+            for j in range(a.n):
+                if not left.entries[i][j] <= right.entries[i][j]:
+                    return InvarianceViolation(
+                        x, (i, j), left.entries[i][j], right.entries[i][j])
+    return None
+
+
+def _check_psi_shape(a, psi):
+    if psi.lattice != a.lattice:
+        raise LatticeMismatch("psi is in another lattice")
+    if psi.n_rows != a.n or psi.n_cols != a.n:
+        raise DimensionMismatch(
+            f"psi is {psi.n_rows}x{psi.n_cols}, expected {a.n}x{a.n}")
 
 
 # -- slow inclusion-degree oracle --------------------------------------------

@@ -9,6 +9,7 @@ Fraction(1) == 1, so the types of the decoded values are checked apart.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -33,7 +34,7 @@ from fuzzdet import (
     semiring_closure,
 )
 from fuzzdet.closure import carrier_of
-from support import oracle_cdfa
+from support import oracle_cdfa, value_check_left_invariant
 
 CAP = 40
 
@@ -146,6 +147,46 @@ def test_psi_values_outside_the_automaton():
             assert _types_ok(got), a
             checked += 1
     assert checked >= 20
+
+
+def _changed(rows, i, j, v):
+    rows = [list(row) for row in rows]
+    rows[i][j] = v
+    return tuple(map(tuple, rows))
+
+
+def test_left_invariance_check_matches_the_value_oracle():
+    """check_left_invariant runs on the construction's codes, and finds what
+    the value-level oracle finds: None, or the same first violation. Each psi
+    starts left invariant, with values the automaton does not hold where the
+    case has them; then one entry of psi changes, or one of a delta_x rises
+    to top, or psi is drawn at random."""
+    rng = random.Random(1606)
+    found = Counter()
+    for lattice, pool, psi_pool in CASES:
+        values = (lattice.bottom, *pool, *psi_pool)
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            a = _automaton(rng, lattice, pool, n, ("x", "y", "z"))
+            a, psi = _with_psi(rng, a, psi_pool or pool)
+            i, j, v = rng.randrange(n), rng.randrange(n), rng.choice(values)
+            how = rng.choice((0, 1, 2, 2, 2, 3))  # most changes are to a delta_x
+            if how == 1:
+                psi = FuzzyMatrix(lattice, _changed(psi.entries, i, j, v))
+            elif how == 2:
+                x = rng.choice(a.alphabet)
+                delta = dict(a.delta, **{x: FuzzyMatrix(
+                    lattice, _changed(a.delta[x].entries, i, j, lattice.top))})
+                a = FuzzyAutomaton(lattice, a.alphabet, a.sigma, delta, a.tau)
+            elif how == 3:
+                psi = FuzzyMatrix(lattice, tuple(
+                    tuple(rng.choice(values) for _ in range(n)) for _ in range(n)))
+            got, want = check_left_invariant(a, psi), value_check_left_invariant(a, psi)
+            assert got == want and str(got) == str(want), (a, psi)
+            if got is not None:
+                assert (type(got.lhs), type(got.rhs)) == (type(want.lhs), type(want.rhs))
+            found[None if got is None else got.constraint] += 1
+    assert min(found[k] for k in (None, "sigma", "x", "y", "z")) >= 10, found
 
 
 def test_public_reverse_tree_is_decoded():

@@ -269,13 +269,50 @@ def test_equiv_flipped_terminal(capsys, tmp_path, boolean3_path):
     assert out == "not equivalent, witness: _\n"
 
 
-def test_equiv_mismatched_alphabets(capsys, tmp_path, goguen3_path):
+def _boolean3_as(tmp_path, boolean3_path, name, **lines):
+    """A copy of boolean3 with whole lines replaced, by their first word."""
+    text = Path(boolean3_path).read_text(encoding="utf-8")
+    out = [lines.get(line.split(" ", 1)[0], line) for line in text.splitlines()]
+    path = tmp_path / f"{name}.fza"
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_equiv_mismatched_alphabets(capsys, tmp_path, goguen3_path, boolean3_path):
     other = tmp_path / "other.fza"
     other.write_text("lattice goguen\nalphabet a b\nstates 1\ninitial 1\n"
                      "terminal 1\ntransitions a\n1\ntransitions b\n1\n")
     code, _, err = run_cli(capsys, "equiv", goguen3_path, str(other))
     assert code == 2
     assert "alphabets differ" in err
+    # sets that share a symbol differ too, in whatever order each lists them
+    xz = Path(_boolean3_as(tmp_path, boolean3_path, "xz", alphabet="alphabet z x"))
+    xz.write_text(xz.read_text(encoding="utf-8").replace("transitions y", "transitions z"),
+                  encoding="utf-8")
+    assert run_cli(capsys, "equiv", boolean3_path, str(xz)) == (
+        2, "", "error: alphabets differ: ('x', 'y') vs ('z', 'x')\n")
+
+
+def test_equiv_reads_the_alphabet_as_a_set(capsys, tmp_path, boolean3_path):
+    """The same symbols listed in another order are the same alphabet: the
+    second automaton is compared in the first one's order."""
+    yx = _boolean3_as(tmp_path, boolean3_path, "yx", alphabet="alphabet y x")
+    for pair in ((boolean3_path, yx), (yx, boolean3_path)):
+        assert run_cli(capsys, "equiv", *pair) == (0, "equivalent\n", "")
+        assert run_cli(capsys, "equiv", *pair, "--method", "nerode,psi", "--psi", "identity") == (
+            0, "equivalent\n", "")
+
+
+def test_equiv_witness_is_shortlex_least_in_the_first_files_order(capsys, tmp_path,
+                                                                   boolean3_path):
+    """Swapping the terminal degrees of states 2 and 3 changes both one-letter
+    words, so the witness is file1's first symbol."""
+    miss = _boolean3_as(tmp_path, boolean3_path, "miss", alphabet="alphabet y x",
+                        terminal="terminal 1 1 0")
+    assert run_cli(capsys, "equiv", boolean3_path, miss) == (
+        1, "not equivalent, witness: x\n", "")
+    assert run_cli(capsys, "equiv", miss, boolean3_path) == (
+        1, "not equivalent, witness: y\n", "")
 
 
 def test_equiv_mismatched_lattices(capsys, goguen3_path, boolean3_path):

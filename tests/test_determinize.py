@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fuzzdet.determinize
 from fuzzdet import (
     BOOLEAN,
     GODEL,
@@ -49,6 +50,7 @@ from support import (
     psi_glued,
     quasi_order_automaton,
     random_automaton,
+    value_check_left_invariant,
 )
 
 
@@ -247,7 +249,8 @@ def test_check_left_invariant(goguen3):
     assert "sigma" in str(violation)
 
 
-@pytest.mark.parametrize("check", [psi_d_automaton, check_left_invariant])
+@pytest.mark.parametrize("check", [psi_d_automaton, check_left_invariant,
+                                   value_check_left_invariant])
 @pytest.mark.parametrize("psi, error, message", [
     (identity_matrix(GODEL, 3), LatticeMismatch, "psi is in another lattice"),
     (identity_matrix(GOGUEN, 2), DimensionMismatch, "psi is 2x2, expected 3x3"),
@@ -257,6 +260,25 @@ def test_psi_of_another_lattice_or_shape_is_rejected(goguen3, check, psi, error,
     with pytest.raises(error) as err:
         check(goguen3, psi)
     assert (type(err.value), str(err.value)) == (error, message)
+
+
+def test_psi_is_checked_and_glued_on_codes(monkeypatch, boolean3):
+    """psi_d_automaton composes psi with each delta_x once, for the check and
+    the tree alike, and checking psi builds no vector or matrix."""
+    composed = []
+    compose = fuzzdet.determinize._compose
+    monkeypatch.setattr(fuzzdet.determinize, "_compose",
+                        lambda c, a, b: composed.append(a) or compose(c, a, b))
+    psi = identity_matrix(BOOLEAN, 3)
+    assert psi_d_automaton(boolean3, psi).cdfa == d_automaton(boolean3).cdfa
+    # sigma ∘ psi, then delta_x ∘ psi and psi ∘ delta_x for each symbol
+    assert len(composed) == 1 + 2 * len(boolean3.alphabet)
+
+    def refuse(*args):
+        raise AssertionError("a container was built")
+    for cls in (FuzzyMatrix, FuzzyVector):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert check_left_invariant(boolean3, psi) is None
 
 
 def test_psi_identity_collapses_to_d(goguen3, boolean3):
