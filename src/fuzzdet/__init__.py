@@ -12,12 +12,12 @@ formats (documents, words), closure (the value closure and preflight),
 determinize (the constructions, Cdfa with its per-state tables of words
 and vectors, find_witness), errors, cli, detcli (DOT export,
 parse_matrix) and usage (--help, a command line not plainly spelt), and
-reference (what no command runs: the oracles, reverse_nerode_tree,
-cdfa_evaluate, the automaton writers). The package imports a module the
-first time one of its names is used (PEP 562), so `import fuzzdet` loads
-none of them, and each command compiles only what it runs: eval loads
-cli, formats, automata, algebra, lattice and errors; semiring adds
-closure; det and equiv add detcli and determinize.
+reference (what no command runs: mat_vec, inclusion_degree, the reverse
+tree, cdfa_evaluate, the writers). Each module is imported the first
+time one of its names is used (PEP 562), so `import fuzzdet` loads none,
+and each command compiles only what it runs: eval loads cli, formats,
+automata, algebra, lattice and errors; semiring adds closure; det and
+equiv add detcli and determinize.
 """
 
 __version__ = "0.1.0"
@@ -36,9 +36,8 @@ _EXPORTS = {
               "LatticeMismatch PsiNotLeftInvariant PsiNotReflexive UnknownSymbol",
     "formats": "format_word parse_automaton parse_word",
     "lattice": "BOOLEAN GODEL GOGUEN LUKASIEWICZ Lattice Value chain",
-    "reference": "TreeVertex cdfa_as_fuzzy_automaton cdfa_equivalent cdfa_evaluate "
-                 "d_epsilon d_step identity_matrix inclusion_degree mat_vec reverse "
-                 "reverse_nerode_tree right_language_step serialize_automaton",
+    "reference": "TreeVertex cdfa_evaluate inclusion_degree mat_vec reverse_nerode_tree "
+                 "serialize_automaton",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

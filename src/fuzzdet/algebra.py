@@ -89,9 +89,6 @@ class FuzzyMatrix(Record):
     def row(self, i: int) -> tuple[Value, ...]:
         return self.entries[i]
 
-    def transpose(self) -> "FuzzyMatrix":
-        return FuzzyMatrix(self.lattice, tuple(zip(*self.entries)))
-
     def __repr__(self) -> str:
         rows = "; ".join(
             " ".join(self.lattice.format_value(v) for v in row) for row in self.entries)

@@ -252,12 +252,6 @@ class TransitionTree:
     def _decoded(self, codes: tuple) -> FuzzyVector:
         return FuzzyVector(self.carrier.lattice, self.carrier.values(codes))
 
-    def vertex_by_word(self, word: Word) -> TreeVertex:
-        for v in self.vertices:
-            if v.word == word:
-                return v
-        raise KeyError(f"no tree vertex for word {word!r}")
-
     def canonical_words(self) -> list[Word]:
         """Shortlex-least word per state over all vertices glued to it.
 
@@ -444,14 +438,15 @@ class InvarianceViolation(Record):
     """First failed left invariance inequality, for diagnostics.
 
     constraint is "sigma" or the offending symbol; position is (j,) for the
-    initial inequality and (i, j) for a matrix one.
+    initial inequality and (i, j) for a matrix one, which tells them apart,
+    as a symbol may be named sigma.
     """
 
     __slots__ = ("constraint", "position", "lhs", "rhs")
 
     def __str__(self) -> str:
         spot = ",".join(str(p + 1) for p in self.position)
-        if self.constraint == "sigma":
+        if len(self.position) == 1:
             return (f"(sigma ∘ psi)[{spot}] = {self.lhs} exceeds sigma[{spot}] = {self.rhs}")
         return (f"(delta_{self.constraint} ∘ psi)[{spot}] = {self.lhs} exceeds "
                 f"(psi ∘ delta_{self.constraint})[{spot}] = {self.rhs}")

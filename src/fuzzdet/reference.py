@@ -3,16 +3,17 @@
 The package exports every public name here, and no command imports this
 module, so `python -m fuzzdet` compiles none of it:
   - the algebra on lattice values that the constructions do not use:
-    identity_matrix, mat_vec and inclusion_degree;
-  - the d vectors from their definitions, d_epsilon and d_step, the
-    reference the inclusion-degree gather is tested against;
+    mat_vec and inclusion_degree;
   - the reverse Nerode tree on its own, reverse_nerode_tree, and a
     transition tree's vertex list, TreeVertex and tree_vertices, which
     TransitionTree.vertices returns;
-  - automaton transforms and comparisons: reverse, right_language_step,
-    cdfa_evaluate, cdfa_equivalent and cdfa_as_fuzzy_automaton;
+  - cdfa_evaluate, a cdfa's table run on one word;
   - the writers of a FuzzyAutomaton: serialize_automaton, and the DOT
     form that detcli.export_dot renders for one.
+
+The slow constructions the tests check the library against (the d
+vectors from their definitions, reversal, a cdfa as a fuzzy automaton)
+live in the tests' support module, not here.
 """
 
 from __future__ import annotations
@@ -28,25 +29,14 @@ from .algebra import (
     _residual_meet,
     _same_lattice,
     _sup_product,
-    dot,
 )
 from .automata import FuzzyAutomaton
-from .errors import DimensionMismatch, LatticeMismatch, UnknownSymbol
+from .errors import DimensionMismatch
 from .formats import _quote
 from .lattice import Lattice, Record, Value
 
 
 # -- algebra ---------------------------------------------------------------
-
-
-def identity_matrix(lattice: Lattice, n: int) -> FuzzyMatrix:
-    """Crisp identity: top on the diagonal, bottom elsewhere."""
-    if n < 1:
-        raise DimensionMismatch("identity needs n >= 1")
-    top, bottom = lattice.top, lattice.bottom
-    return FuzzyMatrix(
-        lattice,
-        tuple(tuple(top if i == j else bottom for j in range(n)) for i in range(n)))
 
 
 def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
@@ -68,69 +58,6 @@ def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
         raise DimensionMismatch(f"inclusion of lengths {len(f)} and {len(g)}")
     c = Carrier.identity(f.lattice)
     return _residual_meet(c, _pairs(c, (f.entries,)), g.entries)[0]
-
-
-# -- the inclusion-degree vectors ------------------------------------------
-
-
-def _implication_meet(lattice: Lattice, vectors: Sequence[FuzzyVector],
-                      scalars: Sequence[Value]) -> FuzzyVector:
-    """Componentwise meet_j (vectors[j][i] -> scalars[j])."""
-    c = Carrier.identity(lattice)
-    columns = _pairs(c, zip(*(mu.entries for mu in vectors)))
-    return FuzzyVector(lattice, _residual_meet(c, columns, scalars))
-
-
-def _check_rn_states(a: FuzzyAutomaton, rn_states: Sequence[FuzzyVector]) -> None:
-    if not rn_states:
-        raise DimensionMismatch("need at least one reverse Nerode state")
-    for mu in rn_states:
-        if mu.lattice != a.lattice:
-            raise LatticeMismatch("reverse Nerode state in another lattice")
-        if len(mu) != a.n:
-            raise DimensionMismatch(
-                f"reverse Nerode state of length {len(mu)}, expected {a.n}")
-
-
-def d_epsilon(a: FuzzyAutomaton, rn_states: Sequence[FuzzyVector]) -> FuzzyVector:
-    """Root vector of the inclusion-degree construction.
-
-    d_eps(i) = meet over reverse Nerode states mu of mu(i) -> (sigma ∘ mu):
-    the degree to which everything accepted from state i is in the language.
-    """
-    _check_rn_states(a, rn_states)
-    scalars = [dot(a.sigma, mu) for mu in rn_states]
-    return _implication_meet(a.lattice, rn_states, scalars)
-
-
-def d_step(a: FuzzyAutomaton, d_u: FuzzyVector, x: str,
-           rn_tree: TransitionTree) -> FuzzyVector:
-    """Successor d_{ux} of d_u under symbol x.
-
-    d_{ux}(i) = meet over reverse Nerode states mu of mu(i) -> (d_u ∘ mu_x),
-    with mu_x the glued x-child of mu in rn_tree. The scalar d_u ∘ mu_x is
-    cached per distinct child state.
-    """
-    if rn_tree.alphabet != a.alphabet:
-        raise UnknownSymbol("reverse tree alphabet differs from the automaton's")
-    try:
-        xi = a.alphabet.index(x)
-    except ValueError:
-        raise UnknownSymbol(f"symbol {x!r} is not in the alphabet") from None
-    if d_u.lattice != a.lattice:
-        raise LatticeMismatch("d vector in another lattice")
-    if len(d_u) != a.n:
-        raise DimensionMismatch(f"d vector of length {len(d_u)}, expected {a.n}")
-    rn_states = rn_tree.state_vectors
-    _check_rn_states(a, rn_states)
-    cache: dict[int, Value] = {}
-    scalars = []
-    for s in range(rn_tree.n_states):
-        t = rn_tree.state_edges[s][xi]
-        if t not in cache:
-            cache[t] = dot(d_u, rn_states[t])
-        scalars.append(cache[t])
-    return _implication_meet(a.lattice, rn_states, scalars)
 
 
 # -- the transition tree, and its vertices ----------------------------------
@@ -183,53 +110,12 @@ def tree_vertices(tree: TransitionTree) -> list[TreeVertex]:
 # -- automata --------------------------------------------------------------
 
 
-def reverse(a: FuzzyAutomaton) -> FuzzyAutomaton:
-    """Mirror image: swap sigma with tau and transpose every matrix.
-
-    The reverse accepts each reversed word with the original degree.
-    """
-    delta = {x: m.transpose() for x, m in a.delta.items()}
-    return FuzzyAutomaton(a.lattice, a.alphabet, a.tau, delta, a.sigma)
-
-
-def right_language_step(a: FuzzyAutomaton, symbol: str, t: FuzzyVector) -> FuzzyVector:
-    """One backward step: from tau_u to tau_{symbol u} = delta_symbol ∘ tau_u."""
-    return mat_vec(a.matrix(symbol), t)
-
-
 def cdfa_evaluate(c: Cdfa, word: Sequence[str]) -> Value:
     """Run the deterministic table and read off the terminal degree."""
     state = c.initial
     for x in word:
         state = c.step(state, x)
     return c.terminal[state]
-
-
-def cdfa_equivalent(c1: Cdfa, c2: Cdfa) -> bool:
-    """True when the two cdfa assign every word the same degree."""
-    # imported here, so that importing this module loads no construction
-    from .determinize import find_witness
-    return find_witness(c1, c2) is None
-
-
-def cdfa_as_fuzzy_automaton(c: Cdfa) -> FuzzyAutomaton:
-    """Embed a cdfa as a fuzzy automaton with crisp initial set and transitions.
-
-    State words and vectors are dropped; only the language matters to callers.
-    """
-    lat = c.lattice
-    top, bottom = lat.top, lat.bottom
-    n = c.n
-    sigma = FuzzyVector(lat, tuple(top if i == c.initial else bottom for i in range(n)))
-    delta = {}
-    for xi, x in enumerate(c.alphabet):
-        rows = []
-        for s in range(n):
-            target = c.transitions[s][xi]
-            rows.append(tuple(top if j == target else bottom for j in range(n)))
-        delta[x] = FuzzyMatrix(lat, tuple(rows))
-    tau = FuzzyVector(lat, c.terminal)
-    return FuzzyAutomaton(lat, c.alphabet, sigma, delta, tau)
 
 
 # -- writers ---------------------------------------------------------------

@@ -35,14 +35,21 @@ def boolean3_path():
     return str(DATA / "boolean3.fza")
 
 
-@pytest.fixture
-def python_child():
-    """Run the interpreter in a child on the fuzzdet these tests import.
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child interpreter on the fuzzdet these tests import.
 
     The child's PYTHONPATH is the directory above the package, so it does
-    not depend on how pytest itself was given the package.
+    not depend on how pytest itself was given the package, and the child
+    writes no bytecode, as the test run itself does not.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent)}
+    return {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent),
+            "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+
+@pytest.fixture
+def python_child():
+    """Run the interpreter in a child with child_env()."""
+    env = child_env()
 
     def run(*args: str) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)

@@ -1,7 +1,12 @@
 """Generators and independent oracles shared by the test modules.
 
 The boolean oracle below works on plain Python sets and lists on purpose:
-it must not share code with the library paths it checks.
+it must not share code with the library paths it checks. The slow
+constructions the package replaced live here too, each once: the d
+vectors from their definitions (d_epsilon, d_step), reverse,
+identity_matrix and cdfa_as_fuzzy_automaton. They compute on lattice
+values with the lattice's checked scalar operations (_sup, _inf_resid),
+never with the library's loops.
 """
 
 import argparse
@@ -21,10 +26,6 @@ from fuzzdet import (
     LatticeMismatch,
     SemiringClosure,
     ValueSet,
-    d_epsilon,
-    d_step,
-    dot,
-    identity_matrix,
     mat_compose,
     mat_vec,
     vec_mat,
@@ -240,41 +241,6 @@ def _check_psi_shape(a, psi):
             f"psi is {psi.n_rows}x{psi.n_cols}, expected {a.n}x{a.n}")
 
 
-# -- slow inclusion-degree oracle --------------------------------------------
-
-
-def slow_d_forward(a, rn, cap):
-    """The forward phase grown state by state with d_epsilon and d_step.
-
-    This is the inclusion-degree construction computed from its definition,
-    over the reverse tree rn. Returns (result, closure_checks): result is a
-    CapExceeded, or (transitions, terminals, words, d vectors) with states
-    in breadth-first order and words in shortlex order.
-    """
-    root = d_epsilon(a, rn.state_vectors)
-    vectors, words, index = [root], [()], {root: 0}
-    transitions = []
-    checks = 0
-    s = 0
-    while s < len(vectors):
-        row = []
-        for x in a.alphabet:
-            child = d_step(a, vectors[s], x, rn)
-            checks += 1
-            t = index.get(child)
-            if t is None:
-                if len(vectors) >= cap:
-                    return CapExceeded(states_built=len(vectors), cap=cap), checks
-                t = index[child] = len(vectors)
-                vectors.append(child)
-                words.append(words[s] + (x,))
-            row.append(t)
-        transitions.append(tuple(row))
-        s += 1
-    terminals = tuple(dot(v, a.tau) for v in vectors)
-    return (tuple(transitions), terminals, words, vectors), checks
-
-
 # -- saturation oracle for the semiring closure -------------------------------
 
 
@@ -334,8 +300,70 @@ def _inf_resid(lattice, xs, ys):
     return acc
 
 
-def _columns(rows):
-    return list(zip(*rows))
+def identity_matrix(lattice, n):
+    """Crisp identity: top on the diagonal, bottom elsewhere."""
+    top, bottom = lattice.top, lattice.bottom
+    return FuzzyMatrix(
+        lattice, tuple(tuple(top if i == j else bottom for j in range(n)) for i in range(n)))
+
+
+def reverse(a):
+    """Mirror image: swap sigma with tau and transpose every matrix.
+
+    The reverse accepts each reversed word with the original degree.
+    """
+    delta = {x: FuzzyMatrix(a.lattice, tuple(zip(*m.entries))) for x, m in a.delta.items()}
+    return FuzzyAutomaton(a.lattice, a.alphabet, a.tau, delta, a.sigma)
+
+
+def cdfa_as_fuzzy_automaton(c):
+    """Embed a cdfa as a fuzzy automaton with crisp initial set and transitions.
+
+    State words and vectors are dropped; only the language matters to callers.
+    """
+    lat = c.lattice
+    top, bottom = lat.top, lat.bottom
+    n = c.n
+    sigma = FuzzyVector(lat, tuple(top if i == c.initial else bottom for i in range(n)))
+    delta = {}
+    for xi, x in enumerate(c.alphabet):
+        rows = []
+        for s in range(n):
+            target = c.transitions[s][xi]
+            rows.append(tuple(top if j == target else bottom for j in range(n)))
+        delta[x] = FuzzyMatrix(lat, tuple(rows))
+    tau = FuzzyVector(lat, c.terminal)
+    return FuzzyAutomaton(lat, c.alphabet, sigma, delta, tau)
+
+
+# The d vectors, over the reverse Nerode states mus: edges[s][k] is the
+# state that mus[s] is glued to under the k-th alphabet symbol.
+
+
+def _implication_meet(lattice, vectors, scalars):
+    """Componentwise meet_j (vectors[j][i] -> scalars[j])."""
+    return FuzzyVector(lattice, tuple(_inf_resid(lattice, col, scalars)
+                                      for col in zip(*vectors)))
+
+
+def d_epsilon(a, mus):
+    """Root vector of the inclusion-degree construction.
+
+    d_eps(i) = meet over mu in mus of mu(i) -> (sigma ∘ mu): the degree to
+    which everything accepted from state i is in the language.
+    """
+    return _implication_meet(a.lattice, mus, [_sup(a.lattice, a.sigma, mu) for mu in mus])
+
+
+def d_step(a, d_u, x, mus, edges):
+    """Successor d_{ux} of d_u under symbol x.
+
+    d_{ux}(i) = meet over mu in mus of mu(i) -> (d_u ∘ mu_x), with mu_x the
+    glued x-child of mu.
+    """
+    k = a.alphabet.index(x)
+    return _implication_meet(a.lattice, mus,
+                             [_sup(a.lattice, d_u, mus[row[k]]) for row in edges])
 
 
 def _oracle_tree(alphabet, root, step, key, cap, prepend):
@@ -378,6 +406,30 @@ def _oracle_tree(alphabet, root, step, key, cap, prepend):
             if order(w) < order(words[t]):
                 words[t] = w
     return keys, payloads, tuple(transitions), words
+
+
+def slow_d_forward(a, rn, cap):
+    """The forward phase grown state by state with d_epsilon and d_step.
+
+    This is the inclusion-degree construction computed from its definition,
+    over the library's reverse tree rn. Returns (result, closure_checks):
+    result is a CapExceeded, or (transitions, terminals, words, d vectors)
+    with states in breadth-first order and words in shortlex order.
+    """
+    mus, edges = rn.state_vectors, rn.state_edges
+    checks = 0
+
+    def step(d, x):
+        nonlocal checks
+        checks += 1
+        return d_step(a, d, x, mus, edges)
+
+    tree = _oracle_tree(a.alphabet, d_epsilon(a, mus), step, lambda d: d, cap, False)
+    if isinstance(tree, CapExceeded):
+        return tree, checks
+    vectors, _, transitions, words = tree
+    return (transitions, tuple(_sup(a.lattice, d, a.tau) for d in vectors), words,
+            vectors), checks
 
 
 def oracle_vertices(alphabet, root, step, prepend, cap):
@@ -432,7 +484,7 @@ def oracle_cdfa(a, method, psi=None, cap=DEFAULT_CAP):
                   states mu_s, terminal sigma_u ∘ tau.
     """
     lat, alphabet = a.lattice, a.alphabet
-    columns = {x: _columns(a.delta[x].entries) for x in alphabet}
+    columns = {x: list(zip(*a.delta[x].entries)) for x in alphabet}
 
     def vector(values):
         return FuzzyVector(lat, tuple(values))
@@ -471,16 +523,8 @@ def oracle_cdfa(a, method, psi=None, cap=DEFAULT_CAP):
                             lambda v: vector(_sup(lat, v, mu) for mu in mus), cap, False)
         return cdfa(tree, lambda v: _sup(lat, v, a.tau))
 
-    def d_vector(scalars):
-        scalars = list(scalars)
-        return vector(_inf_resid(lat, col, scalars) for col in _columns(mus))
-
-    def d_next(d, x):
-        i = alphabet.index(x)
-        return d_vector(_sup(lat, d, mus[row[i]]) for row in edges)
-
-    root = d_vector(_sup(lat, a.sigma, mu) for mu in mus)
-    tree = _oracle_tree(alphabet, root, d_next, same, cap, False)
+    tree = _oracle_tree(alphabet, d_epsilon(a, mus),
+                        lambda d, x: d_step(a, d, x, mus, edges), same, cap, False)
     return cdfa(tree, lambda d: _sup(lat, d, a.tau))
 
 

@@ -17,13 +17,13 @@ from fuzzdet import (
     LUKASIEWICZ,
     CapExceeded,
     brzozowski,
-    cdfa_equivalent,
     cdfa_evaluate,
     chain,
     d_automaton,
     dot,
     evaluate,
     export_dot,
+    find_witness,
     nerode,
     parse_automaton,
     psi_d_automaton,
@@ -60,8 +60,10 @@ def test_criterion_01_reverse_tree_fixture(goguen3):
         ]
         assert tree.state_terminals == [F(0), F(1, 2), F(1), F(1)]
 
+        pointers = {v.word: v.pointer for v in tree.vertices}
+
         def ptr(*word):
-            return tree.vertex_by_word(word).pointer
+            return pointers[word]
 
         assert ptr("x", "y") == ptr("x")
         assert ptr("y", "y") == ptr("y")
@@ -108,7 +110,7 @@ def test_criterion_05_double_reversal(goguen3, boolean3):
             ad = d_automaton(a).cdfa
             bz = brzozowski(a).cdfa
             assert bz.n == ad.n
-            assert cdfa_equivalent(bz, ad)
+            assert find_witness(bz, ad) is None
 
 
 @lru_cache(maxsize=1)

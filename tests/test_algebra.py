@@ -19,7 +19,6 @@ from fuzzdet import (
     ValueSet,
     chain,
     dot,
-    identity_matrix,
     inclusion_degree,
     mat_compose,
     mat_vec,
@@ -30,6 +29,7 @@ from fuzzdet import (
 from support import (
     _inf_resid,
     _sup,
+    identity_matrix,
     random_matrix,
     random_value,
     random_vector,

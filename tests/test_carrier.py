@@ -26,7 +26,6 @@ from fuzzdet import (
     chain,
     check_left_invariant,
     d_automaton,
-    identity_matrix,
     nerode,
     psi_d_automaton,
     reverse_nerode,
@@ -34,7 +33,7 @@ from fuzzdet import (
     semiring_closure,
 )
 from fuzzdet.closure import carrier_of
-from support import oracle_cdfa, value_check_left_invariant
+from support import identity_matrix, oracle_cdfa, value_check_left_invariant
 
 CAP = 40
 

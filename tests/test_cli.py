@@ -1,9 +1,9 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import errno
+import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,6 +14,7 @@ import pytest
 import fuzzdet
 from fuzzdet import FuzzyAutomaton, chain, parse_automaton, serialize_automaton
 from fuzzdet.cli import main
+from conftest import child_env
 from dotcheck import validate_dot
 
 BENCH = Path(__file__).parent.parent / "bench"
@@ -217,6 +218,18 @@ def test_psi_file_errors_before_any_report(capsys, tmp_path, goguen3_path):
         assert err.startswith("error: " + says), err
 
 
+def test_psi_violation_at_a_symbol_named_sigma(capsys, tmp_path):
+    doc = tmp_path / "sigma.fza"
+    doc.write_text("lattice boolean\nalphabet sigma\nstates 2\ninitial 1 1\n"
+                   "terminal 1 0\ntransitions sigma\n1 0\n0 0\n")
+    psi = tmp_path / "psi.mat"
+    psi.write_text("1 1\n0 1\n")
+    code, out, err = run_cli(capsys, "det", str(doc), "--method", "psi", "--psi", str(psi))
+    assert (code, out) == (2, "")
+    assert err == ("error: --psi: (delta_sigma ∘ psi)[1,2] = 1 exceeds "
+                   "(psi ∘ delta_sigma)[1,2] = 0\n")
+
+
 def test_det_psi_needs_psi_method(capsys, goguen3_path):
     code, out, err = run_cli(capsys, "det", goguen3_path, "--psi", "/nonexistent")
     assert (code, out) == (2, "")
@@ -384,9 +397,8 @@ def test_output_is_the_same_under_every_hash_seed(goguen3_path, boolean3_path):
         # rnerode recognizes the reverse language, so equiv finds a witness
         calls += [["det", f, "--dot", "-"], ["equiv", f, f, "--method", "rnerode,brzozowski"],
                   ["eval", f, "x.y"], ["semiring", f, "--cap", "100"]]
-    env = {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent)}
     children = [subprocess.Popen([sys.executable, "-c", CALLS_CHILD, json.dumps(calls)],
-                                 env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE,
+                                 env=child_env(PYTHONHASHSEED=seed), stdout=subprocess.PIPE,
                                  stderr=subprocess.PIPE)
                 for seed in ("0", "12345")]
     (out0, err0), (out1, err1) = (child.communicate(timeout=60) for child in children)
@@ -453,6 +465,34 @@ def test_tracer_replacements_take_effect(python_child, goguen3_path, boolean3_pa
     assert json.loads(proc.stderr.splitlines()[-1]) == [code, False, counts], proc.stderr
 
 
+def test_tracer_records_spans_and_probe_counts(capsys, boolean3_path):
+    """bench/tracing.py run in process, as a traced bench pass runs it: its
+    wrappers time one det and one equiv call, then probe the layers below
+    incl. Each name it reads from fuzzdet must still be there."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    wrappers = tracing.Wrappers(tracer)
+    with wrappers.installed():
+        assert run_cli(capsys, "det", boolean3_path)[0] == 0
+        assert run_cli(capsys, "equiv", boolean3_path, boolean3_path)[:2] == (0, "equivalent\n")
+    assert all(getattr(fuzzdet.cli, name) is fn for name, fn in wrappers.originals.items())
+    assert [s[0] for s in tracer.spans] == [
+        "formats.parse", "determinize.preflight", "determinize.incl", *["formats.serialize"] * 4,
+        "formats.parse", "formats.parse", "determinize.incl", "determinize.incl",
+        "automata.witness"]
+    called = len(tracer.spans)
+    _, a, outcome = wrappers.last_incl
+    found = wrappers.probe(a, outcome.cdfa, [(), ("x",), ("x", "y")])
+    assert [s[0] for s in tracer.spans[called:]] == [
+        "determinize.rn_tree", "determinize.to_cdfa", "algebra.mat_vec",
+        "automata.cdfa_evaluate", "lattice.ops"]
+    assert all(end >= start for _, start, end, *_ in tracer.spans)
+    assert found["rn_states"] == 4
+    assert found["rn_vertices"] == found["rn_states"] * len(a.alphabet) + 1
+
+
 class ClosedStdout:
     """A stdout whose reader has gone away: every write and flush fails."""
 
@@ -480,10 +520,9 @@ def test_closed_stdout_is_named(capsys, monkeypatch, goguen3_path, boolean3_path
 def test_closed_stdout_pipe_exits_2(goguen3_path, unbuffered):
     """A reader that closes the pipe at once: one error line, exit 2, and no
     second failure when the interpreter flushes stdout at exit."""
-    env = {**os.environ, "PYTHONPATH": str(Path(fuzzdet.__file__).parent.parent),
-           "PYTHONUNBUFFERED": unbuffered}
     with subprocess.Popen([sys.executable, "-m", "fuzzdet", "det", goguen3_path],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env(PYTHONUNBUFFERED=unbuffered)) as proc:
         proc.stdout.close()
         err = proc.stderr.read().decode()
         code = proc.wait()

@@ -19,26 +19,21 @@ from fuzzdet import (
     FuzzyMatrix,
     FuzzyVector,
     InvalidCap,
+    InvarianceViolation,
     LatticeMismatch,
     PsiNotLeftInvariant,
     PsiNotReflexive,
-    UnknownSymbol,
     automaton_values,
     brzozowski,
-    cdfa_equivalent,
     cdfa_evaluate,
     chain,
     check_left_invariant,
     d_automaton,
-    d_epsilon,
-    d_step,
     evaluate,
     find_witness,
-    identity_matrix,
     nerode,
     preflight,
     psi_d_automaton,
-    reverse,
     reverse_nerode,
     reverse_nerode_tree,
 )
@@ -46,10 +41,14 @@ from support import (
     all_words,
     boolean_accepts_from,
     clone_extend,
+    d_epsilon,
+    d_step,
+    identity_matrix,
     moore_classes,
     psi_glued,
     quasi_order_automaton,
     random_automaton,
+    reverse,
     value_check_left_invariant,
 )
 
@@ -160,15 +159,14 @@ def test_d_epsilon_boolean_semantics():
 
 def test_d_step_fixture(goguen3):
     tree = reverse_nerode_tree(goguen3)
-    d_eps = d_epsilon(goguen3, tree.state_vectors)
-    d_x = d_step(goguen3, d_eps, "x", tree)
-    d_y = d_step(goguen3, d_eps, "y", tree)
+    mus, edges = tree.state_vectors, tree.state_edges
+    d_eps = d_epsilon(goguen3, mus)
+    d_x = d_step(goguen3, d_eps, "x", mus, edges)
+    d_y = d_step(goguen3, d_eps, "y", mus, edges)
     assert d_x.entries == (F(1, 2), F(1, 2), F(1))
     assert d_y.entries == (F(1), F(1), F(1))
-    assert d_step(goguen3, d_x, "y", tree).entries == d_x.entries
-    assert d_step(goguen3, d_x, "x", tree).entries == d_y.entries
-    with pytest.raises(UnknownSymbol):
-        d_step(goguen3, d_eps, "z", tree)
+    assert d_step(goguen3, d_x, "y", mus, edges).entries == d_x.entries
+    assert d_step(goguen3, d_x, "x", mus, edges).entries == d_y.entries
 
 
 def test_d_automaton_fixture_structure(goguen3):
@@ -207,7 +205,7 @@ def test_brzozowski_fixtures(goguen3, boolean3):
         d = d_automaton(a).cdfa
         b = brzozowski(a).cdfa
         assert b.n == d.n
-        assert cdfa_equivalent(b, d)
+        assert find_witness(b, d) is None
 
 
 def test_deterministic_construction(goguen3):
@@ -247,6 +245,15 @@ def test_check_left_invariant(goguen3):
     assert violation is not None
     assert violation.constraint == "sigma"
     assert "sigma" in str(violation)
+    # a symbol named sigma: sigma ∘ psi <= sigma holds and delta_sigma's
+    # inequality fails, told from sigma's by its (i, j) position
+    a = FuzzyAutomaton.build(BOOLEAN, ("sigma",), [1, 1], {"sigma": [[1, 0], [0, 0]]}, [1, 0])
+    psi = FuzzyMatrix.from_rows(BOOLEAN, [[1, 1], [0, 1]])
+    for check in (check_left_invariant, value_check_left_invariant):
+        violation = check(a, psi)
+        assert violation == InvarianceViolation("sigma", (0, 1), F(1), F(0))
+        assert str(violation) == ("(delta_sigma ∘ psi)[1,2] = 1 exceeds "
+                                  "(psi ∘ delta_sigma)[1,2] = 0")
 
 
 @pytest.mark.parametrize("check", [psi_d_automaton, check_left_invariant,
@@ -312,7 +319,7 @@ def test_psi_glues_clone_states():
         if not (glued.ok and plain.ok):
             continue
         found += 1
-        assert cdfa_equivalent(glued.cdfa, plain.cdfa)
+        assert find_witness(glued.cdfa, plain.cdfa) is None
         assert glued.cdfa.n <= plain.cdfa.n
     assert found >= 8
 
