@@ -7,17 +7,15 @@ reversal), a psi-glued generalization, a line-oriented document format and
 DOT export.
 
 Modules: lattice (the five structures), algebra (vectors, matrices, the
-sup-product, the encoded carrier), automata (fuzzy automata, evaluate),
-formats (documents, words), closure (the value closure and preflight),
-determinize (the constructions, Cdfa with its per-state tables of words
-and vectors, find_witness), errors, cli, detcli (DOT export,
-parse_matrix) and usage (--help, a command line not plainly spelt), and
-reference (what no command runs: mat_vec, inclusion_degree, the reverse
-tree, cdfa_evaluate, the writers). Each module is imported the first
-time one of its names is used (PEP 562), so `import fuzzdet` loads none,
-and each command compiles only what it runs: eval loads cli, formats,
-automata, algebra, lattice and errors; semiring adds closure; det and
-equiv add detcli and determinize.
+sup-product, the carrier), automata (fuzzy automata, evaluate), formats
+(documents, words), closure (value closure, preflight), determinize (the
+constructions, Cdfa, find_witness), psi (psi documents, mat_compose, the
+left invariance check, the psi-glued construction), errors, cli, detcli
+(det, equiv, DOT export), usage (--help, a command line not plainly
+spelt) and reference (what no command runs). Each module loads when one
+of its names is first used (PEP 562): `import fuzzdet` loads none, eval
+cli, formats, automata, algebra, lattice and errors, semiring closure
+too, and det and equiv detcli and determinize too, and psi for a file.
 """
 
 __version__ = "0.1.0"
@@ -28,14 +26,14 @@ _EXPORTS = {
     "automata": "FuzzyAutomaton Word evaluate",
     "closure": "PreflightReport SemiringClosure ValueSet automaton_values preflight "
                "semiring_closure",
-    "detcli": "export_dot parse_matrix",
-    "determinize": "BuildStats CapExceeded Cdfa DetOutcome InvarianceViolation TransitionTree "
-                   "brzozowski check_left_invariant d_automaton find_witness mat_compose "
-                   "nerode psi_d_automaton reverse_nerode",
+    "detcli": "export_dot",
+    "determinize": "BuildStats CapExceeded Cdfa DetOutcome TransitionTree brzozowski "
+                   "d_automaton find_witness nerode psi_d_automaton reverse_nerode",
     "errors": "AlphabetMismatch DimensionMismatch FormatError FuzzdetError InvalidCap "
               "LatticeMismatch PsiNotLeftInvariant PsiNotReflexive UnknownSymbol",
     "formats": "format_word parse_automaton parse_word",
     "lattice": "BOOLEAN GODEL GOGUEN LUKASIEWICZ Lattice Value chain",
+    "psi": "InvarianceViolation check_left_invariant mat_compose parse_matrix",
     "reference": "TreeVertex cdfa_evaluate inclusion_degree mat_vec reverse_nerode_tree "
                  "serialize_automaton",
 }

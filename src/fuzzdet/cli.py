@@ -64,14 +64,15 @@ def _bound(name: str):
 
 def _read(path: str) -> str:
     # The parsers split lines at \r\n, \r and \n, so reading bytes needs no
-    # newline translation, and a decode error's offset is the file's.
+    # newline translation, and a decode error's offset is the file's: a
+    # leading byte order mark is dropped only once decoded.
     try:
         with open(path, "rb") as f:
             data = f.read()
     except OSError as e:
         raise FuzzdetError(f"cannot read {path}: {e.strerror}") from None
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise FuzzdetError(f"cannot read {path}: not UTF-8 text "
                            f"(byte 0x{data[e.start]:02x} at offset {e.start})") from None

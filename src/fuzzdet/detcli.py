@@ -1,8 +1,8 @@
-"""The det and equiv commands, and the documents only they read and write:
-psi matrices (parse_matrix) and DOT (export_dot). cli loads this module when
-det or equiv runs. These commands read the library functions they call as
-attributes of cli at each call, so that a name replaced on cli is the one
-that runs.
+"""The det and equiv commands, and DOT (export_dot), which only they write.
+cli loads this module when det or equiv runs; fuzzdet.psi reads a --psi
+file and loads only when --psi names one. These commands read the library
+functions they call as attributes of cli at each call, so that a name
+replaced on cli is the one that runs.
 """
 
 from __future__ import annotations
@@ -15,17 +15,8 @@ from .automata import FuzzyAutomaton
 from .cli import (EXIT_CAP, EXIT_NOT_EQUIVALENT, EXIT_OK, METHODS, _check_cap, _closure_line,
                   _load, _read)
 from .determinize import Cdfa
-from .errors import FormatError, FuzzdetError, PsiNotLeftInvariant, PsiNotReflexive
-from .formats import _matrix, _quote, _tokenize, format_word
-from .lattice import Lattice
-
-
-def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
-    """Parse a bare n x n matrix document (used for psi relations)."""
-    lines = _tokenize(text)
-    if len(lines) != n:
-        raise FormatError(f"expected {n} rows, got {len(lines)}")
-    return _matrix(lattice, lines, "row", {})
+from .errors import FuzzdetError, PsiNotLeftInvariant, PsiNotReflexive
+from .formats import _quote, format_word
 
 
 # -- DOT export --------------------------------------------------------------
@@ -64,23 +55,15 @@ def _cdfa_dot(c: Cdfa) -> str:
     return "\n".join(out) + "\n"
 
 
-def _read_psi(psi_path: str | None) -> str | None:
-    """The text of the --psi file, None for no file or 'identity'."""
+def _read_psi(psi_path: str | None, a: FuzzyAutomaton) -> FuzzyMatrix | None:
+    """The --psi matrix for automaton a, None for no file or 'identity'. An
+    unreadable or malformed file is an error whose message starts --psi:."""
     if psi_path is None or psi_path == "identity":
         return None
+    from .psi import parse_matrix
     try:
-        return _read(psi_path)
+        return parse_matrix(_read(psi_path), a.lattice, a.n)
     except FuzzdetError as e:
-        raise FuzzdetError(f"--psi: {e}") from None
-
-
-def _parse_psi(text: str | None, a: FuzzyAutomaton) -> FuzzyMatrix | None:
-    """The --psi matrix for automaton a, None for the identity relation."""
-    if text is None:
-        return None
-    try:
-        return parse_matrix(text, a.lattice, a.n)
-    except FormatError as e:
         raise FuzzdetError(f"--psi: {e}") from None
 
 
@@ -104,7 +87,7 @@ def cmd_det(args) -> int:
     _check_cap("--max-states", args.max_states)
     _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
-    psi = _parse_psi(_read_psi(args.psi), a)
+    psi = _read_psi(args.psi, a)
     closure = _closure_line(a)
     # construct, and write a DOT file, before the first report line, so that
     # a bad psi or an unwritable --dot PATH prints none
@@ -155,9 +138,7 @@ def cmd_equiv(args) -> int:
     if set(a1.alphabet) != set(a2.alphabet):
         raise FuzzdetError(f"alphabets differ: {a1.alphabet} vs {a2.alphabet}")
     a2 = FuzzyAutomaton(a2.lattice, a1.alphabet, a2.sigma, a2.delta, a2.tau)  # in file1's order
-    psi_text = _read_psi(args.psi)
-    psis = [_parse_psi(psi_text, a) if m == "psi" else None
-            for a, m in zip((a1, a2), methods)]
+    psis = [_read_psi(args.psi, a) if m == "psi" else None for a, m in zip((a1, a2), methods)]
     outcomes = []
     for a, m, psi in zip((a1, a2), methods, psis):
         outcome = _determinize(a, m, args.max_states, psi)

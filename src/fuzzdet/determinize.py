@@ -26,7 +26,8 @@ Constructions:
   brzozowski       reverse Nerode applied twice; the second reversal runs
                    over the first one's crisp table
   psi_d_automaton  d_automaton generalized by a reflexive, left invariant
-                   fuzzy relation psi gluing the reverse tree
+                   fuzzy relation psi gluing the reverse tree; given a psi
+                   matrix, it runs fuzzdet.psi, which holds all psi code
 
 The d vectors are meets of implications: d_eps(a) = meet_mu mu(a) -> (sigma ∘ mu)
 over the reverse Nerode states mu, and d_{ux}(a) = meet_mu mu(a) -> (d_u ∘ mu_x)
@@ -39,11 +40,10 @@ L(u) = w_u[0]. Words glue exactly when their d vectors do, and d_u is the
 implication meet of the mu_s against w_u, recovered once per state.
 
 Every construction runs on a Carrier (see algebra and closure.carrier_of):
-the values that enter it, psi's included, encoded once, so that its vectors
-are tuples of bare codes (ints on every lattice but Goguen) and its tmul
-and resid are bound for that automaton; psi's left invariance is checked on
-those codes too. Decoding happens at one boundary, the TransitionTree's
-state_vectors and state_terminals, which to_cdfa reads.
+the values that enter it encoded once, so that its vectors are tuples of
+bare codes (ints on every lattice but Goguen) and its tmul and resid are
+bound for that automaton. Decoding happens at one boundary, the
+TransitionTree's state_vectors and state_terminals, which to_cdfa reads.
 """
 
 from __future__ import annotations
@@ -55,30 +55,11 @@ from functools import cached_property
 from operator import itemgetter
 
 from .algebra import (DEFAULT_CAP, Carrier, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet,
-                      _same_lattice, _sup_product)
+                      _sup_product)
 from .automata import FuzzyAutomaton, Word, check_alphabet
 from .closure import automaton_values, carrier_of, require_cap
-from .errors import (AlphabetMismatch, DimensionMismatch, LatticeMismatch, PsiNotLeftInvariant,
-                     PsiNotReflexive, UnknownSymbol)
+from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch, UnknownSymbol
 from .lattice import Lattice, Record, Value
-
-
-# -- composition, which only the psi construction runs ----------------------
-
-
-def _compose(c: Carrier, a_rows, b_rows) -> tuple:
-    """Rows of the sup-product a ∘ b: each row of a against the columns of b."""
-    cols = _pairs(c, zip(*b_rows))
-    return tuple(_sup_product(c, cols, row) for row in a_rows)
-
-
-def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
-    """Sup-multiplication product: (a∘b)[i][j] = join_k tmul(a[i][k], b[k][j])."""
-    _same_lattice(a, b)
-    if a.n_cols != b.n_rows:
-        raise DimensionMismatch(f"cannot compose {a.n_cols} columns with {b.n_rows} rows")
-    c = Carrier.identity(a.lattice)
-    return FuzzyMatrix(a.lattice, _compose(c, a.entries, b.entries))
 
 
 # -- crisp-deterministic automata -----------------------------------------
@@ -434,58 +415,6 @@ def brzozowski(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
 # -- psi-glued construction ----------------------------------------------
 
 
-class InvarianceViolation(Record):
-    """First failed left invariance inequality, for diagnostics.
-
-    constraint is "sigma" or the offending symbol; position is (j,) for the
-    initial inequality and (i, j) for a matrix one, which tells them apart,
-    as a symbol may be named sigma.
-    """
-
-    __slots__ = ("constraint", "position", "lhs", "rhs")
-
-    def __str__(self) -> str:
-        spot = ",".join(str(p + 1) for p in self.position)
-        if len(self.position) == 1:
-            return (f"(sigma ∘ psi)[{spot}] = {self.lhs} exceeds sigma[{spot}] = {self.rhs}")
-        return (f"(delta_{self.constraint} ∘ psi)[{spot}] = {self.lhs} exceeds "
-                f"(psi ∘ delta_{self.constraint})[{spot}] = {self.rhs}")
-
-
-def _psi_run(a: FuzzyAutomaton, psi: FuzzyMatrix, cap: int) -> tuple:
-    """Check psi's shape, encode it on a's run and compose it with a, once:
-    return the run, psi's rows, each psi ∘ delta_x's rows and the first failed
-    left invariance inequality (sigma's, one row, then each delta_x's), or None."""
-    if psi.lattice != a.lattice:
-        raise LatticeMismatch("psi is in another lattice")
-    if psi.n_rows != a.n or psi.n_cols != a.n:
-        raise DimensionMismatch(
-            f"psi is {psi.n_rows}x{psi.n_cols}, expected {a.n}x{a.n}")
-    run = _Run(a, cap, (v for row in psi.entries for v in row))
-    c = run.carrier
-    p = tuple(map(c.codes, psi.entries))
-    glued = [_compose(c, p, rows) for rows in run.delta]
-    sides = [("sigma", _compose(c, [run.sigma], p), [run.sigma])]
-    sides += zip(a.alphabet, (_compose(c, rows, p) for rows in run.delta), glued)
-    for k, (constraint, left, right) in enumerate(sides):
-        for i, (left_row, right_row) in enumerate(zip(left, right)):
-            for j, (lhs, rhs) in enumerate(zip(left_row, right_row)):
-                if lhs > rhs:
-                    return run, p, glued, InvarianceViolation(
-                        constraint, (i, j) if k else (j,), c.decode(lhs), c.decode(rhs))
-    return run, p, glued, None
-
-
-def check_left_invariant(a: FuzzyAutomaton, psi: FuzzyMatrix
-                         ) -> InvarianceViolation | None:
-    """Check sigma ∘ psi <= sigma and delta_x ∘ psi <= psi ∘ delta_x for all x.
-
-    Returns the first violated coordinate, or None when psi is left
-    invariant. Reflexivity is not required here. Runs on a's encoded values.
-    """
-    return _psi_run(a, psi, DEFAULT_CAP)[3]
-
-
 def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
                     cap: int = DEFAULT_CAP) -> DetOutcome:
     """Inclusion-degree construction over a psi-glued reverse tree.
@@ -498,12 +427,5 @@ def psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix | None = None,
     """
     if psi is None:
         return d_automaton(a, cap)
-    run, p, glued, violation = _psi_run(a, psi, cap)
-    c = run.carrier
-    for i, row in enumerate(p):
-        if row[i] != c.top:
-            raise PsiNotReflexive(f"psi[{i + 1},{i + 1}] = {psi.entries[i][i]}, expected top")
-    if violation is not None:
-        raise PsiNotLeftInvariant(str(violation))
-    rn = run.sup_tree(_sup_product(c, _pairs(c, p), run.tau), glued, run.sigma, True)
-    return run.forward(rn, True)
+    from .psi import _psi_d_automaton
+    return _psi_d_automaton(a, psi, cap)

@@ -21,9 +21,9 @@ decimals preferred over p/q. Parsing a serialized document yields an equal
 automaton.
 
 Words elsewhere in the package render as '_' for the empty word and
-dot-separated symbols otherwise, e.g. 'x.y.x'. DOT export and the psi
-matrix documents, which only det and equiv write and read, are in detcli;
-a psi matrix's rows are read by _matrix, as a transitions block's are.
+dot-separated symbols otherwise, e.g. 'x.y.x'. DOT export, which only det
+and equiv write, is in detcli, and psi matrix documents are in psi (see
+parse_matrix), whose rows _matrix reads, as a transitions block's.
 """
 
 from __future__ import annotations

@@ -55,6 +55,50 @@ def test_non_utf8_document_is_an_input_error(capsys, tmp_path):
         assert run_cli(capsys, *argv) == (2, "", says), argv
 
 
+BOM = b"\xef\xbb\xbf"
+PSI3 = b"1 0 0\n0 1 0\n0 0 1\n"
+
+
+def test_byte_order_mark_before_a_document_is_dropped(capsys, tmp_path, boolean3_path):
+    marked = tmp_path / "marked.fza"
+    marked.write_bytes(BOM + Path(boolean3_path).read_bytes())
+    for argv in (["eval", "{f}", "_"], ["eval", "{f}", "x.y.x"], ["det", "{f}"],
+                 ["det", "{f}", "--method", "nerode"], ["equiv", "{f}", boolean3_path]):
+        want = run_cli(capsys, *(a.format(f=boolean3_path) for a in argv))
+        assert run_cli(capsys, *(a.format(f=marked) for a in argv)) == want, argv
+        assert want[0] == 0, argv
+
+
+def test_byte_order_mark_before_a_psi_file_is_dropped(capsys, tmp_path, boolean3_path):
+    (tmp_path / "psi").write_bytes(PSI3)
+    (tmp_path / "marked").write_bytes(BOM + PSI3)
+    for argv in (["det", boolean3_path, "--method", "psi", "--psi", "{psi}"],
+                 ["equiv", boolean3_path, boolean3_path, "--method", "incl,psi", "--psi", "{psi}"]):
+        want = run_cli(capsys, *(a.format(psi=tmp_path / "psi") for a in argv))
+        assert run_cli(capsys, *(a.format(psi=tmp_path / "marked") for a in argv)) == want, argv
+        assert want[0] == 0, argv
+
+
+def test_byte_order_mark_counts_in_decode_error_offsets(capsys, tmp_path, goguen3_path):
+    """A decode error names the file's own offset, the mark's three bytes
+    included, in a document and a psi file alike; without the bad byte, the
+    same files read."""
+    doc, psi = tmp_path / "doc.fza", tmp_path / "psi"
+    text = Path(goguen3_path).read_bytes()
+    for bad in (b"\xff", b"x"):
+        doc.write_bytes(BOM + text + b"# " + bad + b"\n")
+        psi.write_bytes(BOM + PSI3 + b"# " + bad + b"\n")
+        eval_call = run_cli(capsys, "eval", str(doc), "x")
+        psi_call = run_cli(capsys, "det", goguen3_path, "--method", "psi", "--psi", str(psi))
+        if bad == b"x":
+            assert eval_call == (0, "0.5\n", "")
+            assert psi_call[0] == 0
+            continue
+        says = "cannot read {}: not UTF-8 text (byte 0xff at offset {})\n"
+        assert eval_call == (2, "", "error: " + says.format(doc, 3 + len(text) + 2))
+        assert psi_call == (2, "", "error: --psi: " + says.format(psi, 3 + len(PSI3) + 2))
+
+
 def test_eval_parse_error_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.fza"
     bad.write_text("lattice goguen\nalphabet x\nstates 1\ninitial 2\n"
@@ -455,12 +499,16 @@ print(json.dumps([code, loaded, {k: n for k, n in counts.items() if n}]), file=s
      {"parse_automaton": 1, "preflight": 1, "brzozowski": 1, "format_word": 3}),
     (["det", "goguen3", "--method", "psi", "--psi", "identity"], 0,
      {"parse_automaton": 1, "preflight": 1, "psi_d_automaton": 1, "format_word": 3}),
+    (["det", "goguen3", "--method", "psi", "--psi", "psi3"], 0,
+     {"parse_automaton": 1, "preflight": 1, "psi_d_automaton": 1, "format_word": 3}),
     (["equiv", "goguen3", "goguen3", "--method", "incl,brzozowski"], 0,
      {"parse_automaton": 2, "d_automaton": 1, "brzozowski": 1, "find_witness": 1}),
 ])
-def test_tracer_replacements_take_effect(python_child, goguen3_path, boolean3_path,
+def test_tracer_replacements_take_effect(python_child, tmp_path, goguen3_path, boolean3_path,
                                         argv, code, counts):
-    paths = {"goguen3": goguen3_path, "boolean3": boolean3_path}
+    psi3 = tmp_path / "psi3"
+    psi3.write_text("1 0 0\n0 1 0\n0 0 1\n", encoding="utf-8")
+    paths = {"goguen3": goguen3_path, "boolean3": boolean3_path, "psi3": str(psi3)}
     proc = python_child("-c", TRACED_CHILD, str(BENCH), *(paths.get(a, a) for a in argv))
     assert json.loads(proc.stderr.splitlines()[-1]) == [code, False, counts], proc.stderr
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import fuzzdet.determinize
+import fuzzdet.psi
 from fuzzdet import (
     BOOLEAN,
     GODEL,
@@ -273,8 +273,8 @@ def test_psi_is_checked_and_glued_on_codes(monkeypatch, boolean3):
     """psi_d_automaton composes psi with each delta_x once, for the check and
     the tree alike, and checking psi builds no vector or matrix."""
     composed = []
-    compose = fuzzdet.determinize._compose
-    monkeypatch.setattr(fuzzdet.determinize, "_compose",
+    compose = fuzzdet.psi._compose
+    monkeypatch.setattr(fuzzdet.psi, "_compose",
                         lambda c, a, b: composed.append(a) or compose(c, a, b))
     psi = identity_matrix(BOOLEAN, 3)
     assert psi_d_automaton(boolean3, psi).cdfa == d_automaton(boolean3).cdfa

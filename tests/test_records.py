@@ -3,6 +3,7 @@ on import; the lazy package, and the modules each command loads."""
 
 import importlib
 import pickle
+import pkgutil
 import types
 from fractions import Fraction as F
 from pathlib import Path
@@ -163,9 +164,10 @@ def test_import_loads_no_submodule(python_child):
 
 
 # Most lines one call may compile: the package, __main__ and every module the
-# call loads. Without a bytecode cache each call compiles them, at about 12 µs
-# a line (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_110, "semiring": 1_317, "det": 2_001, "equiv": 2_001}
+# call loads, keyed by command, and "psi" for a call whose --psi names a file.
+# Without a bytecode cache each call compiles them, at about 12 µs a line
+# (2-core x86-64 host, Python 3.11).
+LINE_BUDGETS = {"eval": 1_109, "semiring": 1_316, "det": 1_903, "equiv": 1_903, "psi": 2_006}
 
 
 def _lines(module: str) -> int:
@@ -177,21 +179,36 @@ def _lines(module: str) -> int:
     ["semiring", "{f}"],
     ["det", "{f}", "--method", "brzozowski", "--dot", "-"],
     ["equiv", "{f}", "{f}", "--method", "incl,brzozowski"],
+    ["det", "{f}", "--method", "psi", "--psi", "identity"],
+    ["det", "{f}", "--method", "psi", "--psi", "{psi}"],
 ])
-def test_command_loads_only_what_it_runs(python_child, goguen3_path, argv):
+def test_command_loads_only_what_it_runs(python_child, goguen3_path, tmp_path, argv):
+    psi = tmp_path / "psi"
+    psi.write_text("1 0 0\n0 1 0\n0 0 1\n", encoding="utf-8")
     proc = python_child("-S", "-X", "importtime", "-m", "fuzzdet",
-                        *(a.format(f=goguen3_path) for a in argv))
+                        *(a.format(f=goguen3_path, psi=psi) for a in argv))
     assert proc.returncode == 0, proc.stderr
     loaded = _loaded(proc)
     command = argv[0]
+    psi_file = "{psi}" in argv
     assert not {"argparse", "gettext", "locale"} & _imported(proc)
     assert "fuzzdet.cli" in loaded and not {"fuzzdet.reference", "fuzzdet.usage"} & loaded
     assert ("fuzzdet.determinize" in loaded) == (command in ("det", "equiv"))
     assert ("fuzzdet.detcli" in loaded) == (command in ("det", "equiv"))
     assert ("fuzzdet.closure" in loaded) == (command != "eval")
+    assert ("fuzzdet.psi" in loaded) == psi_file
     modules = ["__init__", "__main__", *(name.split(".", 1)[1] for name in loaded)]
     compiled = sum(map(_lines, modules))
-    assert compiled <= LINE_BUDGETS[command], (compiled, sorted(loaded))
+    assert compiled <= LINE_BUDGETS["psi" if psi_file else command], (compiled, sorted(loaded))
+
+
+def test_no_submodule_is_named_like_an_export():
+    """Importing a submodule binds its name on the package, so a module named
+    like an export would replace that export, the function or class, with
+    the module."""
+    modules = {m.name for m in pkgutil.iter_modules(fuzzdet.__path__)}
+    assert "psi" in modules
+    assert not modules & set(fuzzdet.__all__)
 
 
 def test_every_export_resolves_to_its_module_object():
