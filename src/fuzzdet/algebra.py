@@ -12,8 +12,6 @@ carrier, on values checked when their container was built, and the
 constructions on their values encoded once (closure.carrier_of).
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 
@@ -103,13 +101,13 @@ class FuzzyMatrix(Record):
 # and the rows the constructions use again and again are sparse.
 
 
-def _pairs(c: Carrier, rows) -> tuple:
+def _pairs(c: "Carrier", rows) -> tuple:
     """Each row as the (k, x) pairs of its entries other than bottom."""
     bottom = c.bottom
     return tuple(tuple((k, x) for k, x in enumerate(row) if x != bottom) for row in rows)
 
 
-def _sup_product(c: Carrier, rows, vec) -> tuple:
+def _sup_product(c: "Carrier", rows, vec) -> tuple:
     """(join_k tmul(x, vec[k]) over (k, x) in row, for each row)."""
     bottom, top, tmul = c.bottom, c.top, c.tmul
     out = []
@@ -128,7 +126,7 @@ def _sup_product(c: Carrier, rows, vec) -> tuple:
     return tuple(out)
 
 
-def _residual_meet(c: Carrier, rows, vec) -> tuple:
+def _residual_meet(c: "Carrier", rows, vec) -> tuple:
     """(meet_k resid(x, vec[k]) over (k, x) in row, for each row).
 
     resid(x, y) is top exactly when x <= y, so only x > y can lower the meet.

@@ -6,8 +6,6 @@ a word u is sigma ∘ delta_u ∘ tau. Their crisp-deterministic counterparts,
 the Cdfa, are in determinize.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Mapping, Sequence
 
 from .algebra import FuzzyMatrix, FuzzyVector, dot, vec_mat

@@ -2,18 +2,18 @@
 
 Subcommands: eval, det, equiv, semiring. Reports go to stdout and are
 byte-identical across runs on the same input; diagnostics and --stats go to
-stderr. Exit codes: 0 success, 1 not equivalent, 2 usage or input errors,
-3 a construction hit its state cap.
+stderr, and one that cannot be written is dropped. Exit codes: 0 success,
+1 not equivalent, 2 usage or input errors, 3 a construction hit its state cap.
 
-parse_args reads the command line as argparse read it, from COMMANDS; one
-not plainly spelt, --help and usage errors load usage. Each call loads only
-what its command runs; det and equiv run in detcli. The library functions a
-command calls are looked up as names of this module at each call, so that
-bench/'s tracer can replace them by name.
+main returns the code; run, the process's entry point, exits with it and
+skips the interpreter's teardown. parse_args reads the command line as
+argparse read it, from COMMANDS; one not plainly spelt, --help and usage
+errors load usage. Each call loads only what its command runs; det and
+equiv run in detcli. The library functions a command calls are looked up
+as names of this module at each call, so bench/'s tracer can replace them.
 """
 
-from __future__ import annotations
-
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -147,7 +147,18 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return _read_plain(argv) or _bound("read_argv")(argv)
 
 
+def _to_stderr(line: str) -> None:
+    """Write a diagnostic line to stderr, or drop one that cannot be written."""
+    try:
+        sys.stderr.write(f"{line}\n")
+    except (AttributeError, OSError, ValueError):  # no stderr, or a closed one
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        _to_stderr("error: cannot write stdout: Bad file descriptor")
+        return EXIT_USAGE
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
@@ -160,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader of stdout went away, or stdout cannot encode a symbol of
         # the report: neither says anything about the input. Drop what stdout
         # still buffers, so that exit does not fail again.
-        print(f"error: cannot write stdout: {getattr(e, 'strerror', e)}", file=sys.stderr)
+        _to_stderr(f"error: cannot write stdout: {getattr(e, 'strerror', e)}")
         try:
             fd = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
@@ -168,10 +179,23 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return EXIT_USAGE
     except (FuzzdetError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _to_stderr(f"error: {e}")
         return EXIT_USAGE
     return code
 
 
+def run() -> None:
+    """The process entry point: run the atexit handlers, flush stdout and
+    stderr, and exit with main's code without the interpreter's teardown."""
+    code = main()
+    atexit._run_exitfuncs()  # as the interpreter runs them, before its last flush
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    except Exception:  # no stream, one that fails, or a code that is no int:
+        sys.exit(code)  # the interpreter ends the process, as it always did
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,8 +7,6 @@ the values that enter one construction (see algebra.Carrier). semiring,
 det and equiv load this module; eval does not.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
@@ -174,7 +172,7 @@ def _truncated_sums(lattice: Lattice, start: set, cap: int) -> set | None:
 # These read an automaton's lattice, n, sigma, tau and delta only, so this
 # module needs no import of automata; annotations are not evaluated.
 
-def automaton_values(a: FuzzyAutomaton) -> ValueSet:
+def automaton_values(a: "FuzzyAutomaton") -> ValueSet:
     """Every membership degree appearing in sigma, tau or a transition matrix."""
     values = set(a.sigma.entries) | set(a.tau.entries)
     for m in a.delta.values():
@@ -196,7 +194,7 @@ class PreflightReport(Record):
         return self.closure.k ** self.n
 
 
-def preflight(a: FuzzyAutomaton, value_cap: int = DEFAULT_CAP) -> PreflightReport:
+def preflight(a: "FuzzyAutomaton", value_cap: int = DEFAULT_CAP) -> PreflightReport:
     """Close the automaton's values under join and tmul before determinizing.
 
     A closed set of k values bounds every derivative construction by k^n

@@ -5,16 +5,14 @@ functions they call as attributes of cli at each call, so that a name
 replaced on cli is the one that runs.
 """
 
-from __future__ import annotations
-
 import sys
 
 from . import cli
 from .algebra import FuzzyMatrix
 from .automata import FuzzyAutomaton
 from .cli import (EXIT_CAP, EXIT_NOT_EQUIVALENT, EXIT_OK, METHODS, _check_cap, _closure_line,
-                  _load, _read)
-from .determinize import Cdfa
+                  _load, _read, _to_stderr)
+from .determinize import Cdfa, DetOutcome
 from .errors import FuzzdetError, PsiNotLeftInvariant, PsiNotReflexive
 from .formats import _quote, format_word
 
@@ -101,12 +99,11 @@ def cmd_det(args) -> int:
             raise FuzzdetError(f"--dot: cannot write {args.dot}: {e.strerror}") from None
     print(f"semiring: {closure}")
     if closure.startswith("cap exceeded"):
-        print("warning: membership values did not close, "
-              "termination is not guaranteed", file=sys.stderr)
+        _to_stderr("warning: membership values did not close, termination is not guaranteed")
     if args.stats:
         s = outcome.stats
-        print(f"stats: vertices={s.vertices} closure_checks={s.closure_checks} "
-              f"elapsed={s.elapsed:.3f}s", file=sys.stderr)
+        _to_stderr(f"stats: vertices={s.vertices} closure_checks={s.closure_checks} "
+                   f"elapsed={s.elapsed:.3f}s")
     if not outcome.ok:
         r = outcome.result
         print(f"cap exceeded: {r.states_built} states built (max-states {r.cap})")
@@ -144,8 +141,7 @@ def cmd_equiv(args) -> int:
         outcome = _determinize(a, m, args.max_states, psi)
         if not outcome.ok:
             r = outcome.result
-            print(f"cap exceeded: {r.states_built} states built "
-                  f"(max-states {r.cap})", file=sys.stderr)
+            _to_stderr(f"cap exceeded: {r.states_built} states built (max-states {r.cap})")
             return EXIT_CAP
         outcomes.append(outcome.cdfa)
     witness = cli.find_witness(outcomes[0], outcomes[1])

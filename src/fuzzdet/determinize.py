@@ -46,8 +46,6 @@ bound for that automaton. Decoding happens at one boundary, the
 TransitionTree's state_vectors and state_terminals, which to_cdfa reads.
 """
 
-from __future__ import annotations
-
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -217,7 +215,7 @@ class TransitionTree:
         return len(self.codes)
 
     @cached_property
-    def vertices(self) -> list[TreeVertex]:
+    def vertices(self) -> "list[TreeVertex]":
         """The tree's vertices, which no construction reads: reference.tree_vertices."""
         from .reference import tree_vertices
         return tree_vertices(self)

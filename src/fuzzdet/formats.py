@@ -26,8 +26,6 @@ and equiv write, is in detcli, and psi matrix documents are in psi (see
 parse_matrix), whose rows _matrix reads, as a transitions block's.
 """
 
-from __future__ import annotations
-
 import re
 
 from .automata import RESERVED_SYMBOL, FuzzyAutomaton, Word
@@ -133,10 +131,8 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
 
     i = 0
     while i < len(lines):
-        tokens = lines[i]
-        head = tokens[0]
+        head, *rest = lines[i]
         kw = head.text
-        rest = tokens[1:]
         i += 1
         if kw in blocks and kw in ("lattice", "alphabet", "states"):
             raise FormatError(f"duplicate {kw} block", head.line)

@@ -9,8 +9,6 @@ The lattice descriptor travels with containers (vectors, matrices), not with
 the values themselves.
 """
 
-from __future__ import annotations
-
 import re
 from collections.abc import Callable
 from fractions import Fraction
@@ -126,9 +124,7 @@ class Lattice(Record):
 
     def describe(self) -> str:
         """Name as it appears in documents, e.g. 'goguen' or 'chain 4'."""
-        if self.kind == "chain":
-            return f"chain {self.top_index}"
-        return self.kind
+        return f"chain {self.top_index}" if self.kind == "chain" else self.kind
 
     def check(self, v: Value, token: str | None = None) -> Value:
         """Validate that v belongs to this lattice's carrier: an exact int on
@@ -268,17 +264,12 @@ def operations(kind: str, bottom, top) -> tuple[Callable, Callable]:
 
 def _decimal_digits(den: int) -> int | None:
     """Digits after the point for 1/den if the expansion terminates, else None."""
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1  # the power of 2 in den
     fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
-        return None
-    return max(twos, fives)
+    return max(twos, fives) if den >> twos == 1 else None
 
 
 BOOLEAN = Lattice("boolean")
@@ -292,9 +283,4 @@ def chain(top_index: int) -> Lattice:
     return Lattice("chain", top_index)
 
 
-NAMED = {
-    "boolean": BOOLEAN,
-    "godel": GODEL,
-    "goguen": GOGUEN,
-    "lukasiewicz": LUKASIEWICZ,
-}
+NAMED = {x.kind: x for x in (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ)}

@@ -5,8 +5,6 @@ detcli loads this module only when --psi names a file, and psi_d_automaton
 only when it is given a psi matrix.
 """
 
-from __future__ import annotations
-
 from .algebra import DEFAULT_CAP, Carrier, FuzzyMatrix, _pairs, _same_lattice, _sup_product
 from .automata import FuzzyAutomaton
 from .determinize import DetOutcome, _Run

@@ -16,8 +16,6 @@ vectors from their definitions, reversal, a cdfa as a fuzzy automaton)
 live in the tests' support module, not here.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .algebra import (
@@ -64,7 +62,7 @@ def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
 
 
 def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
-                        ) -> TransitionTree | CapExceeded:
+                        ) -> "TransitionTree | CapExceeded":
     """The reverse Nerode transition tree: states are the vectors tau_u.
 
     tau_eps is tau itself and tau_{xu} = delta_x ∘ tau_u, so words grow on
@@ -88,7 +86,7 @@ class TreeVertex(Record):
     __slots__ = ("word", "pointer", "closed", "parent", "symbol")
 
 
-def tree_vertices(tree: TransitionTree) -> list[TreeVertex]:
+def tree_vertices(tree: "TransitionTree") -> list[TreeVertex]:
     """The root, then each state's children in alphabet order.
 
     A child is open iff it made its state, that is iff it has its
@@ -110,7 +108,7 @@ def tree_vertices(tree: TransitionTree) -> list[TreeVertex]:
 # -- automata --------------------------------------------------------------
 
 
-def cdfa_evaluate(c: Cdfa, word: Sequence[str]) -> Value:
+def cdfa_evaluate(c: "Cdfa", word: Sequence[str]) -> Value:
     """Run the deterministic table and read off the terminal degree."""
     state = c.initial
     for x in word:

@@ -13,13 +13,11 @@ and --dot=-- gives '--'. The one exception: -h joined to letters other
 than h, as in -hx, is an error, as it was before 3.13.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from types import SimpleNamespace
 
-from .cli import COMMANDS, DEFAULTS, EXIT_OK, EXIT_USAGE, METHODS
+from .cli import COMMANDS, DEFAULTS, EXIT_OK, EXIT_USAGE, METHODS, _to_stderr
 
 # Each command's --help text; "" is fuzzdet's own.
 HELP = {"": """\
@@ -99,7 +97,7 @@ def exit_with(command: str, message: str | None = None):
         raise SystemExit(EXIT_OK)
     usage = HELP[command].split("\n\n", 1)[0]
     prog = f"fuzzdet {command}".rstrip()
-    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    _to_stderr(f"{usage}\n{prog}: error: {message}")
     raise SystemExit(EXIT_USAGE)
 
 

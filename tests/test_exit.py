@@ -1,0 +1,139 @@
+"""How a fuzzdet process ends: `python -m fuzzdet` against main in process,
+atexit handlers, the fallback to the interpreter's own exit, and streams
+that cannot be written."""
+
+import errno
+import sys
+from pathlib import Path
+
+import pytest
+
+from fuzzdet.cli import main
+
+
+def _calls(tmp_path, goguen3_path, boolean3_path) -> dict[str, list[str]]:
+    """One call for each way a command ends, by name."""
+    text = Path(boolean3_path).read_text(encoding="utf-8")
+    near_miss = tmp_path / "near_miss.fza"
+    near_miss.write_text(text.replace("terminal 1 0 1", "terminal 0 1 0"), encoding="utf-8")
+    return {
+        "eval": ["eval", goguen3_path, "x"],
+        "det --dot -": ["det", boolean3_path, "--dot", "-"],
+        "det warns": ["det", goguen3_path, "--stats"],
+        "semiring": ["semiring", goguen3_path, "--cap", "100"],
+        "equiv": ["equiv", boolean3_path, boolean3_path],
+        "not equivalent": ["equiv", boolean3_path, str(near_miss)],
+        "missing file": ["equiv", boolean3_path, str(tmp_path / "missing.fza")],
+        "det cap": ["det", goguen3_path, "--method", "nerode", "--max-states", "10"],
+        "equiv cap": ["equiv", goguen3_path, goguen3_path, "--method", "nerode",
+                      "--max-states", "10"],
+        "--help": ["det", "--help"],
+        "usage error": ["det", goguen3_path, "--method", "subset"],
+    }
+
+
+# --stats prints an elapsed time, which differs between two runs
+TIMED = {"det warns"}
+
+
+def test_module_ends_as_main_returns(capsys, python_child, tmp_path, goguen3_path,
+                                     boolean3_path):
+    """`python -m fuzzdet` writes what main writes in process and exits
+    with its code, though the process skips the interpreter's teardown."""
+    codes = set()
+    for name, argv in _calls(tmp_path, goguen3_path, boolean3_path).items():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        proc = python_child("-m", "fuzzdet", *argv)
+        if name in TIMED:
+            err, proc.stderr = err.split("elapsed=")[0], proc.stderr.split("elapsed=")[0]
+        assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code), name
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("module", ["fuzzdet", "fuzzdet.cli"])
+def test_atexit_handlers_run_and_are_flushed(python_child, goguen3_path, module):
+    """A handler registered before the entry point runs, as `python -m`
+    runs it, still runs after main, and what it prints is written."""
+    proc = python_child("-c", f"""
+import atexit, runpy, sys
+atexit.register(print, "handler ran")
+sys.argv = ["fuzzdet", "eval", {goguen3_path!r}, "x"]
+runpy.run_module({module!r}, run_name="__main__", alter_sys=True)
+print("not reached")
+""")
+    assert (proc.stdout, proc.stderr, proc.returncode) == ("0.5\nhandler ran\n", "", 0)
+
+
+FALLBACK_CHILD = """
+import errno, sys
+import fuzzdet.cli as cli
+
+class Failing:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+def main():
+    if sys.argv[1] == "failing stdout":
+        sys.stdout = Failing()
+        return 0
+    return "bye"
+
+cli.main = main
+cli.run()
+"""
+
+
+def test_a_code_that_is_no_int_exits_as_sys_exit(python_child):
+    proc = python_child("-c", FALLBACK_CHILD, "no int")
+    assert (proc.stdout, proc.stderr, proc.returncode) == ("", "bye\n", 1)
+
+
+def test_a_flush_that_fails_ends_in_the_interpreter(python_child):
+    """The interpreter flushes again at exit, reports the failure, and exits 120."""
+    proc = python_child("-c", FALLBACK_CHILD, "failing stdout")
+    assert proc.returncode == 120, proc.stderr
+    assert proc.stderr.startswith("Exception ignored") and "BrokenPipeError" in proc.stderr
+
+
+def test_no_stdout_exits_2(capsys, monkeypatch, tmp_path, goguen3_path, boolean3_path):
+    """fd 1 closed when the process started leaves sys.stdout None: no
+    command runs, and none ends with exit 1, which means not equivalent."""
+    monkeypatch.setattr(sys, "stdout", None)
+    for name, argv in _calls(tmp_path, goguen3_path, boolean3_path).items():
+        assert main(argv) == 2, name
+        assert capsys.readouterr().err == "error: cannot write stdout: Bad file descriptor\n"
+
+
+class UnwritableStderr:
+    """A stderr on a descriptor that cannot be written."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("stderr", [UnwritableStderr(), None], ids=["EBADF", "None"])
+def test_a_diagnostic_that_cannot_be_written_is_dropped(capsys, monkeypatch, tmp_path,
+                                                        goguen3_path, boolean3_path, stderr):
+    """Stdout and the exit code are what they are with a working stderr,
+    and the report goes on after a warning that could not be written."""
+    calls = _calls(tmp_path, goguen3_path, boolean3_path)
+    expected, diagnostics = {}, {}
+    for name, argv in calls.items():
+        code = main(argv)
+        out, diagnostics[name] = capsys.readouterr()
+        expected[name] = code, out
+    assert diagnostics["det warns"].startswith("warning: membership values did not close")
+    assert expected["det warns"][1].endswith("state 3: word=y, terminal=1\n")
+    assert expected["missing file"] == (2, "")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    for name, argv in calls.items():
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == expected[name], name

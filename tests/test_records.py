@@ -167,7 +167,7 @@ def test_import_loads_no_submodule(python_child):
 # call loads, keyed by command, and "psi" for a call whose --psi names a file.
 # Without a bytecode cache each call compiles them, at about 12 µs a line
 # (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_109, "semiring": 1_316, "det": 1_903, "equiv": 1_903, "psi": 2_006}
+LINE_BUDGETS = {"eval": 1_109, "semiring": 1_314, "det": 1_895, "equiv": 1_895, "psi": 1_996}
 
 
 def _lines(module: str) -> int:
@@ -191,7 +191,7 @@ def test_command_loads_only_what_it_runs(python_child, goguen3_path, tmp_path, a
     loaded = _loaded(proc)
     command = argv[0]
     psi_file = "{psi}" in argv
-    assert not {"argparse", "gettext", "locale"} & _imported(proc)
+    assert not {"argparse", "gettext", "locale", "__future__"} & _imported(proc)
     assert "fuzzdet.cli" in loaded and not {"fuzzdet.reference", "fuzzdet.usage"} & loaded
     assert ("fuzzdet.determinize" in loaded) == (command in ("det", "equiv"))
     assert ("fuzzdet.detcli" in loaded) == (command in ("det", "equiv"))
@@ -216,7 +216,8 @@ def test_every_export_resolves_to_its_module_object():
         module = importlib.import_module(f"fuzzdet.{fuzzdet._MODULE_OF[name]}")
         value = getattr(fuzzdet, name)
         assert value is getattr(module, name), name
-        if isinstance(value, (type, types.FunctionType)):
+        # on 3.10 a generic alias, such as Word, passes for a type but has no module
+        if isinstance(value, (type, types.FunctionType)) and type(value) is not types.GenericAlias:
             assert value.__module__ == module.__name__, name
     assert set(fuzzdet.__all__) <= set(dir(fuzzdet))
     with pytest.raises(AttributeError):
