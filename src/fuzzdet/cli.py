@@ -5,12 +5,14 @@ byte-identical across runs on the same input; diagnostics and --stats go to
 stderr, and one that cannot be written is dropped. Exit codes: 0 success,
 1 not equivalent, 2 usage or input errors, 3 a construction hit its state cap.
 
-main returns the code; run, the process's entry point, exits with it and
-skips the interpreter's teardown. parse_args reads the command line as
-argparse read it, from COMMANDS; one not plainly spelt, --help and usage
-errors load usage. Each call loads only what its command runs; det and
-equiv run in detcli. The library functions a command calls are looked up
-as names of this module at each call, so bench/'s tracer can replace them.
+main returns the code: 2 for a FuzzdetError, the input's fault, and for an
+OSError, which can only be stdout's, --help's included. run, the process's
+entry point, exits with the code and skips the interpreter's teardown.
+parse_args reads the command line as argparse read it, from COMMANDS; one
+not plainly spelt, --help and usage errors load usage. Each call loads only
+what its command runs; det and equiv run in detcli. The library functions a
+command calls are looked up as attributes of this module at each call, so
+bench/'s tracer can replace them.
 """
 
 import atexit
@@ -46,6 +48,7 @@ DEFAULTS = {"--method": "incl", "--psi": None, "--max-states": DEFAULT_CAP, "--d
 # Names bound here the first time they are looked up, from their module: the
 # det and equiv handlers, usage's read_argv and the package's public names.
 _LAZY = {"cmd_det": "detcli", "cmd_equiv": "detcli", "read_argv": "usage"}
+_self = sys.modules[__name__]  # where a command looks up the names it calls
 
 
 def __getattr__(name: str):
@@ -55,11 +58,6 @@ def __getattr__(name: str):
     # __import__, unlike importlib.import_module, shows in -X importtime
     value = globals()[name] = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
     return value
-
-
-def _bound(name: str):
-    """What this module's name stands for now, binding it on first use."""
-    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _read(path: str) -> str:
@@ -83,7 +81,7 @@ def _load(path: str) -> FuzzyAutomaton:
 
 
 def _closure_line(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> str:
-    report = _bound("preflight")(a, cap)
+    report = _self.preflight(a, cap)
     if report.closure.closed:
         k = report.closure.k
         return f"finite, k={k}, bound {k}^{report.n}={report.bound}"
@@ -144,7 +142,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     """argv read as argparse read it: the command, and an attribute per
     positional and flag. --help prints its text and raises SystemExit(0); a
     usage error prints to stderr and raises SystemExit(2)."""
-    return _read_plain(argv) or _bound("read_argv")(argv)
+    return _read_plain(argv) or _self.read_argv(argv)
 
 
 def _to_stderr(line: str) -> None:
@@ -161,25 +159,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-    except SystemExit as e:
-        return e.code
-    handler = _bound(f"cmd_{args.command}")
-    try:
-        code = handler(args)
+        code = getattr(_self, f"cmd_{args.command}")(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
-    except (BrokenPipeError, UnicodeEncodeError) as e:
-        # The reader of stdout went away, or stdout cannot encode a symbol of
-        # the report: neither says anything about the input. Drop what stdout
-        # still buffers, so that exit does not fail again.
-        _to_stderr(f"error: cannot write stdout: {getattr(e, 'strerror', e)}")
+    except SystemExit as e:  # --help, flushed as it is written, or a usage error
+        return e.code
+    except FuzzdetError as e:
+        _to_stderr(f"error: {e}")
+        return EXIT_USAGE
+    except (OSError, UnicodeEncodeError) as e:
+        # A command turns a file's OSError into a FuzzdetError, so stdout
+        # failed. Drop what it still buffers, so that exit does not fail again.
+        _to_stderr(f"error: cannot write stdout: {getattr(e, 'strerror', None) or e}")
         try:
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (AttributeError, OSError, ValueError):  # no file, as under a test
             pass
-        return EXIT_USAGE
-    except (FuzzdetError, OSError) as e:
-        _to_stderr(f"error: {e}")
         return EXIT_USAGE
     return code
 

@@ -126,6 +126,8 @@ def cmd_equiv(args) -> int:
         methods = methods * 2
     if len(methods) != 2 or any(m not in METHODS for m in methods):
         raise FuzzdetError(f"--method takes one or two of {', '.join(METHODS)}")
+    if "rnerode" in methods:  # its cdfa reads each word reversed
+        raise FuzzdetError("--method rnerode recognizes the reverse language; equiv takes the rest")
     _check_psi_applies(args.psi, methods)
     a1 = _load(args.file1)
     a2 = _load(args.file2)

@@ -14,7 +14,6 @@ than h, as in -hx, is an error, as it was before 3.13.
 """
 
 import re
-import sys
 from types import SimpleNamespace
 
 from .cli import COMMANDS, DEFAULTS, EXIT_OK, EXIT_USAGE, METHODS, _to_stderr
@@ -90,10 +89,11 @@ _NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number is a value, not
 
 
 def exit_with(command: str, message: str | None = None):
-    """Print the --help text of command and exit 0, or, given an error
-    message, the text's usage lines and the message on stderr and exit 2."""
+    """Print the --help text of command, flushed so that a stdout that cannot
+    be written fails in cli.main, and exit 0; or, given an error message,
+    print the text's usage lines and the message on stderr and exit 2."""
     if message is None:
-        sys.stdout.write(HELP[command])
+        print(HELP[command], end="", flush=True)
         raise SystemExit(EXIT_OK)
     usage = HELP[command].split("\n\n", 1)[0]
     prog = f"fuzzdet {command}".rstrip()

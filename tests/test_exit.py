@@ -3,11 +3,14 @@ atexit handlers, the fallback to the interpreter's own exit, and streams
 that cannot be written."""
 
 import errno
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from fuzzdet.cli import main
 
 
@@ -24,6 +27,9 @@ def _calls(tmp_path, goguen3_path, boolean3_path) -> dict[str, list[str]]:
         "equiv": ["equiv", boolean3_path, boolean3_path],
         "not equivalent": ["equiv", boolean3_path, str(near_miss)],
         "missing file": ["equiv", boolean3_path, str(tmp_path / "missing.fza")],
+        "missing --psi file": ["det", boolean3_path, "--method", "psi",
+                               "--psi", str(tmp_path / "missing.psi")],
+        "unwritable --dot file": ["det", boolean3_path, "--dot", str(tmp_path / "no" / "x.dot")],
         "det cap": ["det", goguen3_path, "--method", "nerode", "--max-states", "10"],
         "equiv cap": ["equiv", goguen3_path, goguen3_path, "--method", "nerode",
                       "--max-states", "10"],
@@ -109,8 +115,8 @@ def test_no_stdout_exits_2(capsys, monkeypatch, tmp_path, goguen3_path, boolean3
         assert capsys.readouterr().err == "error: cannot write stdout: Bad file descriptor\n"
 
 
-class UnwritableStderr:
-    """A stderr on a descriptor that cannot be written."""
+class Unwritable:
+    """A stream on a descriptor that cannot be written, as one open only for reading."""
 
     def write(self, text):
         raise OSError(errno.EBADF, "Bad file descriptor")
@@ -119,7 +125,7 @@ class UnwritableStderr:
         pass
 
 
-@pytest.mark.parametrize("stderr", [UnwritableStderr(), None], ids=["EBADF", "None"])
+@pytest.mark.parametrize("stderr", [Unwritable(), None], ids=["EBADF", "None"])
 def test_a_diagnostic_that_cannot_be_written_is_dropped(capsys, monkeypatch, tmp_path,
                                                         goguen3_path, boolean3_path, stderr):
     """Stdout and the exit code are what they are with a working stderr,
@@ -137,3 +143,40 @@ def test_a_diagnostic_that_cannot_be_written_is_dropped(capsys, monkeypatch, tmp
     for name, argv in calls.items():
         code = main(argv)
         assert (code, capsys.readouterr().out) == expected[name], name
+
+
+def test_a_stdout_that_cannot_be_written_is_named(capsys, monkeypatch, tmp_path, goguen3_path,
+                                                  boolean3_path):
+    """Every call that writes stdout, --help included, exits 2 and names
+    stdout. A file that cannot be read or written is named as that file, so
+    an OSError that reaches main is stdout's."""
+    calls = _calls(tmp_path, goguen3_path, boolean3_path)
+    says = "error: cannot write stdout: Bad file descriptor\n"
+    expected = {}
+    for name, argv in calls.items():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        expected[name] = (2, says) if out else (code, err)
+    missing = "No such file or directory\n"
+    assert expected["missing file"] == (2, f"error: cannot read {tmp_path}/missing.fza: {missing}")
+    assert expected["missing --psi file"] == (
+        2, f"error: --psi: cannot read {tmp_path}/missing.psi: {missing}")
+    assert expected["unwritable --dot file"] == (
+        2, f"error: --dot: cannot write {tmp_path}/no/x.dot: {missing}")
+    writes_no_stdout = {"missing file", "missing --psi file", "unwritable --dot file",
+                        "equiv cap", "usage error"}
+    assert {name for name, (_, err) in expected.items() if err != says} == writes_no_stdout
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    for name, argv in calls.items():
+        assert (main(argv), capsys.readouterr().err) == expected[name], name
+
+
+@pytest.mark.parametrize("argv", [["eval", "{f}", "x"], ["det", "--help"]],
+                         ids=["eval", "--help"])
+def test_a_stdout_open_only_for_reading_exits_2(boolean3_path, argv):
+    with open(os.devnull, "rb") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "fuzzdet",
+                               *(a.format(f=boolean3_path) for a in argv)],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env())
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write stdout: Bad file descriptor\n")

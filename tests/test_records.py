@@ -167,7 +167,7 @@ def test_import_loads_no_submodule(python_child):
 # call loads, keyed by command, and "psi" for a call whose --psi names a file.
 # Without a bytecode cache each call compiles them, at about 12 µs a line
 # (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_109, "semiring": 1_314, "det": 1_895, "equiv": 1_895, "psi": 1_996}
+LINE_BUDGETS = {"eval": 1_103, "semiring": 1_308, "det": 1_891, "equiv": 1_891, "psi": 1_992}
 
 
 def _lines(module: str) -> int:
