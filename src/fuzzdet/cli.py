@@ -2,12 +2,12 @@
 
 Subcommands: eval, det, equiv, semiring. Reports go to stdout and are
 byte-identical across runs on the same input; diagnostics and --stats go to
-stderr, and one that cannot be written is dropped. Exit codes: 0 success,
-1 not equivalent, 2 usage or input errors, 3 a construction hit its state cap.
+stderr; one that cannot be written is dropped. Exit codes: 0 success, 1 not
+equivalent, 2 usage or input errors, 3 a state cap hit or out of memory.
 
 main returns the code: 2 for a FuzzdetError, the input's fault, and for an
-OSError, which can only be stdout's, --help's included. run, the process's
-entry point, exits with the code and skips the interpreter's teardown.
+OSError, which can only be stdout's, --help's included, 3 for a MemoryError.
+run, the entry point, exits with it and skips the interpreter's teardown.
 parse_args reads the command line as argparse read it, from COMMANDS; one
 not plainly spelt, --help and usage errors load usage. Each call loads only
 what its command runs; det and equiv run in detcli. The library functions a
@@ -175,7 +175,12 @@ def main(argv: list[str] | None = None) -> int:
         except (AttributeError, OSError, ValueError):  # no file, as under a test
             pass
         return EXIT_USAGE
-    return code
+    except MemoryError:  # reported once the except has freed the construction's frames
+        pass
+    else:
+        return code
+    _to_stderr("error: out of memory")
+    return EXIT_CAP
 
 
 def run() -> None:

@@ -125,7 +125,8 @@ def cmd_equiv(args) -> int:
     if len(methods) == 1:
         methods = methods * 2
     if len(methods) != 2 or any(m not in METHODS for m in methods):
-        raise FuzzdetError(f"--method takes one or two of {', '.join(METHODS)}")
+        raise FuzzdetError("--method takes one or two of "
+                           + ", ".join(m for m in METHODS if m != "rnerode"))
     if "rnerode" in methods:  # its cdfa reads each word reversed
         raise FuzzdetError("--method rnerode recognizes the reverse language; equiv takes the rest")
     _check_psi_applies(args.psi, methods)

@@ -14,9 +14,8 @@ or on the left (reverse ones).
 A tree is kept as its glued state table, which fixes it: each state has
 one open vertex, open vertices are expanded in the order their states were
 made, children in alphabet order. A state keeps its vector, its terminal
-degree, its edge row and the word of the vertex that made it, and
-TransitionTree derives the canonical words from those. One _Run carries
-a construction: its cap, clock, counters and encoded automaton.
+degree, its edge row and the number of the edge that made it, but no word.
+One _Run carries a construction: cap, clock, counters, encoded automaton.
 
 Constructions:
   nerode           states sigma_u, children sigma_u ∘ delta_x
@@ -178,8 +177,7 @@ class DetOutcome(Record):
     @property
     def cdfa(self) -> Cdfa:
         if not isinstance(self.result, Cdfa):
-            raise ValueError(
-                f"construction stopped at its cap of {self.result.cap} states")
+            raise ValueError(f"construction stopped at its cap of {self.result.cap} states")
         return self.result
 
 
@@ -188,27 +186,23 @@ class TransitionTree:
 
     State lists are indexed by pointer - 1. codes and terminal_codes hold
     each state's vector and terminal degree in the carrier's encoding, and
-    state_vectors and state_terminals decode them. state_edges[s][i] is
-    the glued target of state s under alphabet symbol i, and words[s] the
-    word of the vertex that made s, grown on the left when prepend. A
-    plain object, equal only to itself, as its Carrier is: compare two
-    trees by their state_vectors or their to_cdfa().
+    state_vectors and state_terminals decode them. state_edges[s][i] is s's
+    glued target under alphabet symbol i, and makers[t - 1] = s * |alphabet|
+    + i names the edge that made state t. Words grow on the left when
+    prepend. A plain object, equal only to itself, as its Carrier is:
+    compare two trees by their state_vectors or their to_cdfa().
     """
 
     def __init__(self, carrier: Carrier, alphabet: tuple[str, ...], codes: list[tuple],
-                 terminal_codes: list, state_edges: list[tuple[int, ...]],
-                 words: list[Word], prepend: bool):
+                 terminal_codes: list, state_edges: list[tuple[int, ...]], makers: list[int],
+                 prepend: bool):
         self.carrier = carrier
         self.alphabet = alphabet
         self.codes = codes
         self.terminal_codes = terminal_codes
         self.state_edges = state_edges
-        self.words = words
+        self.makers = makers
         self.prepend = prepend
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.carrier.lattice
 
     @property
     def n_states(self) -> int:
@@ -234,31 +228,32 @@ class TransitionTree:
     def canonical_words(self) -> list[Word]:
         """Shortlex-least word per state over all vertices glued to it.
 
-        Ties break by declared alphabet order. Words grown on the right are
-        made in shortlex order, so each state's own word is its least. Grown
-        on the left, each edge s -> t offers (x,) + words[s]; breadth-first,
-        none is shorter than words[t], so only one as long is built.
+        made[t] is made[s] grown by x for the edge s -> t under x that made t,
+        and grown on the right it is least. Grown on the left, a later edge
+        s -> t offers (x,) + made[s], never shorter: ties compete, in alphabet order.
         """
-        words = list(self.words)
+        symbols = [(x,) for x in self.alphabet]
+        m = len(symbols)
+        made: list[Word] = [()]
+        for e in self.makers:
+            u, x = made[e // m], symbols[e % m]
+            made.append(x + u if self.prepend else u + x)
         if not self.prepend:
-            return words
+            return made
         rank = {x: i for i, x in enumerate(self.alphabet)}
-        for s, row in enumerate(self.state_edges):
-            u = self.words[s]
-            n = len(u) + 1
+        least = list(made)
+        for u, row in zip(made, self.state_edges):
             for x, t in zip(self.alphabet, row):
-                if n == len(words[t]):
-                    w = (x,) + u
-                    if [rank[y] for y in w] < [rank[y] for y in words[t]]:
-                        words[t] = w
-        return words
+                if len(u) + 1 == len(made[t]):
+                    least[t] = min(least[t], (x,) + u, key=lambda w: [rank[y] for y in w])
+        return least
 
     def to_cdfa(self, vectors: Sequence[tuple] | None = None) -> Cdfa:
         """The glued table as a cdfa, with state_terminals and state_vectors.
 
         vectors are the cdfa's state vectors as codes, state_vectors by default.
         """
-        return Cdfa(self.lattice, self.alphabet, tuple(self.state_edges), 0,
+        return Cdfa(self.carrier.lattice, self.alphabet, tuple(self.state_edges), 0,
                     tuple(self.state_terminals), tuple(self.canonical_words()),
                     tuple(self.state_vectors if vectors is None else map(self._decoded, vectors)))
 
@@ -291,17 +286,15 @@ class _Run:
         state would be created. Each child is one closure check, and each
         vertex made, the root included, one vertex.
         """
-        alphabet, cap = self.alphabet, self.cap
-        m = len(alphabet)
+        m, cap = len(self.alphabet), self.cap
         index_of = {root: 0}
         codes = [root]
         terminals = [terminal(root)]
-        words: list[Word] = [()]
         edges: list[tuple[int, ...]] = []
+        makers: list[int] = []  # the edge s * m + i that made each state but the root
         for s, vec in enumerate(codes):
-            u = words[s]
             row = []
-            for i, x in enumerate(alphabet):
+            for i in range(m):
                 v = child(vec, i)
                 t = index_of.get(v)
                 if t is None:
@@ -313,12 +306,12 @@ class _Run:
                     index_of[v] = t
                     codes.append(v)
                     terminals.append(terminal(v))
-                    words.append((x,) + u if prepend else u + (x,))
+                    makers.append(s * m + i)
                 row.append(t)
             edges.append(tuple(row))
         self.checks += len(codes) * m
         self.vertices += len(codes) * m + 1
-        return TransitionTree(self.carrier, alphabet, codes, terminals, edges, words, prepend)
+        return TransitionTree(self.carrier, self.alphabet, codes, terminals, edges, makers, prepend)
 
     def sup_tree(self, root: tuple, matrices: Iterable[Iterable[tuple]], terminal: tuple,
                  prepend: bool) -> TransitionTree | CapExceeded:

@@ -89,16 +89,17 @@ class TreeVertex(Record):
 def tree_vertices(tree: "TransitionTree") -> list[TreeVertex]:
     """The root, then each state's children in alphabet order.
 
-    A child is open iff it made its state, that is iff it has its
-    word; a state's children hang off the vertex that made it.
+    States are numbered as they were made, so a child is open iff it
+    points at the next new state; a state's children hang off the vertex
+    that made it, and extend that vertex's word.
     """
     vertices = [TreeVertex((), 1, False, None, None)]
     made = [0]
     for s, row in enumerate(tree.state_edges):
-        u = tree.words[s]
+        u = vertices[made[s]].word
         for x, t in zip(tree.alphabet, row):
             word = (x,) + u if tree.prepend else u + (x,)
-            closed = word != tree.words[t]
+            closed = t != len(made)
             if not closed:
                 made.append(len(vertices))
             vertices.append(TreeVertex(word, t + 1, closed, made[s], x))

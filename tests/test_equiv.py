@@ -50,6 +50,11 @@ def test_equiv_rejects_rnerode_on_either_side(capsys, tmp_path):
     assert _run(capsys, ["det", paths["xy"], "--method", "rnerode"])[0] == 0
 
 
+def test_equiv_lists_only_the_methods_it_takes(capsys, boolean3_path):
+    assert _run(capsys, ["equiv", boolean3_path, boolean3_path, "--method", "foo"]) == (
+        2, "", "error: --method takes one or two of nerode, incl, brzozowski, psi\n")
+
+
 def _shortlex_least_difference(a, b, length):
     """The first word, in shortlex order, of length at most length on which
     a and b give different degrees, or None."""

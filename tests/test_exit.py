@@ -1,6 +1,6 @@
 """How a fuzzdet process ends: `python -m fuzzdet` against main in process,
-atexit handlers, the fallback to the interpreter's own exit, and streams
-that cannot be written."""
+atexit handlers, the fallback to the interpreter's own exit, streams that
+cannot be written, and a construction that runs out of memory."""
 
 import errno
 import os
@@ -10,8 +10,14 @@ from pathlib import Path
 
 import pytest
 
+import fuzzdet.cli as cli
 from conftest import child_env
 from fuzzdet.cli import main
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def _calls(tmp_path, goguen3_path, boolean3_path) -> dict[str, list[str]]:
@@ -180,3 +186,53 @@ def test_a_stdout_open_only_for_reading_exits_2(boolean3_path, argv):
                               stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env())
     assert (proc.returncode, proc.stderr) == (
         2, "error: cannot write stdout: Bad file descriptor\n")
+
+
+def test_out_of_memory_exits_3_with_empty_stdout(capsys, monkeypatch, boolean3_path):
+    """A MemoryError is reported as a state cap is, never as exit 1, which
+    means not equivalent."""
+    def exhausted(a, cap):
+        raise MemoryError
+    monkeypatch.setattr(cli, "d_automaton", exhausted)
+    for argv in (["det", boolean3_path], ["equiv", boolean3_path, boolean3_path]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == ("", "error: out of memory\n"), argv
+
+
+# Two Łukasiewicz states whose reverse Nerode tree is a path: each level
+# adds about one new state, so a state's word is about as long as the count
+# of states before it, and the tree runs to any cap.
+PATH_LIKE = """\
+lattice lukasiewicz
+alphabet x y
+states 2
+initial 1 0
+terminal 0 1
+transitions x
+0.999999999999 0.3
+0 1
+transitions y
+0 1/99991
+1/99989 0
+"""
+
+
+@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS is enforced on Linux")
+def test_a_path_like_tree_reaches_its_cap_in_256_mib(tmp_path):
+    """Growing a tree keeps no word per state, so on a path, where the words
+    would take memory quadratic in the states, det and equiv reach the
+    default cap of 10,000 states inside a 256 MiB address space."""
+    doc = tmp_path / "path.fza"
+    doc.write_text(PATH_LIKE, encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    cap = "cap exceeded: 10000 states built (max-states 10000)\n"
+    warning = "warning: membership values did not close, termination is not guaranteed\n"
+    for argv, out, err in ((["det", doc], f"semiring: cap exceeded at 10000\n{cap}", warning),
+                           (["equiv", doc, doc], "", cap)):
+        proc = subprocess.run([sys.executable, "-m", "fuzzdet", *argv], capture_output=True,
+                              text=True, env=child_env(), preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, err), argv[0]
