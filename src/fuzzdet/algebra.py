@@ -1,14 +1,14 @@
 """Fuzzy vectors and matrices with sup-multiplication composition.
 
-Entries are exact lattice values, checked against the carrier when a vector
-or matrix is built; every container carries its lattice and operations
-refuse to mix lattices. All five structures are chains, so every
-composition is one of two loops over plain tuples: the sup-product
-(_sup_product, join of tmul) and the implication meet (_residual_meet, meet
-of resid). Both skip the factors that cannot move the result and stop early
-at top or bottom. Both run on a Carrier, with tmul and resid from
-lattice.operations: the public operations on the lattice's identity
-carrier, on values checked when their container was built, and the
+Entries are exact lattice values, checked against the carrier when a caller
+builds a vector or matrix, and not again in results; every container carries
+its lattice and operations refuse to mix lattices. All five structures are
+chains, so every composition is one of two loops over plain tuples: the
+sup-product (_sup_product, join of tmul) and the implication meet
+(_residual_meet, meet of resid). Both skip the factors that cannot move the
+result and stop early at top or bottom. Both run on a Carrier, with tmul and
+resid from lattice.operations: the public operations on the lattice's
+identity carrier, on values checked when their container was built, and the
 constructions on their values encoded once (closure.carrier_of).
 """
 
@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 
 from .errors import DimensionMismatch, LatticeMismatch
-from .lattice import Lattice, Record, Value, _set, operations
+from .lattice import Lattice, Record, Value, operations
 
 
 def _same_lattice(a, b) -> None:
@@ -26,7 +26,7 @@ def _same_lattice(a, b) -> None:
 
 
 class FuzzyVector(Record):
-    """Immutable nonempty tuple of membership degrees over one lattice; each is checked."""
+    """Immutable nonempty tuple of membership degrees over one lattice; a caller's is checked."""
 
     __slots__ = ("lattice", "entries")
 
@@ -34,8 +34,7 @@ class FuzzyVector(Record):
         if not entries:
             raise DimensionMismatch("a fuzzy vector needs at least one entry")
         lattice.check_all(entries)
-        _set(self, "lattice", lattice)
-        _set(self, "entries", entries)
+        super().__init__(lattice, entries)
 
     @classmethod
     def from_values(cls, lattice: Lattice, values: Iterable) -> "FuzzyVector":
@@ -57,7 +56,7 @@ class FuzzyVector(Record):
 
 class FuzzyMatrix(Record):
     """Immutable nonempty rectangular matrix of membership degrees; shape and
-    entries are checked when it is built."""
+    entries are checked when a caller builds it."""
 
     __slots__ = ("lattice", "entries")
 
@@ -154,7 +153,7 @@ def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
     if len(f) != m.n_rows:
         raise DimensionMismatch(f"vector of length {len(f)} against {m.n_rows} rows")
     c = Carrier.identity(f.lattice)
-    return FuzzyVector(f.lattice, _sup_product(c, _pairs(c, zip(*m.entries)), f.entries))
+    return FuzzyVector._derived(f.lattice, _sup_product(c, _pairs(c, zip(*m.entries)), f.entries))
 
 
 def dot(f: FuzzyVector, g: FuzzyVector) -> Value:

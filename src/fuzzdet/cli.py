@@ -25,6 +25,7 @@ from .algebra import DEFAULT_CAP
 from .automata import FuzzyAutomaton, evaluate
 from .errors import FuzzdetError
 from .formats import parse_automaton, parse_word
+from .lattice import _write_int
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -84,7 +85,7 @@ def _closure_line(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> str:
     report = _self.preflight(a, cap)
     if report.closure.closed:
         k = report.closure.k
-        return f"finite, k={k}, bound {k}^{report.n}={report.bound}"
+        return f"finite, k={k}, bound {k}^{report.n}={_write_int(report.bound)}"
     return f"cap exceeded at {report.closure.cap}"
 
 

@@ -57,7 +57,7 @@ def carrier_of(lattice: Lattice, values: Iterable[Value]) -> Carrier:
 
 
 class ValueSet(Record):
-    """Finite set of values from one lattice, each checked; iterates in sorted order."""
+    """Finite set of values from one lattice, a caller's checked; iterates in sorted order."""
 
     __slots__ = ("lattice", "elements")
 
@@ -137,7 +137,7 @@ def semiring_closure(lattice: Lattice, seed, cap: int) -> SemiringClosure:
         closure = _truncated_sums(lattice, start, cap)
     if closure is None:
         return SemiringClosure(False, None, cap + 1, cap)
-    return SemiringClosure(True, ValueSet(lattice, frozenset(closure)), len(closure), cap)
+    return SemiringClosure(True, ValueSet._derived(lattice, frozenset(closure)), len(closure), cap)
 
 
 def _truncated_sums(lattice: Lattice, start: set, cap: int) -> set | None:
@@ -178,7 +178,7 @@ def automaton_values(a: "FuzzyAutomaton") -> ValueSet:
     for m in a.delta.values():
         for row in m.entries:
             values.update(row)
-    return ValueSet(a.lattice, frozenset(values))
+    return ValueSet._derived(a.lattice, frozenset(values))
 
 
 class PreflightReport(Record):

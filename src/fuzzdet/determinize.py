@@ -43,6 +43,8 @@ the values that enter it encoded once, so that its vectors are tuples of
 bare codes (ints on every lattice but Goguen) and its tmul and resid are
 bound for that automaton. Decoding happens at one boundary, the
 TransitionTree's state_vectors and state_terminals, which to_cdfa reads.
+Decoded values stay in the subsemiring that sigma, delta and tau generate,
+so the records made of them are not checked again (Record._derived).
 """
 
 import time
@@ -70,7 +72,8 @@ class Cdfa(Record):
     is the state's canonical access word and vectors[state] the FuzzyVector
     that defines it: sigma_u for nerode, tau_u for reverse_nerode, d_u for
     d_automaton and psi_d_automaton, w_u for brzozowski. Every state must be
-    reachable from initial. Equality, hash and repr cover exactly these seven
+    reachable from initial, and a caller's cdfa is checked for it; to_cdfa's
+    is not. Equality, hash and repr cover exactly these seven
     fields.
     """
 
@@ -223,7 +226,7 @@ class TransitionTree:
         return list(self.carrier.values(self.terminal_codes))
 
     def _decoded(self, codes: tuple) -> FuzzyVector:
-        return FuzzyVector(self.carrier.lattice, self.carrier.values(codes))
+        return FuzzyVector._derived(self.carrier.lattice, self.carrier.values(codes))
 
     def canonical_words(self) -> list[Word]:
         """Shortlex-least word per state over all vertices glued to it.
@@ -253,7 +256,7 @@ class TransitionTree:
 
         vectors are the cdfa's state vectors as codes, state_vectors by default.
         """
-        return Cdfa(self.carrier.lattice, self.alphabet, tuple(self.state_edges), 0,
+        return Cdfa._derived(self.carrier.lattice, self.alphabet, tuple(self.state_edges), 0,
                     tuple(self.state_terminals), tuple(self.canonical_words()),
                     tuple(self.state_vectors if vectors is None else map(self._decoded, vectors)))
 

@@ -113,7 +113,7 @@ def _matrix(lattice: Lattice, lines: list[list[_Token]], what: str,
             parsed: dict[str, Value]) -> FuzzyMatrix:
     """The square matrix of the lines' values, row r named f"{what} {r + 1}" in errors."""
     n = len(lines)
-    return FuzzyMatrix(lattice, tuple([
+    return FuzzyMatrix._derived(lattice, tuple([
         tuple(_parse_values(lattice, tokens, n, f"{what} {r}", tokens[0].line, parsed))
         for r, tokens in enumerate(lines, 1)]))
 
@@ -157,7 +157,7 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
             values = _parse_values(blocks["lattice"], rest, blocks["states"], kw, head.line, parsed)
             if kw in blocks:
                 raise FormatError(f"duplicate {kw} block", head.line)
-            blocks[kw] = FuzzyVector(blocks["lattice"], tuple(values))
+            blocks[kw] = FuzzyVector._derived(blocks["lattice"], tuple(values))
         elif kw == "transitions":
             if "lattice" not in blocks or "alphabet" not in blocks or "states" not in blocks:
                 raise FormatError(

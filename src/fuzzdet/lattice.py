@@ -11,6 +11,7 @@ the values themselves.
 
 import re
 from collections.abc import Callable
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter, mul
@@ -35,10 +36,9 @@ class Record:
     A subclass lists its fields once, in __slots__; Record(*values, **named)
     sets them in that order or by name, and a subclass that checks its
     arguments ends its own __init__ by calling it. Records of one class
-    with equal fields are equal. Only FuzzyVector, one made per cdfa
-    state, sets its fields with _set in a straight-line __init__: 0.38 µs
-    a call against 0.86 µs here, which would add about 2 ms to a
-    4,096-state cdfa (medians of 15 alternating timeit rounds).
+    with equal fields are equal. Values are checked where they enter: a
+    caller's record runs its class's checks, and a record the package
+    derives from checked values is made by _derived, which skips them.
 
     Not a dataclass: importing dataclasses loads inspect, ast and dis, and
     a cold `import fuzzdet.cli` without a bytecode cache took 53 ms with 15
@@ -63,6 +63,14 @@ class Record:
             _set(self, field, v)
         for field, v in named.items():
             _set(self, field, v)
+
+    @classmethod
+    def _derived(cls, *values):
+        """A record of values derived from checked ones, which need no check:
+        Record.__init__ on a bare instance, without the subclass's checks."""
+        record = object.__new__(cls)
+        Record.__init__(record, *values)
+        return record
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -152,7 +160,7 @@ class Lattice(Record):
     def check_all(self, values: tuple | frozenset) -> None:
         """check every value of a tuple or a set, each distinct object once.
 
-        Values are immutable, and a decoded vector holds a few shared
+        Values are immutable, and a caller's vector may hold a few shared
         objects many times over, so one check per object is enough.
         """
         check = self.check
@@ -187,28 +195,29 @@ class Lattice(Record):
         if self.kind == "chain":
             if not _INDEX.fullmatch(token):
                 raise ValueError(f"not a chain index: {token!r}")
-            return self.check(int(token), token)
+            return self.check(_read_int(token), token)
         m = _RATIO.fullmatch(token)
         if m:
-            num, den = int(m.group(1)), int(m.group(2))
+            num, den = _read_int(m.group(1)), _read_int(m.group(2))
             if den == 0:
                 raise ValueError(f"zero denominator: {token!r}")
             return self.check(Fraction(num, den), token)
         if not _DECIMAL.fullmatch(token):
             raise ValueError(f"not a value literal: {token!r}")
-        return self.check(Fraction(token), token)
+        whole, _, fraction = token.partition(".")
+        return self.check(Fraction(_read_int(whole + fraction), 10 ** len(fraction)), token)
 
     def format_value(self, v: Value) -> str:
         """Canonical text for a value: terminating decimal if one exists, else p/q."""
         if self.kind == "chain":
-            return str(v)
+            return _write_int(v)
         if v.denominator == 1:
-            return str(v.numerator)
+            return str(v.numerator)  # 0 or 1
         digits = _decimal_digits(v.denominator)
         if digits is None:
-            return f"{v.numerator}/{v.denominator}"
+            return f"{_write_int(v.numerator)}/{_write_int(v.denominator)}"
         scaled = v.numerator * 10 ** digits // v.denominator
-        return "0." + str(scaled).zfill(digits)
+        return "0." + _write_int(scaled).zfill(digits)
 
     # -- operations ------------------------------------------------------
     #
@@ -260,6 +269,24 @@ def operations(kind: str, bottom, top) -> tuple[Callable, Callable]:
     # one sum, not two: a Fraction sum costs microseconds
     return (lambda x, y: s if (s := x + y - top) > bottom else bottom,
             lambda x, y: top if x <= y else top - x + y)
+
+
+def _read_int(digits: str) -> int:
+    """int(digits) for ASCII digits of any length: past the interpreter's limit
+    (sys.get_int_max_str_digits, 4,300 digits by default), which every library
+    shares and so stays, through decimal, which has none."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
+def _write_int(n: int) -> str:
+    """str(n) for an int of any length, as _read_int reads one."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def _decimal_digits(den: int) -> int | None:

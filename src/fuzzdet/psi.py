@@ -19,6 +19,8 @@ def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
     lines = _tokenize(text)
     if len(lines) != n:
         raise FormatError(f"expected {n} rows, got {len(lines)}")
+    if n < 1:  # _matrix checks no shape
+        raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
     return _matrix(lattice, lines, "row", {})
 
 
@@ -34,7 +36,7 @@ def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot compose {a.n_cols} columns with {b.n_rows} rows")
     c = Carrier.identity(a.lattice)
-    return FuzzyMatrix(a.lattice, _compose(c, a.entries, b.entries))
+    return FuzzyMatrix._derived(a.lattice, _compose(c, a.entries, b.entries))
 
 
 class InvarianceViolation(Record):

@@ -43,7 +43,7 @@ def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
     if m.n_cols != len(g):
         raise DimensionMismatch(f"{m.n_cols} columns against vector of length {len(g)}")
     c = Carrier.identity(m.lattice)
-    return FuzzyVector(m.lattice, _sup_product(c, _pairs(c, m.entries), g.entries))
+    return FuzzyVector._derived(m.lattice, _sup_product(c, _pairs(c, m.entries), g.entries))
 
 
 def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:

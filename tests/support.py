@@ -11,11 +11,15 @@ never with the library's loops.
 
 import argparse
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 
 from fuzzdet import (
+    BOOLEAN,
     DEFAULT_CAP,
+    GODEL,
+    LUKASIEWICZ,
     CapExceeded,
     Cdfa,
     DimensionMismatch,
@@ -27,6 +31,7 @@ from fuzzdet import (
     SemiringClosure,
     ValueSet,
     mat_compose,
+    chain,
     mat_vec,
     vec_mat,
 )
@@ -65,6 +70,33 @@ def random_automaton(rng, lattice, n, alphabet=("x", "y"), zero_bias=0.45):
         random_vector(rng, lattice, n, zero_bias),
         {x: random_matrix(rng, lattice, n, zero_bias) for x in alphabet},
         random_vector(rng, lattice, n, zero_bias))
+
+
+def moore_cases():
+    """(lattice, automaton) for the Moore quotient test: 15 seeded automata
+    for each n from 2 to 5 on each lattice but Goguen, where nerode seldom
+    terminates."""
+    rng = random.Random(5)
+    return [(lattice, random_automaton(rng, lattice, n))
+            for lattice in (BOOLEAN, GODEL, LUKASIEWICZ, chain(3), chain(7))
+            for n in range(2, 6) for _ in range(15)]
+
+
+def nth_from_end(n, alphabet=("x", "y")):
+    """Boolean automaton for 'the n-th symbol from the end is x', n + 1 states.
+
+    State 0 loops on every symbol and guesses the x; states 1..n count the
+    symbols left, and state n accepts. Its minimal cdfa has 2^n states.
+    """
+    x = alphabet[0]
+    size = n + 1
+    delta = {y: [[0] * size for _ in range(size)] for y in alphabet}
+    for y in alphabet:
+        delta[y][0][0] = 1
+        for i in range(1, n):
+            delta[y][i][i + 1] = 1
+    delta[x][0][1] = 1
+    return FuzzyAutomaton.build(BOOLEAN, alphabet, [1] + [0] * n, delta, [0] * n + [1])
 
 
 def all_words(alphabet, max_len):

@@ -1,0 +1,129 @@
+"""Records the package derives from checked values skip their constructors'
+checks (Record._derived): state vectors, run-built cdfas, value sets,
+parsed vectors and matrices, and the results of the algebra.
+
+The oracle builds each such record again through its class's constructor,
+which runs every check, and asks for an equal record. A value outside its
+lattice's carrier or of the wrong type (a code that leaked undecoded), a
+ragged table or an unreachable state makes the constructor raise.
+"""
+
+import random
+
+from fuzzdet import (
+    BOOLEAN,
+    GODEL,
+    GOGUEN,
+    LUKASIEWICZ,
+    Cdfa,
+    automaton_values,
+    brzozowski,
+    chain,
+    d_automaton,
+    mat_compose,
+    mat_vec,
+    nerode,
+    parse_matrix,
+    preflight,
+    psi_d_automaton,
+    reverse_nerode,
+    semiring_closure,
+    vec_mat,
+)
+from fuzzdet.lattice import Record
+from conftest import load_fixture
+from support import (
+    identity_matrix,
+    moore_cases,
+    nth_from_end,
+    quasi_order_automaton,
+    random_automaton,
+    random_matrix,
+    random_vector,
+    reverse,
+)
+
+LATTICES = (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ, chain(2), chain(4))
+CAP = 200
+
+
+def _records(value):
+    """value and every record inside it, through fields, tuples and dicts."""
+    if isinstance(value, Record):
+        yield value
+        for field in value._fields:
+            yield from _records(getattr(value, field))
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _records(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _records(v)
+
+
+def assert_rebuilds(*values) -> int:
+    """Every record in values equals itself rebuilt through its checking
+    constructor; returns how many cdfas were rebuilt."""
+    cdfas = 0
+    for record in _records(values):
+        assert type(record)(*(getattr(record, f) for f in record._fields)) == record, record
+        cdfas += isinstance(record, Cdfa)
+    return cdfas
+
+
+def test_every_method_on_every_lattice_builds_checked_records():
+    """nerode, reverse_nerode, d_automaton, brzozowski and psi_d_automaton
+    with the identity on random automata, and psi_d_automaton with a
+    left invariant quasi-order coarser than the identity."""
+    rng = random.Random(2207)
+    for lattice in LATTICES:
+        built = [0] * 6
+        coarser = 0
+        for k in range(24):
+            alphabet = ("x", "y", "z")[:k % 3 + 1]
+            a = random_automaton(rng, lattice, rng.randint(1, 4), alphabet)
+            b, psi = quasi_order_automaton(rng, lattice, rng.randint(2, 4), alphabet)
+            coarser += psi != identity_matrix(lattice, b.n)
+            outcomes = (nerode(a, CAP), reverse_nerode(a, CAP), d_automaton(a, CAP),
+                        brzozowski(a, CAP),
+                        psi_d_automaton(a, identity_matrix(lattice, a.n), CAP),
+                        psi_d_automaton(b, psi, CAP))
+            for i, outcome in enumerate(outcomes):
+                built[i] += assert_rebuilds(outcome)
+            values = automaton_values(a)
+            assert_rebuilds(values, preflight(a), semiring_closure(lattice, values, CAP))
+        assert min(built) >= 5 and coarser >= 5, (lattice, built, coarser)
+
+
+def test_blowup_family_and_its_mirror_build_checked_records():
+    for n in range(1, 11):
+        for a in (nth_from_end(n), reverse(nth_from_end(n))):
+            outcomes = (nerode(a), reverse_nerode(a), d_automaton(a), brzozowski(a),
+                        psi_d_automaton(a, identity_matrix(BOOLEAN, a.n)))
+            assert assert_rebuilds(outcomes) == 5
+        assert d_automaton(nth_from_end(n)).cdfa.n == 2 ** n
+
+
+def test_moore_quotient_cases_build_checked_records():
+    built = 0
+    for lattice, a in moore_cases():
+        built += assert_rebuilds(nerode(a, 1_000), d_automaton(a, 1_000), brzozowski(a, 1_000),
+                                 psi_d_automaton(a, identity_matrix(lattice, a.n), 1_000))
+    assert built >= 1_000
+
+
+def test_parsed_documents_are_checked_records():
+    for name in ("goguen3.fza", "boolean3.fza"):
+        a = load_fixture(name)
+        assert assert_rebuilds(a, automaton_values(a), preflight(a), d_automaton(a),
+                               brzozowski(a)) == 2
+        assert_rebuilds(parse_matrix("1 0 0\n0 1 0\n0 0 1\n", a.lattice, a.n))
+
+
+def test_algebra_results_are_checked_records():
+    rng = random.Random(1965)
+    for lattice in LATTICES:
+        for n in range(1, 5):
+            f, m, g = (random_vector(rng, lattice, n), random_matrix(rng, lattice, n),
+                       random_matrix(rng, lattice, n))
+            assert_rebuilds(vec_mat(f, m), mat_vec(m, f), mat_compose(m, g))

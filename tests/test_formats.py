@@ -10,6 +10,7 @@ from fuzzdet import (
     GODEL,
     GOGUEN,
     LUKASIEWICZ,
+    DimensionMismatch,
     FormatError,
     FuzzyAutomaton,
     FuzzyMatrix,
@@ -284,6 +285,8 @@ def test_parse_matrix():
         parse_matrix("0 0.5\n", GOGUEN, 2)
     with pytest.raises(FormatError):
         parse_matrix("0 0.5\n1\n", GOGUEN, 2)
+    with pytest.raises(DimensionMismatch):
+        parse_matrix("# no rows\n", GOGUEN, 0)
 
 
 def test_word_syntax():

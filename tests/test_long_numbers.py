@@ -1,0 +1,108 @@
+"""Numbers of any length print and parse.
+
+Python 3.11 and 3.10.7+ refuse int-string conversions past
+sys.get_int_max_str_digits() digits (4,300 by default). Exact values grow
+past that: a Goguen degree of 1/2^7000 prints as 7,000 decimal digits. The
+expected texts here are built in chunks of 1,000 digits, each under the
+limit, and the limit itself is never changed.
+"""
+
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+from fuzzdet import (GOGUEN, LUKASIEWICZ, PreflightReport, SemiringClosure, ValueSet, chain,
+                     parse_automaton, serialize_automaton)
+from fuzzdet import cli
+from dotcheck import validate_dot
+
+CHUNK = 10 ** 1000
+
+
+def _digits(n: int) -> str:
+    """str(n) of a nonnegative int, 1,000 digits at a time."""
+    chunks = []
+    while n >= CHUNK:
+        n, low = divmod(n, CHUNK)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+TINY = F(1, 2 ** 7000)
+TINY_TEXT = "0." + _digits(5 ** 7000).zfill(7000)  # 1/2^7000 = 5^7000 / 10^7000
+DOC = ("lattice goguen\nalphabet x\nstates 1\ninitial 1\n"
+       f"terminal 1/{_digits(2 ** 7000)}\ntransitions x\n1\n")
+
+
+@pytest.fixture(autouse=True)
+def _limit_unchanged():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.fixture
+def tiny_path(tmp_path):
+    path = tmp_path / "tiny.fza"
+    path.write_text(DOC, encoding="utf-8")
+    return str(path)
+
+
+def run_cli(capsys, *args):
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_eval_prints_a_long_degree(capsys, tiny_path):
+    assert len(TINY_TEXT) == 7002 and TINY_TEXT.endswith("625")
+    assert run_cli(capsys, "eval", tiny_path, "_") == (0, TINY_TEXT + "\n", "")
+
+
+def test_eval_on_a_long_word(capsys, tmp_path):
+    half = tmp_path / "half.fza"
+    half.write_text("lattice goguen\nalphabet x\nstates 1\ninitial 1\nterminal 1\n"
+                    "transitions x\n1/2\n", encoding="utf-8")
+    assert run_cli(capsys, "eval", str(half), ".".join(["x"] * 7000)) == (0, TINY_TEXT + "\n", "")
+
+
+def test_det_prints_a_long_terminal_degree(capsys, tiny_path):
+    code, out, _ = run_cli(capsys, "det", tiny_path)
+    assert (code, out) == (0, "semiring: cap exceeded at 10000\nstates: 1\n"
+                              f"state 1: word=_, terminal={TINY_TEXT}\n")
+
+
+def test_det_dot_labels_a_long_terminal_degree(capsys, tiny_path):
+    code, out, _ = run_cli(capsys, "det", tiny_path, "--dot", "-")
+    assert code == 0
+    report, dot = out.split("digraph", 1)
+    assert report.endswith(f"terminal={TINY_TEXT}\n")
+    validate_dot("digraph" + dot)
+    assert f'  s1 [shape=circle, label="_/{TINY_TEXT}"];\n' in dot
+
+
+def test_serialize_round_trips_a_long_value():
+    a = parse_automaton(DOC)
+    assert a.tau.entries == (TINY,)
+    text = serialize_automaton(a)
+    assert f"terminal {TINY_TEXT}\n" in text
+    assert parse_automaton(text) == a
+
+
+def test_long_literals_parse():
+    ones = "1" * 5000
+    assert GOGUEN.parse_value("0." + "0" * 4999 + "5") == F(1, 2 * 10 ** 4999)
+    assert GOGUEN.parse_value(f"1/{ones}") == F(1, int("1" * 1000) * sum(
+        CHUNK ** k for k in range(5)))
+    assert LUKASIEWICZ.parse_value(f"{ones}/{ones}") == 1
+    assert chain(4).parse_value("0" * 4999 + "3") == 3
+    assert LUKASIEWICZ.format_value(F(1, 3 ** 9000)) == f"1/{_digits(3 ** 9000)}"
+    assert chain(4).format_value(3) == "3"
+
+
+def test_semiring_bound_of_any_length(capsys, monkeypatch, goguen3_path):
+    closure = SemiringClosure(True, ValueSet(GOGUEN, frozenset({F(0), F(1)})), 2, 10_000)
+    monkeypatch.setattr(cli, "preflight", lambda a, cap: PreflightReport(closure, 15_000))
+    assert run_cli(capsys, "semiring", goguen3_path) == (
+        0, f"finite, k=2, bound 2^15000={_digits(2 ** 15_000)}\n", "")
