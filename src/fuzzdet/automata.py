@@ -42,9 +42,9 @@ class FuzzyAutomaton(Record):
     delta maps each alphabet symbol to its n x n transition matrix. The
     constructor normalizes delta to alphabet order so equal automata
     serialize identically. Every entry of sigma, tau and delta lies in the
-    lattice's carrier: the vectors and matrices check their entries when
-    built, and the constructor checks that they share its lattice. Unhashable,
-    as delta is a dict.
+    lattice's carrier: a caller's vectors and matrices check their entries,
+    and the constructor the rest. parse_automaton checks a whole document
+    and skips the constructor. Unhashable, as delta is a dict.
     """
 
     __slots__ = ("lattice", "alphabet", "sigma", "delta", "tau")

@@ -25,7 +25,7 @@ from .algebra import DEFAULT_CAP
 from .automata import FuzzyAutomaton, evaluate
 from .errors import FuzzdetError
 from .formats import parse_automaton, parse_word
-from .lattice import _write_int
+from .lattice import _write
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -85,8 +85,8 @@ def _closure_line(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> str:
     report = _self.preflight(a, cap)
     if report.closure.closed:
         k = report.closure.k
-        return f"finite, k={k}, bound {k}^{report.n}={_write_int(report.bound)}"
-    return f"cap exceeded at {report.closure.cap}"
+        return f"finite, k={k}, bound {k}^{report.n}={_write(report.bound)}"
+    return f"cap exceeded at {_write(report.closure.cap)}"
 
 
 def cmd_eval(args) -> int:
@@ -96,13 +96,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _check_cap(flag: str, n: int) -> None:
-    if n < 1:
-        raise FuzzdetError(f"{flag} must be at least 1, got {n}")
-
-
 def cmd_semiring(args) -> int:
-    _check_cap("--cap", args.cap)
+    from .closure import require_cap  # loaded by preflight anyway
+    require_cap(args.cap, "--cap")
     a = _load(args.file)
     print(_closure_line(a, args.cap))
     return EXIT_OK

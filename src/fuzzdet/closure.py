@@ -13,7 +13,7 @@ from math import lcm
 
 from .algebra import DEFAULT_CAP, Carrier
 from .errors import InvalidCap, LatticeMismatch
-from .lattice import Lattice, Record, Value
+from .lattice import Lattice, Record, Value, _write
 
 
 class _Fractions(dict):
@@ -99,7 +99,7 @@ class SemiringClosure(Record):
 def require_cap(cap: int, what: str) -> None:
     """Raise InvalidCap unless cap is an int of at least 1; a bool is no int here."""
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise InvalidCap(f"{what} must be a positive integer, got {cap!r}")
+        raise InvalidCap(f"{what} must be a positive integer, got {_write(cap)}")
 
 
 def semiring_closure(lattice: Lattice, seed, cap: int) -> SemiringClosure:

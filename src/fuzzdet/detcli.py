@@ -10,8 +10,9 @@ import sys
 from . import cli
 from .algebra import FuzzyMatrix
 from .automata import FuzzyAutomaton
-from .cli import (EXIT_CAP, EXIT_NOT_EQUIVALENT, EXIT_OK, METHODS, _check_cap, _closure_line,
-                  _load, _read, _to_stderr)
+from .cli import (EXIT_CAP, EXIT_NOT_EQUIVALENT, EXIT_OK, METHODS, _closure_line, _load, _read,
+                  _to_stderr)
+from .closure import require_cap
 from .determinize import Cdfa, DetOutcome
 from .errors import FuzzdetError, PsiNotLeftInvariant, PsiNotReflexive
 from .formats import _quote, format_word
@@ -82,7 +83,7 @@ def _check_psi_applies(psi_path: str | None, methods: list[str]) -> None:
 
 
 def cmd_det(args) -> int:
-    _check_cap("--max-states", args.max_states)
+    require_cap(args.max_states, "--max-states")
     _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
     psi = _read_psi(args.psi, a)
@@ -105,8 +106,7 @@ def cmd_det(args) -> int:
         _to_stderr(f"stats: vertices={s.vertices} closure_checks={s.closure_checks} "
                    f"elapsed={s.elapsed:.3f}s")
     if not outcome.ok:
-        r = outcome.result
-        print(f"cap exceeded: {r.states_built} states built (max-states {r.cap})")
+        print(outcome.result)
         return EXIT_CAP
     c = outcome.cdfa
     fmt = c.lattice.format_value
@@ -120,7 +120,7 @@ def cmd_det(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    _check_cap("--max-states", args.max_states)
+    require_cap(args.max_states, "--max-states")
     methods = args.method.split(",")
     if len(methods) == 1:
         methods = methods * 2
@@ -143,8 +143,7 @@ def cmd_equiv(args) -> int:
     for a, m, psi in zip((a1, a2), methods, psis):
         outcome = _determinize(a, m, args.max_states, psi)
         if not outcome.ok:
-            r = outcome.result
-            _to_stderr(f"cap exceeded: {r.states_built} states built (max-states {r.cap})")
+            _to_stderr(str(outcome.result))
             return EXIT_CAP
         outcomes.append(outcome.cdfa)
     witness = cli.find_witness(outcomes[0], outcomes[1])

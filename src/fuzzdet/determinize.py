@@ -58,7 +58,7 @@ from .algebra import (DEFAULT_CAP, Carrier, FuzzyMatrix, FuzzyVector, _pairs, _r
 from .automata import FuzzyAutomaton, Word, check_alphabet
 from .closure import automaton_values, carrier_of, require_cap
 from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch, UnknownSymbol
-from .lattice import Lattice, Record, Value
+from .lattice import Lattice, Record, Value, _write
 
 
 # -- crisp-deterministic automata -----------------------------------------
@@ -94,9 +94,9 @@ class Cdfa(Record):
                 raise DimensionMismatch(f"transition row of width {len(row)}, expected {m}")
             for t in row:
                 if not 0 <= t < n:
-                    raise ValueError(f"transition target {t} out of range")
+                    raise ValueError(f"transition target {_write(t)} out of range")
         if not 0 <= initial < n:
-            raise ValueError(f"initial state {initial} out of range")
+            raise ValueError(f"initial state {_write(initial)} out of range")
         if len(terminal) != n:
             raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
         lattice.check_all(terminal)
@@ -167,6 +167,9 @@ class CapExceeded(Record):
 
     __slots__ = ("states_built", "cap")
 
+    def __str__(self) -> str:
+        return f"cap exceeded: {self.states_built} states built (max-states {_write(self.cap)})"
+
 
 class DetOutcome(Record):
     """Result of a determinization: a cdfa or a cap report, plus counters."""
@@ -180,7 +183,7 @@ class DetOutcome(Record):
     @property
     def cdfa(self) -> Cdfa:
         if not isinstance(self.result, Cdfa):
-            raise ValueError(f"construction stopped at its cap of {self.result.cap} states")
+            raise ValueError(f"construction stopped at its cap of {_write(self.result.cap)} states")
         return self.result
 
 

@@ -119,11 +119,10 @@ def _matrix(lattice: Lattice, lines: list[list[_Token]], what: str,
 
 
 def parse_automaton(text: str) -> FuzzyAutomaton:
-    """Parse a document into a fuzzy automaton.
-
-    Raises FormatError with a 1-based line (and column where it makes
-    sense) on any syntax or validation problem.
-    """
+    """Parse a document into a fuzzy automaton, checked here in full and so
+    built without its constructor's checks (Record._derived). Raises
+    FormatError with a 1-based line (and column where it makes sense) on
+    any syntax or validation problem."""
     lines = _tokenize(text)
     parsed: dict[str, Value] = {}  # one value per distinct token text
     blocks: dict = {}  # directive -> what its block read, for all but transitions
@@ -187,8 +186,8 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
     for x in blocks["alphabet"]:
         if x not in delta:
             raise FormatError(f"missing transitions block for {x!r}")
-    return FuzzyAutomaton(blocks["lattice"], blocks["alphabet"], blocks["initial"], delta,
-                          blocks["terminal"])
+    return FuzzyAutomaton._derived(blocks["lattice"], blocks["alphabet"], blocks["initial"],
+                                   {x: delta[x] for x in blocks["alphabet"]}, blocks["terminal"])
 
 
 def _parse_lattice(rest: list[_Token], head: _Token) -> Lattice:

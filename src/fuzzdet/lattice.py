@@ -132,29 +132,29 @@ class Lattice(Record):
 
     def describe(self) -> str:
         """Name as it appears in documents, e.g. 'goguen' or 'chain 4'."""
-        return f"chain {self.top_index}" if self.kind == "chain" else self.kind
+        return f"chain {_write(self.top_index)}" if self.kind == "chain" else self.kind
 
     def check(self, v: Value, token: str | None = None) -> Value:
         """Validate that v belongs to this lattice's carrier: an exact int on
         a chain, so never a bool, and a Fraction in [0, 1] otherwise.
 
         A value read from text is named in errors by its token, any other
-        by its repr. Compares plain ints (a Fraction's numerator and its
+        by _write. Compares plain ints (a Fraction's numerator and its
         positive denominator), since every automaton checks each of its
         entries.
         """
         if self.kind == "chain":
             if type(v) is not int:
-                raise LatticeMismatch(f"expected a chain index, got {v!r}")
+                raise LatticeMismatch(f"expected a chain index, got {_write(v)}")
             inside = 0 <= v <= self.top_index
         elif not isinstance(v, Fraction):
-            raise LatticeMismatch(f"expected a Fraction in [0, 1], got {v!r}")
+            raise LatticeMismatch(f"expected a Fraction in [0, 1], got {_write(v)}")
         else:
             inside = 0 <= v.numerator <= v.denominator
         if not inside:
-            raise LatticeMismatch(f"{token or repr(v)} is outside {self.describe()}")
+            raise LatticeMismatch(f"{token or _write(v)} is outside {self.describe()}")
         if self.kind == "boolean" and v.denominator != 1:
-            raise LatticeMismatch(f"{token or repr(v)} is not a boolean degree")
+            raise LatticeMismatch(f"{token or _write(v)} is not a boolean degree")
         return v
 
     def check_all(self, values: tuple | frozenset) -> None:
@@ -184,7 +184,7 @@ class Lattice(Record):
             return raw if type(raw) is Fraction else Fraction(raw)
         if isinstance(raw, int) and not isinstance(raw, bool):
             return self.check(Fraction(raw))
-        raise LatticeMismatch(f"cannot read {raw!r} as a {self.describe()} value")
+        raise LatticeMismatch(f"cannot read {_write(raw)} as a {self.describe()} value")
 
     def parse_value(self, token: str) -> Value:
         """Parse one value token: decimal, p/q, or a chain index.
@@ -209,15 +209,13 @@ class Lattice(Record):
 
     def format_value(self, v: Value) -> str:
         """Canonical text for a value: terminating decimal if one exists, else p/q."""
-        if self.kind == "chain":
-            return _write_int(v)
-        if v.denominator == 1:
-            return str(v.numerator)  # 0 or 1
+        if v.denominator == 1:  # a chain index, 0 or 1
+            return _write(v)
         digits = _decimal_digits(v.denominator)
         if digits is None:
-            return f"{_write_int(v.numerator)}/{_write_int(v.denominator)}"
+            return _write(v)
         scaled = v.numerator * 10 ** digits // v.denominator
-        return "0." + _write_int(scaled).zfill(digits)
+        return "0." + _write(scaled).zfill(digits)
 
     # -- operations ------------------------------------------------------
     #
@@ -281,12 +279,16 @@ def _read_int(digits: str) -> int:
         return int(Decimal(digits))
 
 
-def _write_int(n: int) -> str:
-    """str(n) for an int of any length, as _read_int reads one."""
+def _write(v) -> str:
+    """str(v) for an int or a Fraction of any length, as _read_int reads one
+    (through decimal past the limit), and repr(v) for anything else."""
+    if not isinstance(v, int | Fraction):
+        return repr(v)
     try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
+        return str(v)
+    except ValueError:  # more digits than str converts
+        num, den = v.as_integer_ratio()
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 def _decimal_digits(den: int) -> int | None:

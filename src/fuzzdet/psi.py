@@ -11,7 +11,7 @@ from .determinize import DetOutcome, _Run
 from .errors import (DimensionMismatch, FormatError, LatticeMismatch, PsiNotLeftInvariant,
                      PsiNotReflexive)
 from .formats import _matrix, _tokenize
-from .lattice import Lattice, Record
+from .lattice import Lattice, Record, _write
 
 
 def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
@@ -51,10 +51,10 @@ class InvarianceViolation(Record):
 
     def __str__(self) -> str:
         spot = ",".join(str(p + 1) for p in self.position)
+        x, lhs, rhs = self.constraint, _write(self.lhs), _write(self.rhs)
         if len(self.position) == 1:
-            return (f"(sigma ∘ psi)[{spot}] = {self.lhs} exceeds sigma[{spot}] = {self.rhs}")
-        return (f"(delta_{self.constraint} ∘ psi)[{spot}] = {self.lhs} exceeds "
-                f"(psi ∘ delta_{self.constraint})[{spot}] = {self.rhs}")
+            return f"(sigma ∘ psi)[{spot}] = {lhs} exceeds sigma[{spot}] = {rhs}"
+        return f"(delta_{x} ∘ psi)[{spot}] = {lhs} exceeds (psi ∘ delta_{x})[{spot}] = {rhs}"
 
 
 def _psi_run(a: FuzzyAutomaton, psi: FuzzyMatrix, cap: int) -> tuple:
@@ -96,7 +96,7 @@ def _psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix, cap: int) -> DetOutcom
     c = run.carrier
     for i, row in enumerate(p):
         if row[i] != c.top:
-            raise PsiNotReflexive(f"psi[{i + 1},{i + 1}] = {psi.entries[i][i]}, expected top")
+            raise PsiNotReflexive(f"psi[{i + 1},{i + 1}] = {_write(psi.row(i)[i])}, expected top")
     if violation is not None:
         raise PsiNotLeftInvariant(str(violation))
     rn = run.sup_tree(_sup_product(c, _pairs(c, p), run.tau), glued, run.sigma, True)

@@ -1,6 +1,6 @@
 """Records the package derives from checked values skip their constructors'
 checks (Record._derived): state vectors, run-built cdfas, value sets,
-parsed vectors and matrices, and the results of the algebra.
+parsed automata, vectors and matrices, and the results of the algebra.
 
 The oracle builds each such record again through its class's constructor,
 which runs every check, and asks for an equal record. A value outside its
@@ -16,6 +16,7 @@ from fuzzdet import (
     GOGUEN,
     LUKASIEWICZ,
     Cdfa,
+    FuzzyAutomaton,
     automaton_values,
     brzozowski,
     chain,
@@ -23,11 +24,13 @@ from fuzzdet import (
     mat_compose,
     mat_vec,
     nerode,
+    parse_automaton,
     parse_matrix,
     preflight,
     psi_d_automaton,
     reverse_nerode,
     semiring_closure,
+    serialize_automaton,
     vec_mat,
 )
 from fuzzdet.lattice import Record
@@ -67,6 +70,8 @@ def assert_rebuilds(*values) -> int:
     cdfas = 0
     for record in _records(values):
         assert type(record)(*(getattr(record, f) for f in record._fields)) == record, record
+        if isinstance(record, FuzzyAutomaton):  # dict equality ignores order
+            assert list(record.delta) == list(record.alphabet), record
         cdfas += isinstance(record, Cdfa)
     return cdfas
 
@@ -113,11 +118,26 @@ def test_moore_quotient_cases_build_checked_records():
 
 
 def test_parsed_documents_are_checked_records():
+    """The fixtures, and serialized random documents on every lattice with
+    their transitions blocks shuffled: the parser checks a document itself
+    and hands its delta over in alphabet order."""
     for name in ("goguen3.fza", "boolean3.fza"):
         a = load_fixture(name)
         assert assert_rebuilds(a, automaton_values(a), preflight(a), d_automaton(a),
                                brzozowski(a)) == 2
         assert_rebuilds(parse_matrix("1 0 0\n0 1 0\n0 0 1\n", a.lattice, a.n))
+    rng = random.Random(2411)
+    shuffled = 0
+    for lattice in LATTICES:
+        for k in range(12):
+            a = random_automaton(rng, lattice, rng.randint(1, 4), ("x", "y", "z")[:k % 3 + 1])
+            head, *blocks = serialize_automaton(a).split("transitions ")
+            rng.shuffle(blocks)
+            shuffled += blocks != sorted(blocks)
+            parsed = parse_automaton("transitions ".join([head, *blocks]))
+            assert parsed == a
+            assert_rebuilds(parsed)
+    assert shuffled >= 10
 
 
 def test_algebra_results_are_checked_records():

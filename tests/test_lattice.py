@@ -190,6 +190,25 @@ def test_value_guards():
     assert chain(4).coerce("3") == 3
 
 
+@pytest.mark.parametrize("read, value, message", [
+    (GOGUEN.check, F(3, 2), "3/2 is outside goguen"),
+    (BOOLEAN.check, F(1, 2), "1/2 is not a boolean degree"),
+    (chain(4).check, 7, "7 is outside chain 4"),
+    (chain(4).check, F(1, 2), "expected a chain index, got 1/2"),
+    (chain(4).check, True, "expected a chain index, got True"),
+    (GOGUEN.check, 2, "expected a Fraction in [0, 1], got 2"),
+    (GOGUEN.check, "0.5", "expected a Fraction in [0, 1], got '0.5'"),
+    (GOGUEN.coerce, 0.5, "float 0.5 rejected, pass a string, int or Fraction instead"),
+    (GOGUEN.coerce, True, "cannot read True as a goguen value"),
+])
+def test_value_errors_write_numbers_as_reports_do(read, value, message):
+    """An int or a Fraction is named as format_value's p/q would write it,
+    any other value by its repr."""
+    with pytest.raises(LatticeMismatch) as err:
+        read(value)
+    assert str(err.value) == message
+
+
 def test_lattice_descriptor_validation():
     with pytest.raises(ValueError):
         Lattice("chain")

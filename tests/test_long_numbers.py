@@ -12,8 +12,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzdet import (GOGUEN, LUKASIEWICZ, PreflightReport, SemiringClosure, ValueSet, chain,
-                     parse_automaton, serialize_automaton)
+from fuzzdet import (GOGUEN, LUKASIEWICZ, FuzzyVector, InvarianceViolation, LatticeMismatch,
+                     PreflightReport, SemiringClosure, ValueSet, chain, parse_automaton,
+                     serialize_automaton)
 from fuzzdet import cli
 from dotcheck import validate_dot
 
@@ -106,3 +107,45 @@ def test_semiring_bound_of_any_length(capsys, monkeypatch, goguen3_path):
     monkeypatch.setattr(cli, "preflight", lambda a, cap: PreflightReport(closure, 15_000))
     assert run_cli(capsys, "semiring", goguen3_path) == (
         0, f"finite, k=2, bound 2^15000={_digits(2 ** 15_000)}\n", "")
+
+
+# 1/2^15000, a psi entry of 4,516 digits
+PSI_TEXT = f"1/{_digits(2 ** 15_000)}"
+# sigma = (1, 0) and delta_x = [[0, 1], [0, 0]]: a psi whose first row holds a
+# positive second entry breaks sigma ∘ psi <= sigma at position 2
+SIGMA_DOC = ("lattice goguen\nalphabet x\nstates 2\ninitial 1 0\nterminal 0 1\n"
+             "transitions x\n0 1\n0 0\n")
+
+
+@pytest.mark.parametrize("doc, psi, message", [
+    (DOC, f"{PSI_TEXT}\n", f"psi[1,1] = {PSI_TEXT}, expected top"),
+    (SIGMA_DOC, f"1 {PSI_TEXT}\n0 1\n", f"(sigma ∘ psi)[2] = {PSI_TEXT} exceeds sigma[2] = 0"),
+], ids=["reflexive", "invariant"])
+def test_psi_errors_name_a_long_entry(capsys, tmp_path, doc, psi, message):
+    """A psi that is not reflexive or not left invariant exits 2 and names
+    the entry with every digit."""
+    paths = tmp_path / "a.fza", tmp_path / "psi"
+    for path, text in zip(paths, (doc, psi)):
+        path.write_text(text, encoding="utf-8")
+    argv = "det", str(paths[0]), "--method", "psi", "--psi", str(paths[1])
+    assert run_cli(capsys, *argv) == (2, "", f"error: --psi: {message}\n")
+
+
+def test_invariance_violation_writes_a_long_side():
+    violation = InvarianceViolation("x", (0, 1), F(1, 2 ** 15_000), F(0))
+    assert str(violation) == f"(delta_x ∘ psi)[1,2] = {PSI_TEXT} exceeds (psi ∘ delta_x)[1,2] = 0"
+
+
+@pytest.mark.parametrize("lattice, value, message", [
+    (GOGUEN, F(10 ** 5000), "{} is outside goguen"),
+    (chain(3), 10 ** 5000, "{} is outside chain 3"),
+    (GOGUEN, 10 ** 5000, "expected a Fraction in [0, 1], got {}"),
+], ids=["fraction", "chain", "int"])
+def test_a_long_value_outside_the_carrier_is_named(lattice, value, message):
+    with pytest.raises(LatticeMismatch) as err:
+        FuzzyVector(lattice, (value,))
+    assert str(err.value) == message.format("1" + "0" * 5000)
+
+
+def test_a_vector_repr_writes_a_long_entry():
+    assert repr(FuzzyVector(GOGUEN, (TINY, F(1)))) == f"<vector goguen [{TINY_TEXT} 1]>"
