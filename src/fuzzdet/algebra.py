@@ -1,15 +1,15 @@
 """Fuzzy vectors and matrices with sup-multiplication composition.
 
-Entries are exact lattice values, checked against the carrier when a caller
-builds a vector or matrix, and not again in results; every container carries
-its lattice and operations refuse to mix lattices. All five structures are
-chains, so every composition is one of two loops over plain tuples: the
-sup-product (_sup_product, join of tmul) and the implication meet
-(_residual_meet, meet of resid). Both skip the factors that cannot move the
-result and stop early at top or bottom. Both run on a Carrier, with tmul and
-resid from lattice.operations: the public operations on the lattice's
-identity carrier, on values checked when their container was built, and the
-constructions on their values encoded once (closure.carrier_of).
+Entries are exact lattice values, each checked once, as a caller builds a
+vector or matrix or as from_values and from_rows coerce it, and not again in
+results; every container carries its lattice and operations refuse to mix
+lattices. All five structures are chains, so every composition is one of two
+loops over plain tuples: the sup-product (_sup_product, join of tmul) and the
+implication meet (_residual_meet, meet of resid). Both skip the factors that
+cannot move the result and stop early at top or bottom. Both run on a Carrier,
+with tmul and resid from lattice.operations: the public operations on the
+lattice's identity carrier, on values checked when their container was built,
+and the constructions on their values encoded once (closure.carrier_of).
 """
 
 from collections.abc import Callable, Iterable, Iterator
@@ -25,20 +25,36 @@ def _same_lattice(a, b) -> None:
             f"mixed lattices: {a.lattice.describe()} vs {b.lattice.describe()}")
 
 
+def _entries(entries: tuple) -> tuple:
+    """entries, once they can make a vector: it needs at least one."""
+    if not entries:
+        raise DimensionMismatch("a fuzzy vector needs at least one entry")
+    return entries
+
+
+def _rows(entries: tuple) -> Iterator[tuple]:
+    """Each row of entries, once it and the rows before it make a nonempty rectangle."""
+    if not entries or not entries[0]:
+        raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
+    width = len(entries[0])
+    for r, row in enumerate(entries, 1):
+        if len(row) != width:
+            raise DimensionMismatch(f"row {r} has {len(row)} entries, expected {width}")
+        yield row
+
+
 class FuzzyVector(Record):
     """Immutable nonempty tuple of membership degrees over one lattice; a caller's is checked."""
 
     __slots__ = ("lattice", "entries")
 
     def __init__(self, lattice: Lattice, entries: tuple[Value, ...]):
-        if not entries:
-            raise DimensionMismatch("a fuzzy vector needs at least one entry")
-        lattice.check_all(entries)
+        lattice.check_all(_entries(entries))
         super().__init__(lattice, entries)
 
     @classmethod
     def from_values(cls, lattice: Lattice, values: Iterable) -> "FuzzyVector":
-        return cls(lattice, tuple(lattice.coerce(v) for v in values))
+        return cls._derived(lattice, _entries(tuple(map(lattice.coerce, values))))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -49,10 +65,6 @@ class FuzzyVector(Record):
     def __iter__(self) -> Iterator[Value]:
         return iter(self.entries)
 
-    def __repr__(self) -> str:
-        body = " ".join(self.lattice.format_value(v) for v in self.entries)
-        return f"<vector {self.lattice.describe()} [{body}]>"
-
 
 class FuzzyMatrix(Record):
     """Immutable nonempty rectangular matrix of membership degrees; shape and
@@ -61,19 +73,14 @@ class FuzzyMatrix(Record):
     __slots__ = ("lattice", "entries")
 
     def __init__(self, lattice: Lattice, entries: tuple[tuple[Value, ...], ...]):
-        if not entries or not entries[0]:
-            raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
-        width = len(entries[0])
-        for r, row in enumerate(entries):
-            if len(row) != width:
-                raise DimensionMismatch(
-                    f"row {r + 1} has {len(row)} entries, expected {width}")
+        for row in _rows(entries):
             lattice.check_all(row)
         super().__init__(lattice, entries)
 
     @classmethod
     def from_rows(cls, lattice: Lattice, rows: Iterable[Iterable]) -> "FuzzyMatrix":
-        return cls(lattice, tuple(tuple(lattice.coerce(v) for v in row) for row in rows))
+        entries = tuple(tuple(map(lattice.coerce, row)) for row in rows)
+        return cls._derived(lattice, tuple(_rows(entries)))
 
     @property
     def n_rows(self) -> int:
@@ -85,11 +92,6 @@ class FuzzyMatrix(Record):
 
     def row(self, i: int) -> tuple[Value, ...]:
         return self.entries[i]
-
-    def __repr__(self) -> str:
-        rows = "; ".join(
-            " ".join(self.lattice.format_value(v) for v in row) for row in self.entries)
-        return f"<matrix {self.lattice.describe()} [{rows}]>"
 
 
 # -- the two loops --------------------------------------------------------

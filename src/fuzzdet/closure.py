@@ -67,7 +67,7 @@ class ValueSet(Record):
 
     @classmethod
     def of(cls, lattice: Lattice, values: Iterable) -> "ValueSet":
-        return cls(lattice, frozenset(lattice.coerce(v) for v in values))
+        return cls._derived(lattice, frozenset(map(lattice.coerce, values)))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -130,14 +130,14 @@ def cmd_equiv(args) -> int:
     if "rnerode" in methods:  # its cdfa reads each word reversed
         raise FuzzdetError("--method rnerode recognizes the reverse language; equiv takes the rest")
     _check_psi_applies(args.psi, methods)
-    a1 = _load(args.file1)
-    a2 = _load(args.file2)
+    a1, a2 = _load(args.file1), _load(args.file2)
     if a1.lattice != a2.lattice:
         raise FuzzdetError(
             f"lattices differ: {a1.lattice.describe()} vs {a2.lattice.describe()}")
     if set(a1.alphabet) != set(a2.alphabet):
         raise FuzzdetError(f"alphabets differ: {a1.alphabet} vs {a2.alphabet}")
-    a2 = FuzzyAutomaton(a2.lattice, a1.alphabet, a2.sigma, a2.delta, a2.tau)  # in file1's order
+    delta2 = {x: a2.delta[x] for x in a1.alphabet}  # in file1's alphabet order, which a2 takes
+    a2 = FuzzyAutomaton._derived(a2.lattice, a1.alphabet, a2.sigma, delta2, a2.tau)
     psis = [_read_psi(args.psi, a) if m == "psi" else None for a, m in zip((a1, a2), methods)]
     outcomes = []
     for a, m, psi in zip((a1, a2), methods, psis):

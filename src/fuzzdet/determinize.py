@@ -73,8 +73,7 @@ class Cdfa(Record):
     that defines it: sigma_u for nerode, tau_u for reverse_nerode, d_u for
     d_automaton and psi_d_automaton, w_u for brzozowski. Every state must be
     reachable from initial, and a caller's cdfa is checked for it; to_cdfa's
-    is not. Equality, hash and repr cover exactly these seven
-    fields.
+    is not. Equality, hash and repr cover exactly these seven fields.
     """
 
     __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "words",

@@ -82,8 +82,8 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({body})"
+        from .reference import record_repr  # no command writes a repr
+        return record_repr(self)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
@@ -180,8 +180,7 @@ class Lattice(Record):
         if self.kind == "chain":
             return self.check(raw)
         if isinstance(raw, Fraction):
-            self.check(raw)
-            return raw if type(raw) is Fraction else Fraction(raw)
+            return self.check(raw) if type(raw) is Fraction else Fraction(self.check(raw))
         if isinstance(raw, int) and not isinstance(raw, bool):
             return self.check(Fraction(raw))
         raise LatticeMismatch(f"cannot read {_write(raw)} as a {self.describe()} value")
@@ -230,12 +229,10 @@ class Lattice(Record):
         return operations(self.kind, self.bottom, self.top)
 
     def meet(self, x: Value, y: Value) -> Value:
-        x, y = self.check(x), self.check(y)
-        return x if x <= y else y
+        return min(self.check(x), self.check(y))
 
     def join(self, x: Value, y: Value) -> Value:
-        x, y = self.check(x), self.check(y)
-        return x if x >= y else y
+        return max(self.check(x), self.check(y))
 
     def tmul(self, x: Value, y: Value) -> Value:
         """Multiplication: min for godel, product for goguen, and the truncated
@@ -248,7 +245,8 @@ class Lattice(Record):
 
     def biresid(self, x: Value, y: Value) -> Value:
         """Biresiduum resid(x, y) meet resid(y, x); equals 1 iff x == y."""
-        return self.meet(self.resid(x, y), self.resid(y, x))
+        x, y, resid = self.check(x), self.check(y), self._ops[1]
+        return min(resid(x, y), resid(y, x))
 
 
 def operations(kind: str, bottom, top) -> tuple[Callable, Callable]:

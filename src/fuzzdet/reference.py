@@ -9,7 +9,8 @@ module, so `python -m fuzzdet` compiles none of it:
     TransitionTree.vertices returns;
   - cdfa_evaluate, a cdfa's table run on one word;
   - the writers of a FuzzyAutomaton: serialize_automaton, and the DOT
-    form that detcli.export_dot renders for one.
+    form that detcli.export_dot renders for one;
+  - record_repr, the repr of every record, which Record.__repr__ calls.
 
 The slow constructions the tests check the library against (the d
 vectors from their definitions, reversal, a cdfa as a fuzzy automaton)
@@ -17,6 +18,7 @@ live in the tests' support module, not here.
 """
 
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .algebra import (
     DEFAULT_CAP,
@@ -31,7 +33,7 @@ from .algebra import (
 from .automata import FuzzyAutomaton
 from .errors import DimensionMismatch
 from .formats import _quote
-from .lattice import Lattice, Record, Value
+from .lattice import Lattice, Record, Value, _write
 
 
 # -- algebra ---------------------------------------------------------------
@@ -186,3 +188,35 @@ def _automaton_dot(a: FuzzyAutomaton) -> str:
             out.append(f"  q{i + 1} -> __fin{i + 1} [label={_quote(fmt(a.tau[i]))}];")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+# -- reprs -----------------------------------------------------------------
+
+
+def record_repr(record: Record) -> str:
+    """The repr of every record, with every number in it written by _write,
+    so at any length. A vector or matrix shows its lattice and its entries
+    as documents write them, <vector godel [0.5 1 1/3]> or <matrix chain 4
+    [1 2; 0 4]>; any other record is Class(field=value, ...), each field as
+    repr writes it."""
+    if isinstance(record, FuzzyVector):
+        entries = " ".join(map(record.lattice.format_value, record.entries))
+        return f"<vector {record.lattice.describe()} [{entries}]>"
+    if isinstance(record, FuzzyMatrix):
+        rows = "; ".join(" ".join(map(record.lattice.format_value, row)) for row in record.entries)
+        return f"<matrix {record.lattice.describe()} [{rows}]>"
+    body = ", ".join(f"{f}={_field_repr(getattr(record, f))}" for f in record._fields)
+    return f"{type(record).__qualname__}({body})"
+
+
+def _field_repr(v) -> str:
+    """repr(v), but each int and Fraction in v, also inside a tuple or a
+    frozenset, written by _write."""
+    if type(v) is tuple:
+        items = ", ".join(map(_field_repr, v))
+        return f"({items},)" if len(v) == 1 else f"({items})"
+    if type(v) is frozenset:
+        return f"frozenset({{{', '.join(map(_field_repr, v))}}})" if v else "frozenset()"
+    if type(v) is Fraction:
+        return f"Fraction({_write(v.numerator)}, {_write(v.denominator)})"
+    return _write(v)

@@ -7,6 +7,7 @@ import pytest
 
 import fuzzdet
 from fuzzdet import parse_automaton
+from fuzzdet.lattice import Lattice
 
 DATA = Path(__file__).parent / "data"
 
@@ -23,6 +24,19 @@ def goguen3():
 @pytest.fixture
 def boolean3():
     return load_fixture("boolean3.fza")
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The values Lattice.check is called on from here on, in call order."""
+    calls = []
+    check = Lattice.check
+
+    def counted(self, v, token=None):
+        calls.append(v)
+        return check(self, v, token)
+    monkeypatch.setattr(Lattice, "check", counted)
+    return calls
 
 
 @pytest.fixture

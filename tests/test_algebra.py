@@ -225,6 +225,38 @@ def test_dimension_errors():
                        {"x": FuzzyMatrix(GOGUEN, ())}, FuzzyVector(GOGUEN, ()))
 
 
+VECTOR_EMPTY = "a fuzzy vector needs at least one entry"
+MATRIX_EMPTY = "a fuzzy matrix needs at least one row and column"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FuzzyVector.from_values(GOGUEN, []), VECTOR_EMPTY),
+    (lambda: FuzzyVector(GOGUEN, ()), VECTOR_EMPTY),
+    (lambda: FuzzyMatrix.from_rows(GOGUEN, [["0", "1"], ["1"]]), "row 2 has 1 entries, expected 2"),
+    (lambda: FuzzyMatrix(GOGUEN, ((F(0), F(1)), (F(1),))), "row 2 has 1 entries, expected 2"),
+    (lambda: FuzzyMatrix.from_rows(GOGUEN, [["0"], ["0", "1"]]), "row 2 has 2 entries, expected 1"),
+    (lambda: FuzzyMatrix.from_rows(GOGUEN, []), MATRIX_EMPTY),
+    (lambda: FuzzyMatrix.from_rows(GOGUEN, [[]]), MATRIX_EMPTY),
+    (lambda: FuzzyMatrix.from_rows(GOGUEN, [[], ["1"]]), MATRIX_EMPTY),
+    (lambda: FuzzyMatrix(GOGUEN, ((),)), MATRIX_EMPTY),
+])
+def test_raw_builders_and_constructors_name_a_bad_shape_alike(build, message):
+    with pytest.raises(DimensionMismatch) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_which_fault_a_matrix_names_first():
+    """A caller's matrix is checked row by row, each row's width before its
+    values; from_rows reads every raw value before it checks the shape."""
+    with pytest.raises(DimensionMismatch, match="^row 2 has 1 entries, expected 2$"):
+        FuzzyMatrix(GOGUEN, ((F(0), F(1)), (F(1),), (F(2), F(0))))
+    with pytest.raises(LatticeMismatch, match="^2 is outside goguen$"):
+        FuzzyMatrix(GOGUEN, ((F(2), F(1)), (F(1),)))
+    with pytest.raises(LatticeMismatch, match="^2 is outside goguen$"):
+        FuzzyMatrix.from_rows(GOGUEN, [["0", "1"], ["1"], ["2", "0"]])
+
+
 def test_lattice_mismatch_errors():
     godel_vec = FuzzyVector.from_values(GODEL, ["1", "0", "0"])
     with pytest.raises(LatticeMismatch):

@@ -1,14 +1,21 @@
 """Records the package derives from checked values skip their constructors'
 checks (Record._derived): state vectors, run-built cdfas, value sets,
-parsed automata, vectors and matrices, and the results of the algebra.
+parsed automata, vectors and matrices, the results of the algebra, and the
+records the raw builders make from values they have coerced, and so
+checked, once each.
 
 The oracle builds each such record again through its class's constructor,
 which runs every check, and asks for an equal record. A value outside its
 lattice's carrier or of the wrong type (a code that leaked undecoded), a
-ragged table or an unreachable state makes the constructor raise.
+ragged table or an unreachable state makes the constructor raise. Counting
+Lattice.check calls shows that each raw value is checked once.
 """
 
 import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from fuzzdet import (
     BOOLEAN,
@@ -17,6 +24,9 @@ from fuzzdet import (
     LUKASIEWICZ,
     Cdfa,
     FuzzyAutomaton,
+    FuzzyMatrix,
+    FuzzyVector,
+    ValueSet,
     automaton_values,
     brzozowski,
     chain,
@@ -33,6 +43,7 @@ from fuzzdet import (
     serialize_automaton,
     vec_mat,
 )
+from fuzzdet import cli
 from fuzzdet.lattice import Record
 from conftest import load_fixture
 from support import (
@@ -42,6 +53,7 @@ from support import (
     quasi_order_automaton,
     random_automaton,
     random_matrix,
+    random_value,
     random_vector,
     reverse,
 )
@@ -147,3 +159,80 @@ def test_algebra_results_are_checked_records():
             f, m, g = (random_vector(rng, lattice, n), random_matrix(rng, lattice, n),
                        random_matrix(rng, lattice, n))
             assert_rebuilds(vec_mat(f, m), mat_vec(m, f), mat_compose(m, g))
+
+
+def _raw_values(rng, lattice, n) -> list:
+    """n raw values as a caller passes them: document text, the value
+    itself, or an int for 0 and 1 on a rational lattice."""
+    raw = []
+    for _ in range(n):
+        v = random_value(rng, lattice)
+        kind = rng.randrange(3)
+        if kind == 0:
+            raw.append(lattice.format_value(v))
+        elif kind == 1 and v.denominator == 1:
+            raw.append(int(v))
+        else:
+            raw.append(v)
+    return raw
+
+
+def test_raw_builders_build_checked_records():
+    """from_values, from_rows, ValueSet.of and FuzzyAutomaton.build on raw
+    text, ints and Fractions, on every lattice."""
+    rng = random.Random(2610)
+    for lattice in LATTICES:
+        for n in range(1, 5):
+            alphabet = ("x", "y", "z")[:n % 3 + 1]
+            built = (FuzzyVector.from_values(lattice, _raw_values(rng, lattice, n)),
+                     FuzzyMatrix.from_rows(lattice, [_raw_values(rng, lattice, n)
+                                                     for _ in range(n)]),
+                     ValueSet.of(lattice, _raw_values(rng, lattice, n)),
+                     ValueSet.of(lattice, []),
+                     FuzzyAutomaton.build(
+                         lattice, alphabet, _raw_values(rng, lattice, n),
+                         {x: [_raw_values(rng, lattice, n) for _ in range(n)]
+                          for x in reversed(alphabet)},
+                         _raw_values(rng, lattice, n)))
+            assert_rebuilds(*built)
+
+
+TWO_STATES = {"x": [["0.5", "1"], ["0", "1/3"]], "y": [[0, 1], [F(2, 3), "0.25"]]}
+
+
+@pytest.mark.parametrize("build, checks", [
+    (lambda: FuzzyVector.from_values(GODEL, ["0.5", "1", "1/3"]), 3),
+    (lambda: FuzzyMatrix.from_rows(chain(4), [[1, "2"], [0, 4]]), 4),
+    (lambda: ValueSet.of(GOGUEN, ["1/2", F(1, 3)]), 2),
+    (lambda: FuzzyAutomaton.build(LUKASIEWICZ, ("x", "y"), ["1", 0], TWO_STATES, [0, "1"]), 12),
+], ids=["from_values", "from_rows", "ValueSet.of", "build"])
+def test_raw_builders_check_each_value_once(check_calls, build, checks):
+    build()
+    assert len(check_calls) == checks
+
+
+def test_equiv_checks_no_value_beyond_parsing(check_calls, monkeypatch, capsys, goguen3_path,
+                                              tmp_path):
+    """file2 is goguen3 with its alphabet, and so its transitions blocks, in
+    the other order. equiv puts file2's delta in file1's alphabet order
+    without a checking constructor, as the parser builds an automaton."""
+    a = load_fixture("goguen3.fza")
+    swapped = tmp_path / "swapped.fza"
+    swapped.write_text(serialize_automaton(FuzzyAutomaton(
+        a.lattice, ("y", "x"), a.sigma, a.delta, a.tau)), encoding="utf-8")
+    del check_calls[:]
+    for path in (goguen3_path, swapped):
+        parse_automaton(Path(path).read_text(encoding="utf-8"))
+    parsing = len(check_calls)
+    del check_calls[:]
+    constructed, determinized = [], []
+    init, d_automaton = FuzzyAutomaton.__init__, cli.d_automaton
+    monkeypatch.setattr(FuzzyAutomaton, "__init__",
+                        lambda self, *args: constructed.append(args) or init(self, *args))
+    monkeypatch.setattr(cli, "d_automaton",
+                        lambda a, cap: determinized.append(a) or d_automaton(a, cap))
+    assert cli.main(["equiv", goguen3_path, str(swapped)]) == 0
+    assert capsys.readouterr() == ("equivalent\n", "")
+    assert (len(check_calls), constructed) == (parsing, [])
+    assert determinized == [a, a] and determinized[1].alphabet == ("x", "y")
+    assert_rebuilds(*determinized)

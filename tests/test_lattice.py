@@ -7,6 +7,7 @@ import pytest
 
 from fuzzdet import BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ, LatticeMismatch, chain
 from fuzzdet.lattice import Lattice
+from support import value_pool
 
 RATIONAL = (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ)
 
@@ -67,6 +68,32 @@ def test_biresid_examples():
         for _ in range(50):
             x = rand_value(rng, lat)
             assert lat.biresid(x, x) == lat.top
+
+
+def test_biresid_is_the_meet_of_both_residua_on_every_pool_pair(check_calls):
+    """biresid checks each argument once, then meets the two residua."""
+    for lat in (*RATIONAL, chain(2), chain(4)):
+        pool = value_pool(lat)
+        for x in pool:
+            for y in pool:
+                expected = lat.meet(lat.resid(x, y), lat.resid(y, x))
+                del check_calls[:]
+                assert lat.biresid(x, y) == expected, (lat, x, y)
+                assert check_calls == [x, y]
+
+
+@pytest.mark.parametrize("lat, x, y, message", [
+    (GODEL, F(2), F(3), "2 is outside godel"),
+    (GODEL, F(1), 5, "expected a Fraction in [0, 1], got 5"),
+    (chain(4), 1, F(1, 2), "expected a chain index, got 1/2"),
+    (chain(4), True, 1, "expected a chain index, got True"),
+    (BOOLEAN, F(1, 2), F(1), "1/2 is not a boolean degree"),
+])
+def test_biresid_names_a_bad_argument_as_resid_does(lat, x, y, message):
+    for op in (lat.biresid, lat.resid):
+        with pytest.raises(LatticeMismatch) as err:
+            op(x, y)
+        assert str(err.value) == message
 
 
 def test_adjunction_sampled():

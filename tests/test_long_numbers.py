@@ -12,11 +12,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzdet import (GOGUEN, LUKASIEWICZ, FuzzyVector, InvarianceViolation, LatticeMismatch,
-                     PreflightReport, SemiringClosure, ValueSet, chain, parse_automaton,
-                     serialize_automaton)
+from fuzzdet import (GOGUEN, LUKASIEWICZ, FuzzyMatrix, FuzzyVector, InvarianceViolation,
+                     LatticeMismatch, PreflightReport, SemiringClosure, ValueSet, chain,
+                     d_automaton, parse_automaton, serialize_automaton)
 from fuzzdet import cli
+from fuzzdet.lattice import Record
 from dotcheck import validate_dot
+from test_records import _one_of_each_record
 
 CHUNK = 10 ** 1000
 
@@ -149,3 +151,65 @@ def test_a_long_value_outside_the_carrier_is_named(lattice, value, message):
 
 def test_a_vector_repr_writes_a_long_entry():
     assert repr(FuzzyVector(GOGUEN, (TINY, F(1)))) == f"<vector goguen [{TINY_TEXT} 1]>"
+
+
+# 1/2^15000 as a Fraction's repr writes it, with all 4,516 digits of 2^15000
+LONG_REPR = f"Fraction(1, {_digits(2 ** 15_000)})"
+GOGUEN_REPR = "Lattice(kind='goguen', top_index=None)"
+
+
+def test_a_value_set_repr_writes_a_long_element():
+    text = repr(ValueSet(GOGUEN, frozenset({F(1, 2 ** 15_000)})))
+    assert text == f"ValueSet(lattice={GOGUEN_REPR}, elements=frozenset({{{LONG_REPR}}}))"
+
+
+def test_a_chain_repr_writes_a_long_top_index():
+    assert repr(chain(10 ** 5000)) == f"Lattice(kind='chain', top_index=1{'0' * 5000})"
+
+
+def test_a_cdfa_repr_writes_a_long_terminal_degree():
+    """The one-state Goguen document with terminal degree 1/2^15000."""
+    c = d_automaton(parse_automaton(DOC.replace(f"1/{_digits(2 ** 7000)}", PSI_TEXT))).cdfa
+    assert c.terminal == (F(1, 2 ** 15_000),)
+    (d,) = c.vectors
+    assert repr(c) == (f"Cdfa(lattice={GOGUEN_REPR}, alphabet=('x',), transitions=((0,),), "
+                       f"initial=0, terminal=({LONG_REPR},), words=((),), vectors=({d!r},))")
+
+
+def test_an_invariance_violation_repr_writes_a_long_side():
+    violation = InvarianceViolation("x", (0, 1), F(1, 2 ** 15_000), F(0))
+    assert repr(violation) == (f"InvarianceViolation(constraint='x', position=(0, 1), "
+                               f"lhs={LONG_REPR}, rhs=Fraction(0, 1))")
+
+
+def _old_record_repr(self) -> str:
+    body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+    return f"{type(self).__qualname__}({body})"
+
+
+def _old_vector_repr(self) -> str:
+    body = " ".join(self.lattice.format_value(v) for v in self.entries)
+    return f"<vector {self.lattice.describe()} [{body}]>"
+
+
+def _old_matrix_repr(self) -> str:
+    rows = "; ".join(
+        " ".join(self.lattice.format_value(v) for v in row) for row in self.entries)
+    return f"<matrix {self.lattice.describe()} [{rows}]>"
+
+
+def test_reprs_of_ordinary_values_read_as_the_field_reprs_did(monkeypatch, goguen3, boolean3):
+    """Every record that test_records builds, and records with empty,
+    one-element and long tuples and sets: the one repr writer gives the text
+    that repr of each field gave, through the former Record.__repr__ and the
+    vector's and matrix's own."""
+    records = [*_one_of_each_record(goguen3, boolean3), chain(7),
+               ValueSet(GOGUEN, frozenset()), ValueSet(GOGUEN, frozenset({F(1, 3)})),
+               FuzzyVector._derived(GOGUEN, ()), FuzzyMatrix(chain(4), ((1, 2), (0, 4))),
+               SemiringClosure(False, None, 10_001, 10_000),
+               InvarianceViolation("sigma", (2,), F(2, 3), F(10 ** 40, 10 ** 41 + 1))]
+    new = [repr(r) for r in records]
+    monkeypatch.setattr(Record, "__repr__", _old_record_repr)
+    monkeypatch.setattr(FuzzyVector, "__repr__", _old_vector_repr, raising=False)
+    monkeypatch.setattr(FuzzyMatrix, "__repr__", _old_matrix_repr, raising=False)
+    assert new == [repr(r) for r in records]
