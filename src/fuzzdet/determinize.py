@@ -11,11 +11,12 @@ The glued tree is the cdfa. What varies is the root, the child map, the
 terminal map, and whether words grow on the right (forward constructions)
 or on the left (reverse ones).
 
-A tree is kept as its glued state table, which fixes it: each state has
-one open vertex, open vertices are expanded in the order their states were
-made, children in alphabet order. A state keeps its vector, its terminal
-degree, its edge row and the number of the edge that made it, but no word.
-One _Run carries a construction: cap, clock, counters, encoded automaton.
+One breadth-first engine, _bfs, grows every such tree as its glued state
+table, and keeps per state its edge row and the edge that made it, no word.
+Its three users: _Run.grow, which adds one construction's cap, terminal
+degrees and counters; find_witness, which grows the product of two cdfa up
+to the first pair whose degrees differ; and Cdfa, whose every state must
+be reached from initial. _words spells the words from the making edges.
 
 Constructions:
   nerode           states sigma_u, children sigma_u ∘ delta_x
@@ -48,8 +49,7 @@ so the records made of them are not checked again (Record._derived).
 """
 
 import time
-from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from operator import itemgetter
 
@@ -102,14 +102,7 @@ class Cdfa(Record):
         for name, table in (("words", words), ("vectors", vectors)):
             if len(table) != n:
                 raise DimensionMismatch(f"{len(table)} {name} for {n} states")
-        reached = {initial}
-        frontier = deque([initial])
-        while frontier:
-            s = frontier.popleft()
-            for t in transitions[s]:
-                if t not in reached:
-                    reached.add(t)
-                    frontier.append(t)
+        reached = {initial, *_bfs([initial], transitions.__getitem__, [], [])}
         if len(reached) != n:
             missing = sorted(set(range(n)) - reached)
             raise ValueError(f"unreachable states: {missing}")
@@ -125,6 +118,39 @@ class Cdfa(Record):
         return self.transitions[state][self.alphabet.index(symbol)]
 
 
+def _bfs(states: list, children: Callable[[object], Iterable], edges: list[int],
+         makers: list[int]) -> Iterator:
+    """The one breadth-first engine: grow a glued tree from states = [root].
+
+    children(v) gives v's children in alphabet order. A child equal to an
+    earlier state is glued to it; a new one is appended to states and
+    yielded, so the caller may stop. edges gets each child's state, row by
+    row, and makers the edge s * |alphabet| + i = len(edges) that made each
+    state but the root.
+    """
+    index_of = {states[0]: 0}
+    for v in states:
+        for w in children(v):
+            t = index_of.get(w)
+            if t is None:
+                t = index_of[w] = len(states)
+                makers.append(len(edges))
+                states.append(w)
+                yield w
+            edges.append(t)
+
+
+def _words(makers: list[int], alphabet: tuple[str, ...], prepend: bool = False) -> list[Word]:
+    """Each state's tree word: its maker's source word grown by its symbol."""
+    symbols = [(x,) for x in alphabet]
+    m = len(symbols)
+    made: list[Word] = [()]
+    for e in makers:
+        u, x = made[e // m], symbols[e % m]
+        made.append(x + u if prepend else u + x)
+    return made
+
+
 def find_witness(c1: Cdfa, c2: Cdfa) -> Word | None:
     """Shortest word on which the two cdfa disagree, None when equivalent.
 
@@ -136,22 +162,14 @@ def find_witness(c1: Cdfa, c2: Cdfa) -> Word | None:
         raise LatticeMismatch("cannot compare cdfa over different lattices")
     if c1.alphabet != c2.alphabet:
         raise AlphabetMismatch(f"alphabets differ: {c1.alphabet} vs {c2.alphabet}")
-    start = (c1.initial, c2.initial)
-    if c1.terminal[c1.initial] != c2.terminal[c2.initial]:
+    t1, t2, d1, d2 = c1.transitions, c2.transitions, c1.terminal, c2.terminal
+    if d1[c1.initial] != d2[c2.initial]:
         return ()
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, ())])
-    while queue:
-        (s1, s2), word = queue.popleft()
-        for i, x in enumerate(c1.alphabet):
-            pair = (c1.transitions[s1][i], c2.transitions[s2][i])
-            if pair in seen:
-                continue
-            extended = word + (x,)
-            if c1.terminal[pair[0]] != c2.terminal[pair[1]]:
-                return extended
-            seen.add(pair)
-            queue.append((pair, extended))
+    makers: list[int] = []
+    pairs = _bfs([(c1.initial, c2.initial)], lambda pq: zip(t1[pq[0]], t2[pq[1]]), [], makers)
+    for p, q in pairs:
+        if d1[p] != d2[q]:
+            return _words(makers, c1.alphabet)[-1]
     return None
 
 
@@ -189,13 +207,11 @@ class DetOutcome(Record):
 class TransitionTree:
     """A transition tree as its glued state table; vertices lists the tree.
 
-    State lists are indexed by pointer - 1. codes and terminal_codes hold
-    each state's vector and terminal degree in the carrier's encoding, and
-    state_vectors and state_terminals decode them. state_edges[s][i] is s's
-    glued target under alphabet symbol i, and makers[t - 1] = s * |alphabet|
-    + i names the edge that made state t. Words grow on the left when
-    prepend. A plain object, equal only to itself, as its Carrier is:
-    compare two trees by their state_vectors or their to_cdfa().
+    codes and terminal_codes hold each state's vector and terminal degree in
+    the carrier's encoding; state_vectors and state_terminals decode them.
+    state_edges[s][i] is s's target under symbol i; makers are _bfs's. Words
+    grow on the left when prepend. A plain object, equal only to itself, as
+    its Carrier is: compare two trees by their state_vectors or to_cdfa().
     """
 
     def __init__(self, carrier: Carrier, alphabet: tuple[str, ...], codes: list[tuple],
@@ -237,12 +253,7 @@ class TransitionTree:
         and grown on the right it is least. Grown on the left, a later edge
         s -> t offers (x,) + made[s], never shorter: ties compete, in alphabet order.
         """
-        symbols = [(x,) for x in self.alphabet]
-        m = len(symbols)
-        made: list[Word] = [()]
-        for e in self.makers:
-            u, x = made[e // m], symbols[e % m]
-            made.append(x + u if self.prepend else u + x)
+        made = _words(self.makers, self.alphabet, self.prepend)
         if not self.prepend:
             return made
         rank = {x: i for i, x in enumerate(self.alphabet)}
@@ -281,42 +292,28 @@ class _Run:
         self.tau = c.codes(a.tau)
         self.delta = [tuple(map(c.codes, a.delta[x].entries)) for x in a.alphabet]
 
-    def grow(self, root: tuple, child: Callable[[tuple, int], tuple],
+    def grow(self, root: tuple, children: Callable[[tuple], Iterable[tuple]],
              terminal: Callable[[tuple], object], prepend: bool = False
              ) -> TransitionTree | CapExceeded:
         """Expand a transition tree breadth-first until every leaf is closed.
 
-        Vectors are tuples of carrier codes; child(v, i) is v's child under
-        alphabet symbol i. Exceeds the cap the moment a (cap+1)-th distinct
+        Vectors are tuples of carrier codes; children(v) lists v's children
+        in alphabet order. Exceeds the cap the moment a (cap+1)-th distinct
         state would be created. Each child is one closure check, and each
         vertex made, the root included, one vertex.
         """
-        m, cap = len(self.alphabet), self.cap
-        index_of = {root: 0}
-        codes = [root]
+        codes, edges, makers = [root], [], []
         terminals = [terminal(root)]
-        edges: list[tuple[int, ...]] = []
-        makers: list[int] = []  # the edge s * m + i that made each state but the root
-        for s, vec in enumerate(codes):
-            row = []
-            for i in range(m):
-                v = child(vec, i)
-                t = index_of.get(v)
-                if t is None:
-                    t = len(codes)
-                    if t >= cap:
-                        self.checks += s * m + i + 1
-                        self.vertices += s * m + i + 1
-                        return CapExceeded(states_built=t, cap=cap)
-                    index_of[v] = t
-                    codes.append(v)
-                    terminals.append(terminal(v))
-                    makers.append(s * m + i)
-                row.append(t)
-            edges.append(tuple(row))
-        self.checks += len(codes) * m
-        self.vertices += len(codes) * m + 1
-        return TransitionTree(self.carrier, self.alphabet, codes, terminals, edges, makers, prepend)
+        for v in _bfs(codes, children, edges, makers):
+            if len(codes) > self.cap:
+                self.checks += makers[-1] + 1
+                self.vertices += makers[-1] + 1
+                return CapExceeded(states_built=self.cap, cap=self.cap)
+            terminals.append(terminal(v))
+        self.checks += len(edges)
+        self.vertices += len(edges) + 1
+        rows = list(zip(*[iter(edges)] * len(self.alphabet)))  # edges cut into rows
+        return TransitionTree(self.carrier, self.alphabet, codes, terminals, rows, makers, prepend)
 
     def sup_tree(self, root: tuple, matrices: Iterable[Iterable[tuple]], terminal: tuple,
                  prepend: bool) -> TransitionTree | CapExceeded:
@@ -329,7 +326,7 @@ class _Run:
         c = self.carrier
         rows = [_pairs(c, m) for m in matrices]
         terminal_row = _pairs(c, (terminal,))
-        return self.grow(root, lambda v, i: _sup_product(c, rows[i], v),
+        return self.grow(root, lambda v: [_sup_product(c, r, v) for r in rows],
                          lambda v: _sup_product(c, terminal_row, v)[0], prepend)
 
     def forward(self, rn: TransitionTree | CapExceeded, d_vectors: bool) -> DetOutcome:
@@ -342,11 +339,9 @@ class _Run:
         """
         if isinstance(rn, CapExceeded):
             return self.done(rn)
-        pick = [itemgetter(*(row[i] for row in rn.state_edges))
-                for i in range(len(self.alphabet))]
-        # itemgetter of one index returns the item, not a tuple
-        child = (lambda w, i: w) if rn.n_states == 1 else (lambda w, i: pick[i](w))
-        tree = self.grow(tuple(rn.terminal_codes), child, itemgetter(0))
+        # itemgetter of one index returns the item, not a tuple; tuple(w) is w
+        pick = [itemgetter(*col) if rn.n_states > 1 else tuple for col in zip(*rn.state_edges)]
+        tree = self.grow(tuple(rn.terminal_codes), lambda w: [p(w) for p in pick], itemgetter(0))
         if isinstance(tree, CapExceeded) or not d_vectors:
             return self.done(tree)
         columns = _pairs(self.carrier, zip(*rn.codes))

@@ -31,7 +31,7 @@ import re
 from .automata import RESERVED_SYMBOL, FuzzyAutomaton, Word
 from .algebra import FuzzyMatrix, FuzzyVector
 from .errors import FormatError, LatticeMismatch, UnknownSymbol
-from .lattice import NAMED, Lattice, Value, chain
+from .lattice import _INDEX, NAMED, Lattice, Value, _read_int, _write, chain
 
 
 def format_word(word: Word) -> str:
@@ -83,13 +83,9 @@ def _tokenize(text: str) -> list[list[_Token]]:
 
 
 def _positive_int(tokens: list[_Token], message: str, line: int) -> int:
-    """The value of a lone positive ASCII decimal token, else FormatError(message)."""
+    """The value of a lone positive token of ASCII digits, else FormatError(message)."""
     text = tokens[0].text if len(tokens) == 1 else ""
-    try:
-        value = int(text) if text.isascii() and text.isdecimal() else 0
-    except ValueError:  # more digits than int() converts
-        value = 0
-    if value < 1:
+    if not _INDEX.fullmatch(text) or (value := _read_int(text)) < 1:
         raise FormatError(message, line)
     return value
 
@@ -99,7 +95,7 @@ def _parse_values(lattice: Lattice, tokens: list[_Token], count: int, what: str,
     """The count values of tokens, read on the given line. parsed maps each
     token text its document has shown so far to its value, read once."""
     if len(tokens) != count:
-        raise FormatError(f"{what} needs {count} values, got {len(tokens)}", line)
+        raise FormatError(f"{what} needs {_write(count)} values, got {len(tokens)}", line)
     for t in tokens:
         if t.text not in parsed:
             try:
@@ -172,8 +168,8 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
             n = blocks["states"]
             rows = lines[i:i + n]
             if len(rows) < n:
-                raise FormatError(f"transitions {symbol} needs {n} rows, document ends after "
-                                  f"{len(rows)}", head.line)
+                raise FormatError(f"transitions {symbol} needs {_write(n)} rows, document "
+                                  f"ends after {len(rows)}", head.line)
             delta[symbol] = _matrix(blocks["lattice"], rows, "transition row", parsed)
             i += n
         else:

@@ -9,6 +9,7 @@ from fuzzdet import (
     BOOLEAN,
     GODEL,
     GOGUEN,
+    LUKASIEWICZ,
     AlphabetMismatch,
     Cdfa,
     DimensionMismatch,
@@ -20,15 +21,17 @@ from fuzzdet import (
     ValueSet,
     cdfa_evaluate,
     chain,
+    d_automaton,
     dot,
     evaluate,
     find_witness,
     mat_compose,
     mat_vec,
+    nerode,
     vec_mat,
 )
 from fuzzdet.automata import check_alphabet
-from support import all_words, cdfa_as_fuzzy_automaton, random_automaton, reverse
+from support import all_words, cdfa_as_fuzzy_automaton, random_automaton, reverse, value_pool
 
 
 def test_evaluate_fixture_words(goguen3):
@@ -153,12 +156,20 @@ def test_alphabet_rejects_reserved_symbols():
             Cdfa(GOGUEN, alphabet, ((0,) * len(alphabet),), 0, (F(0),), ONE_WORD, ONE_VECTOR)
 
 
-def test_cdfa_validation():
-    with pytest.raises(ValueError):
-        Cdfa(GOGUEN, ("x",), ((0,), (1,)), 0, (F(0), F(1)),
-             ONE_WORD * 2, ONE_VECTOR * 2)  # state 1 unreachable
-    with pytest.raises(ValueError):
-        Cdfa(GOGUEN, ("x",), ((5,),), 0, (F(0),), ONE_WORD, ONE_VECTOR)
+@pytest.mark.parametrize("transitions, initial, message", [
+    (((0,), (1,)), 0, "unreachable states: [1]"),
+    (((5,),), 0, "transition target 5 out of range"),
+    # from 3, state 1 is reached only through 5, and 0, 2 and 4 only reach each other
+    (((2, 2), (1, 1), (4, 0), (5, 5), (0, 0), (1, 3)), 3, "unreachable states: [0, 2, 4]"),
+    # 1 leads into the reached states 3 and 0, but nothing leads to 1
+    (((0, 0), (3, 0), (0, 0), (2, 2)), 3, "unreachable states: [1]"),
+])
+def test_cdfa_validation(transitions, initial, message):
+    n = len(transitions)
+    with pytest.raises(ValueError) as err:
+        Cdfa(GOGUEN, ("x", "y")[:len(transitions[0])], transitions, initial, (F(0),) * n,
+             ONE_WORD * n, ONE_VECTOR * n)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
 
 
 @pytest.mark.parametrize("symbols, message", [
@@ -290,6 +301,58 @@ def test_find_witness_mismatch_errors():
                          (FuzzyVector(chain(2), (0,)),))
     with pytest.raises(LatticeMismatch):
         find_witness(c, other_lattice)
+
+
+def _renumbered(rng, c):
+    """c with its states shuffled, initial away from 0 when c has two states or more."""
+    order = list(range(c.n))
+    rng.shuffle(order)
+    while c.n > 1 and order[c.initial] == 0:
+        rng.shuffle(order)
+    back = sorted(range(c.n), key=order.__getitem__)  # back[order[s]] == s
+    return Cdfa(c.lattice, c.alphabet,
+                tuple(tuple(order[t] for t in c.transitions[s]) for s in back), order[c.initial],
+                tuple(c.terminal[s] for s in back), tuple(c.words[s] for s in back),
+                tuple(c.vectors[s] for s in back))
+
+
+def _with_terminal(c, state, value):
+    terminal = c.terminal[:state] + (value,) + c.terminal[state + 1:]
+    return Cdfa(c.lattice, c.alphabet, c.transitions, c.initial, terminal, c.words, c.vectors)
+
+
+@pytest.mark.parametrize("lattice", [BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ, chain(2), chain(4)])
+def test_find_witness_against_evaluation(lattice):
+    """A witness is the shortlex-least word on which cdfa_evaluate differs, and
+    None means no word up to length 6 differs: on renumbered cdfa of random
+    automata, of the same language or not, and on cdfa that differ in one
+    state's terminal degree only."""
+    rng = random.Random(1971)
+    cdfas = []
+    for _ in range(20):
+        # a sparse Goguen automaton has a finite cdfa more often
+        a = random_automaton(rng, lattice, rng.randint(2, 4),
+                             zero_bias=0.6 if lattice is GOGUEN else 0.45)
+        for construct in (nerode, d_automaton):
+            outcome = construct(a, 200)
+            if outcome.ok:
+                cdfas.append(_renumbered(rng, outcome.cdfa))
+    pairs = [(c, _renumbered(rng, c)) for c in cdfas]
+    pairs += [(c, d) for c, d in zip(cdfas, cdfas[1:])]
+    for c in cdfas:
+        state = max(range(c.n), key=lambda s: len(c.words[s]))  # a longest word's
+        other = next(v for v in reversed(value_pool(lattice)) if v != c.terminal[state])
+        pairs.append((c, _renumbered(rng, _with_terminal(c, state, other))))
+    found = {"none": 0, "empty": 0, "longer": 0}
+    for c1, c2 in pairs:
+        witness = find_witness(c1, c2)
+        found["none" if witness is None else "longer" if witness else "empty"] += 1
+        for word in all_words(c1.alphabet, 6 if witness is None else len(witness)):
+            differs = cdfa_evaluate(c1, word) != cdfa_evaluate(c2, word)
+            assert differs == (word == witness), (word, witness)
+            if differs:
+                break
+    assert min(found.values()) >= 3, found
 
 
 def test_cdfa_as_fuzzy_automaton_preserves_language():

@@ -1,6 +1,7 @@
 """Document parsing, canonical serialization, DOT export."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -206,12 +207,19 @@ def test_parse_structural_errors():
         parse_automaton(base.replace("lattice goguen", "lattice fancy"))
     with pytest.raises(FormatError, match="before lattice"):
         parse_automaton("initial 1\n" + base)
-    # not positive, not decimal (a superscript two), or longer than int() converts
-    for count in ("\u00b2", "0", "-1", "9" * 5000):
+    # not positive, or not decimal (a superscript two)
+    for count in ("\u00b2", "0", "-1"):
         with pytest.raises(FormatError, match="states needs one positive integer"):
             parse_automaton(base.replace("states 1", f"states {count}"))
         with pytest.raises(FormatError, match="chain needs a positive top index"):
             parse_automaton(base.replace("lattice goguen", f"lattice chain {count}"))
+    # a count longer than int() converts is read, and written, with all its digits
+    huge = "9" * 5000
+    with pytest.raises(FormatError) as err:
+        parse_automaton(base.replace("states 1", f"states {huge}"))
+    assert str(err.value) == f"line 4: initial needs {huge} values, got 1"
+    a = parse_automaton(base.replace("lattice goguen", f"lattice chain {huge}"))
+    assert a.lattice == chain(int(Decimal(huge))) and a.sigma.entries == (1,)
 
 
 # Arabic-Indic and fullwidth digits are decimal digits to Python, not to a document

@@ -188,7 +188,7 @@ def test_import_loads_no_submodule(python_child):
 # call loads, keyed by command, and "psi" for a call whose --psi names a file.
 # Without a bytecode cache each call compiles them, at about 12 µs a line
 # (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_134, "semiring": 1_339, "det": 1_920, "equiv": 1_920, "psi": 2_023}
+LINE_BUDGETS = {"eval": 1_130, "semiring": 1_335, "det": 1_911, "equiv": 1_911, "psi": 2_014}
 
 
 def _lines(module: str) -> int:
