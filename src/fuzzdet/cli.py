@@ -81,8 +81,8 @@ def _load(path: str) -> FuzzyAutomaton:
     return parse_automaton(_read(path))
 
 
-def _closure_line(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> str:
-    report = _self.preflight(a, cap)
+def _closure_line(report: "PreflightReport") -> str:
+    """The semiring report of a preflight: k and the k^n bound, or the closure's cap."""
     if report.closure.closed:
         k = report.closure.k
         return f"finite, k={k}, bound {k}^{report.n}={_write(report.bound)}"
@@ -99,8 +99,7 @@ def cmd_eval(args) -> int:
 def cmd_semiring(args) -> int:
     from .closure import require_cap  # loaded by preflight anyway
     require_cap(args.cap, "--cap")
-    a = _load(args.file)
-    print(_closure_line(a, args.cap))
+    print(_closure_line(_self.preflight(_load(args.file), args.cap)))
     return EXIT_OK
 
 

@@ -87,7 +87,7 @@ def cmd_det(args) -> int:
     _check_psi_applies(args.psi, [args.method])
     a = _load(args.file)
     psi = _read_psi(args.psi, a)
-    closure = _closure_line(a)
+    report = cli.preflight(a)
     # construct, and write a DOT file, before the first report line, so that
     # a bad psi or an unwritable --dot PATH prints none
     outcome = _determinize(a, args.method, args.max_states, psi)
@@ -98,8 +98,8 @@ def cmd_det(args) -> int:
                 f.write(dot)
         except OSError as e:
             raise FuzzdetError(f"--dot: cannot write {args.dot}: {e.strerror}") from None
-    print(f"semiring: {closure}")
-    if closure.startswith("cap exceeded"):
+    print(f"semiring: {_closure_line(report)}")
+    if not report.closure.closed:
         _to_stderr("warning: membership values did not close, termination is not guaranteed")
     if args.stats:
         s = outcome.stats

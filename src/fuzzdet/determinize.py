@@ -42,15 +42,14 @@ implication meet of the mu_s against w_u, recovered once per state.
 Every construction runs on a Carrier (see algebra and closure.carrier_of):
 the values that enter it encoded once, so that its vectors are tuples of
 bare codes (ints on every lattice but Goguen) and its tmul and resid are
-bound for that automaton. Decoding happens at one boundary, the
-TransitionTree's state_vectors and state_terminals, which to_cdfa reads.
-Decoded values stay in the subsemiring that sigma, delta and tau generate,
-so the records made of them are not checked again (Record._derived).
+bound for that automaton. Each ends in _Run.done, which decodes its tree
+through to_cdfa. Decoded values stay in the subsemiring that sigma, delta
+and tau generate, so their records are not checked again (Record._derived).
 """
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cached_property
+from collections.abc import Callable, Iterable, Iterator
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .algebra import (DEFAULT_CAP, Carrier, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet,
@@ -182,10 +181,10 @@ class BuildStats(Record):
 class CapExceeded(Record):
     """A construction needed more than cap distinct states and stopped."""
 
-    __slots__ = ("states_built", "cap")
+    __slots__ = ("cap",)
 
     def __str__(self) -> str:
-        return f"cap exceeded: {self.states_built} states built (max-states {_write(self.cap)})"
+        return "cap exceeded: {0} states built (max-states {0})".format(_write(self.cap))
 
 
 class DetOutcome(Record):
@@ -200,7 +199,7 @@ class DetOutcome(Record):
     @property
     def cdfa(self) -> Cdfa:
         if not isinstance(self.result, Cdfa):
-            raise ValueError(f"construction stopped at its cap of {_write(self.result.cap)} states")
+            raise ValueError(str(self.result))
         return self.result
 
 
@@ -264,7 +263,7 @@ class TransitionTree:
                     least[t] = min(least[t], (x,) + u, key=lambda w: [rank[y] for y in w])
         return least
 
-    def to_cdfa(self, vectors: Sequence[tuple] | None = None) -> Cdfa:
+    def to_cdfa(self, vectors: Iterable[tuple] | None = None) -> Cdfa:
         """The glued table as a cdfa, with state_terminals and state_vectors.
 
         vectors are the cdfa's state vectors as codes, state_vectors by default.
@@ -302,13 +301,12 @@ class _Run:
         state would be created. Each child is one closure check, and each
         vertex made, the root included, one vertex.
         """
-        codes, edges, makers = [root], [], []
-        terminals = [terminal(root)]
+        codes, edges, makers, terminals = [root], [], [], [terminal(root)]
         for v in _bfs(codes, children, edges, makers):
             if len(codes) > self.cap:
                 self.checks += makers[-1] + 1
                 self.vertices += makers[-1] + 1
-                return CapExceeded(states_built=self.cap, cap=self.cap)
+                return CapExceeded(self.cap)
             terminals.append(terminal(v))
         self.checks += len(edges)
         self.vertices += len(edges) + 1
@@ -330,28 +328,30 @@ class _Run:
                          lambda v: _sup_product(c, terminal_row, v)[0], prepend)
 
     def forward(self, rn: TransitionTree | CapExceeded, d_vectors: bool) -> DetOutcome:
-        """The index gather over a finished reverse tree rn, as the outcome.
+        """The index gather over a reverse tree rn, as the outcome.
 
         w_eps is rn's terminal column, w_{ux}[s] = w_u[edge(s, x)] and the
         terminal degree is w_u[0]; words grow on the right. The state
-        vectors are the w, or with d_vectors the d vectors recovered from
-        w: the implication meet of the reverse states' columns against w.
+        vectors are the w, or with d_vectors the d vectors done recovers
+        from w: the implication meet of the reverse states' columns against w.
         """
         if isinstance(rn, CapExceeded):
             return self.done(rn)
         # itemgetter of one index returns the item, not a tuple; tuple(w) is w
         pick = [itemgetter(*col) if rn.n_states > 1 else tuple for col in zip(*rn.state_edges)]
         tree = self.grow(tuple(rn.terminal_codes), lambda w: [p(w) for p in pick], itemgetter(0))
-        if isinstance(tree, CapExceeded) or not d_vectors:
-            return self.done(tree)
-        columns = _pairs(self.carrier, zip(*rn.codes))
-        return self.done(tree, [_residual_meet(self.carrier, columns, w) for w in tree.codes])
+        c = self.carrier
+        recover = partial(_residual_meet, c, _pairs(c, zip(*rn.codes))) if d_vectors else None
+        return self.done(tree, recover)
 
     def done(self, tree: TransitionTree | CapExceeded,
-             vectors: Sequence[tuple] | None = None) -> DetOutcome:
-        """Stop the clock, then decode tree with its state vectors, or report its cap."""
-        stats = BuildStats(self.vertices, self.checks, time.perf_counter() - self.t0)
-        return DetOutcome(tree if isinstance(tree, CapExceeded) else tree.to_cdfa(vectors), stats)
+             recover: Callable[[tuple], tuple] | None = None) -> DetOutcome:
+        """Every construction's end: tree's cdfa, whose state vectors are recover(codes)
+        if given, or its cap report; then the clock, so that elapsed covers decoding."""
+        if not isinstance(tree, CapExceeded):
+            tree = tree.to_cdfa(recover and map(recover, tree.codes))
+        elapsed = time.perf_counter() - self.t0
+        return DetOutcome(tree, BuildStats(self.vertices, self.checks, elapsed))
 
 
 # -- forward and reverse Nerode ------------------------------------------

@@ -418,7 +418,7 @@ def _oracle_tree(alphabet, root, step, key, cap, prepend):
             k = key(p)
             if k not in index:
                 if len(keys) >= cap:
-                    return CapExceeded(states_built=len(keys), cap=cap)
+                    return CapExceeded(cap)
                 index[k] = len(keys)
                 payloads.append(p)
                 keys.append(k)

@@ -93,7 +93,7 @@ def test_criterion_03_nerode_diverges_under_cap(goguen3):
     with criterion(3, "nerode cap trips on the goguen fixture"):
         outcome = nerode(goguen3, cap=100)
         assert not outcome.ok
-        assert outcome.result == CapExceeded(states_built=100, cap=100)
+        assert outcome.result == CapExceeded(cap=100)
 
 
 def test_criterion_04_boolean_counts(boolean3):

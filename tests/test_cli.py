@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import fuzzdet
-from fuzzdet import FuzzyAutomaton, chain, parse_automaton, serialize_automaton
+from fuzzdet import FuzzyAutomaton, chain, d_automaton, parse_automaton, serialize_automaton
 from fuzzdet.cli import main
 from conftest import child_env
 from dotcheck import validate_dot
+from support import nth_from_end
 
 BENCH = Path(__file__).parent.parent / "bench"
 HELP = Path(__file__).parent / "data" / "help"
@@ -153,6 +154,23 @@ def test_det_cap_exceeded(capsys, goguen3_path):
                            "--method", "nerode", "--max-states", "100")
     assert code == 3
     assert "cap exceeded: 100 states built (max-states 100)" in out
+
+
+@pytest.mark.parametrize("cap, counters", [("5", "vertices=8 closure_checks=8"),  # reverse phase
+                                           ("10", "vertices=24 closure_checks=23")])  # forward
+def test_incl_cap_report_in_either_phase(capsys, tmp_path, cap, counters):
+    """n = 4 of the n-th-from-end family: 5 reverse states, 16 forward ones."""
+    doc = tmp_path / "nth4.fza"
+    doc.write_text(serialize_automaton(nth_from_end(4)), encoding="utf-8")
+    report = f"cap exceeded: {cap} states built (max-states {cap})"
+    code, out, err = run_cli(capsys, "det", str(doc), "--max-states", cap, "--stats")
+    assert (code, out) == (3, f"semiring: finite, k=2, bound 2^5=32\n{report}\n")
+    assert re.fullmatch(rf"stats: {counters} elapsed=[0-9.]+s\n", err)
+    assert run_cli(capsys, "equiv", str(doc), str(doc), "--max-states", cap) == (
+        3, "", f"{report}\n")
+    with pytest.raises(ValueError) as e:
+        d_automaton(nth_from_end(4), int(cap)).cdfa
+    assert str(e.value) == report
 
 
 def test_det_unknown_method(capsys, goguen3_path):

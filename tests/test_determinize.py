@@ -4,9 +4,11 @@ double reversal, the psi variant, and the pre-flight bound."""
 import random
 from collections import deque
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+import fuzzdet.determinize
 import fuzzdet.psi
 from fuzzdet import (
     BOOLEAN,
@@ -105,7 +107,7 @@ def test_nerode_boolean_fixture(boolean3):
 def test_nerode_caps_on_divergent_input(goguen3):
     outcome = nerode(goguen3, cap=100)
     assert not outcome.ok
-    assert outcome.result == CapExceeded(states_built=100, cap=100)
+    assert outcome.result == CapExceeded(100)
     with pytest.raises(ValueError):
         outcome.cdfa
 
@@ -218,7 +220,22 @@ def test_cap_boundary(goguen3):
     assert reverse_nerode(goguen3, cap=4).ok
     outcome = reverse_nerode(goguen3, cap=3)
     assert not outcome.ok
-    assert outcome.result == CapExceeded(states_built=3, cap=3)
+    assert outcome.result == CapExceeded(cap=3)
+
+
+@pytest.mark.parametrize("construct", [reverse_nerode, d_automaton, brzozowski])
+def test_stats_elapsed_covers_the_cdfa_assembly(monkeypatch, goguen3, construct):
+    """A clock that moves only inside to_cdfa: elapsed is read after it."""
+    clock = [0.0]
+    monkeypatch.setattr(fuzzdet.determinize, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    to_cdfa = fuzzdet.determinize.TransitionTree.to_cdfa
+
+    def slow_to_cdfa(tree, *args):
+        clock[0] += 5.0
+        return to_cdfa(tree, *args)
+
+    monkeypatch.setattr(fuzzdet.determinize.TransitionTree, "to_cdfa", slow_to_cdfa)
+    assert construct(goguen3).stats.elapsed == 5.0
 
 
 def test_invalid_cap(goguen3):

@@ -17,6 +17,7 @@ from fuzzdet import (
     BuildStats,
     CapExceeded,
     Cdfa,
+    DetOutcome,
     FuzzyAutomaton,
     FuzzyMatrix,
     FuzzyVector,
@@ -94,16 +95,17 @@ def test_every_record_is_immutable_and_hashes_by_value(goguen3, boolean3):
 
 
 def test_record_init_sets_fields_by_position_or_name():
-    assert CapExceeded(3, 4) == CapExceeded(states_built=3, cap=4) == CapExceeded(3, cap=4)
-    stats = BuildStats(5, 7, elapsed=0.5)
+    cap, stats = CapExceeded(4), BuildStats(5, 7, elapsed=0.5)
+    assert DetOutcome(cap, stats) == DetOutcome(result=cap, stats=stats)
+    assert DetOutcome(cap, stats=stats) == DetOutcome(cap, stats)
     assert (stats.vertices, stats.closure_checks, stats.elapsed) == (5, 7, 0.5)
-    assert CapExceeded(cap=4, states_built=3).cap == 4
+    assert DetOutcome(stats=stats, result=cap).result == CapExceeded(cap=4)
     assert Lattice(kind="chain", top_index=3) == chain(3)
 
 
 def test_reprs_name_each_field_or_entry():
-    assert repr(CapExceeded(3, 4)) == "CapExceeded(states_built=3, cap=4)"
-    assert str(CapExceeded(3, 4)) == "cap exceeded: 3 states built (max-states 4)"
+    assert repr(CapExceeded(4)) == "CapExceeded(cap=4)"
+    assert str(CapExceeded(4)) == "cap exceeded: 4 states built (max-states 4)"
     assert repr(chain(4)) == "Lattice(kind='chain', top_index=4)"
     assert repr(InvarianceViolation("x", (0, 1), F(1, 2), F(0))) == (
         "InvarianceViolation(constraint='x', position=(0, 1), lhs=Fraction(1, 2), "
@@ -114,18 +116,18 @@ def test_reprs_name_each_field_or_entry():
 
 
 @pytest.mark.parametrize("args, named", [
-    ((3,), {}),  # cap missing
-    ((), {"cap": 3}),  # states_built missing
-    ((3,), {"states_built": 3, "cap": 3}),  # states_built twice
+    ((3,), {}),  # stats missing
+    ((), {"stats": 3}),  # result missing
+    ((3,), {"result": 3, "stats": 3}),  # result twice
     ((3, 3, 3), {}),  # one value too many
     ((3, 3), {"size": 3}),  # size unknown
-    ((3,), {"cap": 3, "size": 3}),
+    ((3,), {"stats": 3, "size": 3}),
     ((3,), {"size": 3}),
 ])
 def test_record_init_refuses_missing_repeated_and_unknown_fields(args, named):
     with pytest.raises(TypeError) as err:
-        CapExceeded(*args, **named)
-    assert str(err.value) == (f"CapExceeded(states_built, cap) takes each field once: "
+        DetOutcome(*args, **named)
+    assert str(err.value) == (f"DetOutcome(result, stats) takes each field once: "
                               f"got {len(args)} by position and {sorted(named)} by name")
 
 
@@ -188,7 +190,7 @@ def test_import_loads_no_submodule(python_child):
 # call loads, keyed by command, and "psi" for a call whose --psi names a file.
 # Without a bytecode cache each call compiles them, at about 12 µs a line
 # (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_130, "semiring": 1_335, "det": 1_911, "equiv": 1_911, "psi": 2_014}
+LINE_BUDGETS = {"eval": 1_129, "semiring": 1_334, "det": 1_910, "equiv": 1_910, "psi": 2_013}
 
 
 def _lines(module: str) -> int:
