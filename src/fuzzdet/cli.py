@@ -25,7 +25,6 @@ from .algebra import DEFAULT_CAP
 from .automata import FuzzyAutomaton, evaluate
 from .errors import FuzzdetError
 from .formats import parse_automaton, parse_word
-from .lattice import _write
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -81,14 +80,6 @@ def _load(path: str) -> FuzzyAutomaton:
     return parse_automaton(_read(path))
 
 
-def _closure_line(report: "PreflightReport") -> str:
-    """The semiring report of a preflight: k and the k^n bound, or the closure's cap."""
-    if report.closure.closed:
-        k = report.closure.k
-        return f"finite, k={k}, bound {k}^{report.n}={_write(report.bound)}"
-    return f"cap exceeded at {_write(report.closure.cap)}"
-
-
 def cmd_eval(args) -> int:
     a = _load(args.file)
     word = parse_word(args.word, a.alphabet)
@@ -99,7 +90,7 @@ def cmd_eval(args) -> int:
 def cmd_semiring(args) -> int:
     from .closure import require_cap  # loaded by preflight anyway
     require_cap(args.cap, "--cap")
-    print(_closure_line(_self.preflight(_load(args.file), args.cap)))
+    print(_self.preflight(_load(args.file), args.cap))
     return EXIT_OK
 
 

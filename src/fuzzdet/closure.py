@@ -193,6 +193,13 @@ class PreflightReport(Record):
             return None
         return self.closure.k ** self.n
 
+    def __str__(self) -> str:
+        """The semiring report: k and the k^n bound, or the closure's cap."""
+        if self.closure.closed:
+            k = self.closure.k
+            return f"finite, k={k}, bound {k}^{self.n}={_write(self.bound)}"
+        return f"cap exceeded at {_write(self.closure.cap)}"
+
 
 def preflight(a: "FuzzyAutomaton", value_cap: int = DEFAULT_CAP) -> PreflightReport:
     """Close the automaton's values under join and tmul before determinizing.

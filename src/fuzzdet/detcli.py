@@ -10,8 +10,7 @@ import sys
 from . import cli
 from .algebra import FuzzyMatrix
 from .automata import FuzzyAutomaton
-from .cli import (EXIT_CAP, EXIT_NOT_EQUIVALENT, EXIT_OK, METHODS, _closure_line, _load, _read,
-                  _to_stderr)
+from .cli import EXIT_CAP, EXIT_NOT_EQUIVALENT, EXIT_OK, METHODS, _load, _read, _to_stderr
 from .closure import require_cap
 from .determinize import Cdfa, DetOutcome
 from .errors import FuzzdetError, PsiNotLeftInvariant, PsiNotReflexive
@@ -98,13 +97,11 @@ def cmd_det(args) -> int:
                 f.write(dot)
         except OSError as e:
             raise FuzzdetError(f"--dot: cannot write {args.dot}: {e.strerror}") from None
-    print(f"semiring: {_closure_line(report)}")
+    print(f"semiring: {report}")
     if not report.closure.closed:
         _to_stderr("warning: membership values did not close, termination is not guaranteed")
     if args.stats:
-        s = outcome.stats
-        _to_stderr(f"stats: vertices={s.vertices} closure_checks={s.closure_checks} "
-                   f"elapsed={s.elapsed:.3f}s")
+        _to_stderr(f"stats: {outcome.stats}")
     if not outcome.ok:
         print(outcome.result)
         return EXIT_CAP

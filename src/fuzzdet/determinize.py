@@ -71,8 +71,9 @@ class Cdfa(Record):
     is the state's canonical access word and vectors[state] the FuzzyVector
     that defines it: sigma_u for nerode, tau_u for reverse_nerode, d_u for
     d_automaton and psi_d_automaton, w_u for brzozowski. Every state must be
-    reachable from initial, and a caller's cdfa is checked for it; to_cdfa's
-    is not. Equality, hash and repr cover exactly these seven fields.
+    an int reached from initial, every word a tuple of symbols and every
+    vector over the lattice: a caller's cdfa is checked, to_cdfa's is not.
+    Equality, hash and repr cover exactly these seven fields.
     """
 
     __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "words",
@@ -91,9 +92,9 @@ class Cdfa(Record):
             if len(row) != m:
                 raise DimensionMismatch(f"transition row of width {len(row)}, expected {m}")
             for t in row:
-                if not 0 <= t < n:
+                if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < n:
                     raise ValueError(f"transition target {_write(t)} out of range")
-        if not 0 <= initial < n:
+        if isinstance(initial, bool) or not isinstance(initial, int) or not 0 <= initial < n:
             raise ValueError(f"initial state {_write(initial)} out of range")
         if len(terminal) != n:
             raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
@@ -101,7 +102,12 @@ class Cdfa(Record):
         for name, table in (("words", words), ("vectors", vectors)):
             if len(table) != n:
                 raise DimensionMismatch(f"{len(table)} {name} for {n} states")
-        reached = {initial, *_bfs([initial], transitions.__getitem__, [], [])}
+        for w, v in zip(words, vectors):
+            if not isinstance(w, tuple) or not all(x in alphabet for x in w):
+                raise ValueError(f"word {w!r} is not a tuple of alphabet symbols")
+            if not isinstance(v, FuzzyVector) or v.lattice != lattice:
+                raise LatticeMismatch("a state vector is not a FuzzyVector over the cdfa's lattice")
+        reached = set(_bfs([initial], transitions.__getitem__, [], []))
         if len(reached) != n:
             missing = sorted(set(range(n)) - reached)
             raise ValueError(f"unreachable states: {missing}")
@@ -121,13 +127,14 @@ def _bfs(states: list, children: Callable[[object], Iterable], edges: list[int],
          makers: list[int]) -> Iterator:
     """The one breadth-first engine: grow a glued tree from states = [root].
 
+    Yields every state it makes, the root first, so the caller may stop.
     children(v) gives v's children in alphabet order. A child equal to an
-    earlier state is glued to it; a new one is appended to states and
-    yielded, so the caller may stop. edges gets each child's state, row by
-    row, and makers the edge s * |alphabet| + i = len(edges) that made each
-    state but the root.
+    earlier state is glued to it; a new one is appended to states. edges
+    gets each child's state, row by row, and makers the edge
+    s * |alphabet| + i = len(edges) that made each state but the root.
     """
     index_of = {states[0]: 0}
+    yield states[0]
     for v in states:
         for w in children(v):
             t = index_of.get(w)
@@ -153,17 +160,15 @@ def _words(makers: list[int], alphabet: tuple[str, ...], prepend: bool = False) 
 def find_witness(c1: Cdfa, c2: Cdfa) -> Word | None:
     """Shortest word on which the two cdfa disagree, None when equivalent.
 
-    Breadth-first product search; ties inside one length break toward the
-    earlier alphabet symbol, so the witness is shortlex-least. Callers must
-    compare against None, the empty word is a valid witness.
+    Breadth-first product search from the initial pair, the root; ties in one
+    length break toward the earlier symbol, so the witness is shortlex-least.
+    Callers must compare against None, the empty word is a valid witness.
     """
     if c1.lattice != c2.lattice:
         raise LatticeMismatch("cannot compare cdfa over different lattices")
     if c1.alphabet != c2.alphabet:
         raise AlphabetMismatch(f"alphabets differ: {c1.alphabet} vs {c2.alphabet}")
     t1, t2, d1, d2 = c1.transitions, c2.transitions, c1.terminal, c2.terminal
-    if d1[c1.initial] != d2[c2.initial]:
-        return ()
     makers: list[int] = []
     pairs = _bfs([(c1.initial, c2.initial)], lambda pq: zip(t1[pq[0]], t2[pq[1]]), [], makers)
     for p, q in pairs:
@@ -176,6 +181,10 @@ class BuildStats(Record):
     """Counters for one construction run; elapsed is wall seconds."""
 
     __slots__ = ("vertices", "closure_checks", "elapsed")
+
+    def __str__(self) -> str:
+        return (f"vertices={self.vertices} closure_checks={self.closure_checks} "
+                f"elapsed={self.elapsed:.3f}s")
 
 
 class CapExceeded(Record):
@@ -298,10 +307,10 @@ class _Run:
 
         Vectors are tuples of carrier codes; children(v) lists v's children
         in alphabet order. Exceeds the cap the moment a (cap+1)-th distinct
-        state would be created. Each child is one closure check, and each
-        vertex made, the root included, one vertex.
+        state would be created. Each child is one closure check and one
+        vertex; the root, which _bfs yields first, is one more vertex.
         """
-        codes, edges, makers, terminals = [root], [], [], [terminal(root)]
+        codes, edges, makers, terminals = [root], [], [], []
         for v in _bfs(codes, children, edges, makers):
             if len(codes) > self.cap:
                 self.checks += makers[-1] + 1

@@ -27,9 +27,10 @@ parse_matrix), whose rows _matrix reads, as a transitions block's.
 """
 
 import re
+from collections import namedtuple
 
 from .automata import RESERVED_SYMBOL, FuzzyAutomaton, Word
-from .algebra import FuzzyMatrix, FuzzyVector
+from .algebra import FuzzyMatrix, FuzzyVector, _rows
 from .errors import FormatError, LatticeMismatch, UnknownSymbol
 from .lattice import _INDEX, NAMED, Lattice, Value, _read_int, _write, chain
 
@@ -60,13 +61,7 @@ def _quote(s: str) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
-class _Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text: str, line: int, column: int):
-        self.text = text
-        self.line = line
-        self.column = column
+_Token = namedtuple("_Token", "text line column")
 
 
 def _tokenize(text: str) -> list[list[_Token]]:
@@ -107,11 +102,11 @@ def _parse_values(lattice: Lattice, tokens: list[_Token], count: int, what: str,
 
 def _matrix(lattice: Lattice, lines: list[list[_Token]], what: str,
             parsed: dict[str, Value]) -> FuzzyMatrix:
-    """The square matrix of the lines' values, row r named f"{what} {r + 1}" in errors."""
+    """The square matrix of the lines' values, shaped by _rows; row r is f"{what} {r + 1}"."""
     n = len(lines)
-    return FuzzyMatrix._derived(lattice, tuple([
+    return FuzzyMatrix._derived(lattice, tuple(_rows([
         tuple(_parse_values(lattice, tokens, n, f"{what} {r}", tokens[0].line, parsed))
-        for r, tokens in enumerate(lines, 1)]))
+        for r, tokens in enumerate(lines, 1)])))
 
 
 def parse_automaton(text: str) -> FuzzyAutomaton:

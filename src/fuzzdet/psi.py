@@ -15,12 +15,10 @@ from .lattice import Lattice, Record, _write
 
 
 def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
-    """Parse a bare n x n matrix document (used for psi relations)."""
+    """Parse a bare n x n matrix document (psi relations); _matrix's _rows refuses n = 0."""
     lines = _tokenize(text)
     if len(lines) != n:
         raise FormatError(f"expected {n} rows, got {len(lines)}")
-    if n < 1:  # _matrix checks no shape
-        raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
     return _matrix(lattice, lines, "row", {})
 
 

@@ -22,6 +22,7 @@ from fuzzdet import (
     inclusion_degree,
     mat_compose,
     mat_vec,
+    parse_matrix,
     preflight,
     semiring_closure,
     vec_mat,
@@ -239,6 +240,7 @@ MATRIX_EMPTY = "a fuzzy matrix needs at least one row and column"
     (lambda: FuzzyMatrix.from_rows(GOGUEN, [[]]), MATRIX_EMPTY),
     (lambda: FuzzyMatrix.from_rows(GOGUEN, [[], ["1"]]), MATRIX_EMPTY),
     (lambda: FuzzyMatrix(GOGUEN, ((),)), MATRIX_EMPTY),
+    (lambda: parse_matrix("# no rows\n", GOGUEN, 0), MATRIX_EMPTY),
 ])
 def test_raw_builders_and_constructors_name_a_bad_shape_alike(build, message):
     with pytest.raises(DimensionMismatch) as err:

@@ -202,6 +202,23 @@ def test_check_alphabet_rejects(symbols, message):
     (((0,),), 0, (F(0),), ONE_WORD, (), DimensionMismatch, "0 vectors for 1 states"),
     (((0,), (0,)), 0, (F(0),) * 2, ONE_WORD, ONE_VECTOR * 2, DimensionMismatch,
      "1 words for 2 states"),
+    (((0.5,),), 0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
+     "transition target 0.5 out of range"),
+    (((0.0,),), 0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
+     "transition target 0.0 out of range"),
+    (((False,),), 0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
+     "transition target False out of range"),
+    (((0,),), 0.0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError, "initial state 0.0 out of range"),
+    (((0,),), False, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
+     "initial state False out of range"),
+    (((0,),), 0, (F(0),), (("zz", 3),), ONE_VECTOR, ValueError,
+     "word ('zz', 3) is not a tuple of alphabet symbols"),
+    (((0,),), 0, (F(0),), (["x"],), ONE_VECTOR, ValueError,
+     "word ['x'] is not a tuple of alphabet symbols"),
+    (((0,),), 0, (F(0),), ONE_WORD, (FuzzyVector(GODEL, (F(1, 2),)),), LatticeMismatch,
+     "a state vector is not a FuzzyVector over the cdfa's lattice"),
+    (((0,),), 0, (F(0),), ONE_WORD, ((F(0),),), LatticeMismatch,
+     "a state vector is not a FuzzyVector over the cdfa's lattice"),
 ])
 def test_cdfa_constructor_rejects(transitions, initial, terminal, words, vectors, error,
                                   message):

@@ -5,12 +5,17 @@ token of one of them (or one line break, or nothing), and runs cli.main with
 stdout and stderr captured. Whatever the input, the call must exit 0, 1, 2 or
 3 without an exception, an exit 2 must leave stdout empty, and a message that
 names a line (and column) must name one that exists in the file it read.
+A second test pins each call's exact exit code and output, as digests
+recorded in tests/data/fuzz_outputs.json.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import random
 import re
+import tempfile
 from pathlib import Path
 
 from fuzzdet import cli
@@ -187,10 +192,11 @@ def _names_a_real_place(err, argv, psi):
     return False
 
 
-def test_mutated_inputs_keep_the_exit_contract(tmp_path):
+def _calls(tmp_path):
+    """The seeded calls, each as (index, argv, document, ψ text, exit code,
+    stdout, stderr), run on files under tmp_path."""
     rng = random.Random(2014)
     doc, other, psi = (str(tmp_path / name) for name in ("doc.fza", "other.fza", "psi.txt"))
-    codes = dict.fromkeys(range(4), 0)
     for call in range(1_500):
         text = rng.choice(DOCUMENTS)
         psi_text = _identity(text)
@@ -208,12 +214,49 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path):
                 code = cli.main(argv)
             except (Exception, SystemExit) as e:  # any escape is the failure
                 raise AssertionError(f"{argv} on {mutated!r} raised {e!r}") from e
-        context = (call, argv, mutated, psi_text, err.getvalue())
+        yield call, argv, mutated, psi_text, code, out.getvalue(), err.getvalue()
+
+
+def test_mutated_inputs_keep_the_exit_contract(tmp_path):
+    psi = str(tmp_path / "psi.txt")
+    codes = dict.fromkeys(range(4), 0)
+    for call, argv, mutated, psi_text, code, out, err in _calls(tmp_path):
+        context = (call, argv, mutated, psi_text, err)
         assert code in codes, context
         codes[code] += 1
         if code == 2:
-            assert out.getvalue() == "", context
-            assert err.getvalue().startswith(("error: ", "usage: ")), context
-            assert _names_a_real_place(err.getvalue(), argv, psi), context
+            assert out == "", context
+            assert err.startswith(("error: ", "usage: ")), context
+            assert _names_a_real_place(err, argv, psi), context
     assert codes[0] + codes[1] + codes[3] >= 300, codes
     assert min(codes.values()) > 0, codes
+
+
+OUTPUTS = DATA / "fuzz_outputs.json"
+
+
+def _outputs(tmp_path):
+    """Each call's exit code and the first 16 hex digits of the sha256 of its
+    stdout + "\\0" + stderr, with tmp_path and each elapsed time masked."""
+    for call, argv, _, _, code, out, err in _calls(tmp_path):
+        text = re.sub(r"elapsed=[0-9.]+s", "elapsed=?s", f"{out}\0{err}")
+        digest = hashlib.sha256(text.replace(str(tmp_path), "TMP").encode()).hexdigest()[:16]
+        yield call, argv, out, err, [code, digest]
+
+
+def test_mutated_inputs_give_the_recorded_outputs(tmp_path):
+    """Every call gives the exit code and output digest that OUTPUTS records.
+
+    A change that means to alter some output regenerates the file, from the
+    repository's root: PYTHONPATH=src:tests python tests/test_fuzz.py
+    """
+    recorded = json.loads(OUTPUTS.read_text(encoding="utf-8"))
+    assert len(recorded) == 1_500
+    for call, argv, out, err, got in _outputs(tmp_path):
+        assert got == recorded[call], (call, argv, out, err)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [json.dumps(got) for *_, got in _outputs(Path(tmp))]
+    OUTPUTS.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
