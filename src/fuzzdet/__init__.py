@@ -42,14 +42,19 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
+def _bind(namespace: dict, module: str | None, name: str):
+    """Import name from the package's module, bind it in namespace, a module's
+    globals, and return it; None for module raises that module's AttributeError."""
+    if module is None:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    value = namespace[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+    return value
+
+
 def __getattr__(name: str):
     """Import a public name from its module on first use, then keep it here."""
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, shows in -X importtime
-    value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
-    return value
+    return _bind(globals(), _MODULE_OF.get(name), name)
 
 
 def __dir__() -> list[str]:

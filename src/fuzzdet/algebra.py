@@ -32,25 +32,28 @@ def _entries(entries: tuple) -> tuple:
     return entries
 
 
-def _rows(entries: tuple) -> Iterator[tuple]:
-    """Each row of entries, once it and the rows before it make a nonempty rectangle."""
-    if not entries or not entries[0]:
-        raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
-    width = len(entries[0])
-    for r, row in enumerate(entries, 1):
+def _rows(rows: Iterable[Iterable]) -> Iterator[tuple]:
+    """Each row as a tuple, once it and the rows before it make a nonempty rectangle."""
+    width = 0
+    for r, row in enumerate(map(tuple, rows), 1):
+        width = width or len(row)
+        if not width:
+            break
         if len(row) != width:
             raise DimensionMismatch(f"row {r} has {len(row)} entries, expected {width}")
         yield row
+    if not width:
+        raise DimensionMismatch("a fuzzy matrix needs at least one row and column")
 
 
 class FuzzyVector(Record):
-    """Immutable nonempty tuple of membership degrees over one lattice; a caller's is checked."""
+    """Immutable nonempty tuple of membership degrees over one lattice; a
+    caller's entries, any iterable, are read once into a tuple and checked."""
 
     __slots__ = ("lattice", "entries")
 
-    def __init__(self, lattice: Lattice, entries: tuple[Value, ...]):
-        lattice.check_all(_entries(entries))
-        super().__init__(lattice, entries)
+    def __init__(self, lattice: Lattice, entries: Iterable[Value]):
+        super().__init__(lattice, _entries(tuple(map(lattice.check, entries))))
 
     @classmethod
     def from_values(cls, lattice: Lattice, values: Iterable) -> "FuzzyVector":
@@ -67,15 +70,13 @@ class FuzzyVector(Record):
 
 
 class FuzzyMatrix(Record):
-    """Immutable nonempty rectangular matrix of membership degrees; shape and
-    entries are checked when a caller builds it."""
+    """Immutable nonempty rectangular matrix of membership degrees; a caller's
+    rows, any iterables, are read once into tuples, and shape and entries checked."""
 
     __slots__ = ("lattice", "entries")
 
-    def __init__(self, lattice: Lattice, entries: tuple[tuple[Value, ...], ...]):
-        for row in _rows(entries):
-            lattice.check_all(row)
-        super().__init__(lattice, entries)
+    def __init__(self, lattice: Lattice, entries: Iterable[Iterable[Value]]):
+        super().__init__(lattice, tuple(tuple(map(lattice.check, row)) for row in _rows(entries)))
 
     @classmethod
     def from_rows(cls, lattice: Lattice, rows: Iterable[Iterable]) -> "FuzzyMatrix":

@@ -20,7 +20,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import _MODULE_OF
+from . import _MODULE_OF, _bind
 from .algebra import DEFAULT_CAP
 from .automata import FuzzyAutomaton, evaluate
 from .errors import FuzzdetError
@@ -52,12 +52,7 @@ _self = sys.modules[__name__]  # where a command looks up the names it calls
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name) or _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, shows in -X importtime
-    value = globals()[name] = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
-    return value
+    return _bind(globals(), _LAZY.get(name) or _MODULE_OF.get(name), name)
 
 
 def _read(path: str) -> str:

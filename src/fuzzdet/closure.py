@@ -57,13 +57,13 @@ def carrier_of(lattice: Lattice, values: Iterable[Value]) -> Carrier:
 
 
 class ValueSet(Record):
-    """Finite set of values from one lattice, a caller's checked; iterates in sorted order."""
+    """Finite set of values from one lattice; iterates in sorted order. A
+    caller's elements, any iterable, are read once into a frozenset and checked."""
 
     __slots__ = ("lattice", "elements")
 
-    def __init__(self, lattice: Lattice, elements: frozenset):
-        lattice.check_all(elements)
-        super().__init__(lattice, elements)
+    def __init__(self, lattice: Lattice, elements: Iterable[Value]):
+        super().__init__(lattice, frozenset(map(lattice.check, elements)))
 
     @classmethod
     def of(cls, lattice: Lattice, values: Iterable) -> "ValueSet":

@@ -72,18 +72,19 @@ class Cdfa(Record):
     that defines it: sigma_u for nerode, tau_u for reverse_nerode, d_u for
     d_automaton and psi_d_automaton, w_u for brzozowski. Every state must be
     an int reached from initial, every word a tuple of symbols and every
-    vector over the lattice: a caller's cdfa is checked, to_cdfa's is not.
+    vector over the lattice: a caller's cdfa is checked, to_cdfa's is not,
+    and its tables, any iterables, are each read once into a tuple, rows too.
     Equality, hash and repr cover exactly these seven fields.
     """
 
     __slots__ = ("lattice", "alphabet", "transitions", "initial", "terminal", "words",
                  "vectors")
 
-    def __init__(self, lattice: Lattice, alphabet: tuple[str, ...],
-                 transitions: tuple[tuple[int, ...], ...], initial: int,
-                 terminal: tuple[Value, ...], words: tuple[Word, ...],
-                 vectors: tuple[FuzzyVector, ...]):
+    def __init__(self, lattice: Lattice, alphabet: Iterable[str],
+                 transitions: Iterable[Iterable[int]], initial: int, terminal: Iterable[Value],
+                 words: Iterable[Word], vectors: Iterable[FuzzyVector]):
         alphabet = check_alphabet(alphabet)
+        transitions = tuple(map(tuple, transitions))
         n = len(transitions)
         if n < 1:
             raise ValueError("a cdfa needs at least one state")
@@ -96,9 +97,11 @@ class Cdfa(Record):
                     raise ValueError(f"transition target {_write(t)} out of range")
         if isinstance(initial, bool) or not isinstance(initial, int) or not 0 <= initial < n:
             raise ValueError(f"initial state {_write(initial)} out of range")
+        terminal, words, vectors = tuple(terminal), tuple(words), tuple(vectors)
         if len(terminal) != n:
             raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
-        lattice.check_all(terminal)
+        for t in terminal:
+            lattice.check(t)
         for name, table in (("words", words), ("vectors", vectors)):
             if len(table) != n:
                 raise DimensionMismatch(f"{len(table)} {name} for {n} states")
@@ -326,15 +329,19 @@ class _Run:
                  prepend: bool) -> TransitionTree | CapExceeded:
         """Grow from root, with x-child matrices[x] ∘ v and terminal degree terminal ∘ v.
 
-        Each matrix is given as its rows. nerode passes the columns of the
-        delta_x, and tau; the reverse trees pass the delta_x (psi-glued for
-        psi_d_automaton), and sigma, and grow words on the left.
+        Each matrix is given as its rows: nerode passes the columns of the
+        delta_x, and the reverse trees the delta_x (psi-glued for psi_d_automaton).
         """
         c = self.carrier
         rows = [_pairs(c, m) for m in matrices]
         terminal_row = _pairs(c, (terminal,))
         return self.grow(root, lambda v: [_sup_product(c, r, v) for r in rows],
                          lambda v: _sup_product(c, terminal_row, v)[0], prepend)
+
+    def reverse(self) -> TransitionTree | CapExceeded:
+        """The reverse Nerode tree: root tau, x-children delta_x ∘ tau_u, terminal
+        degrees sigma ∘ tau_u, and words on the left."""
+        return self.sup_tree(self.tau, self.delta, self.sigma, True)
 
     def forward(self, rn: TransitionTree | CapExceeded, d_vectors: bool) -> DetOutcome:
         """The index gather over a reverse tree rn, as the outcome.
@@ -379,7 +386,7 @@ def nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
 def reverse_nerode(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     """Determinize through right derivative vectors, terminal sigma ∘ tau_u."""
     run = _Run(a, cap)
-    return run.done(run.sup_tree(run.tau, run.delta, run.sigma, True))
+    return run.done(run.reverse())
 
 
 # -- inclusion-degree construction ---------------------------------------
@@ -394,7 +401,7 @@ def d_automaton(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     on its own state count. Terminates whenever the reverse phase does.
     """
     run = _Run(a, cap)
-    return run.forward(run.sup_tree(run.tau, run.delta, run.sigma, True), True)
+    return run.forward(run.reverse(), True)
 
 
 # -- double reversal ------------------------------------------------------
@@ -409,7 +416,7 @@ def brzozowski(a: FuzzyAutomaton, cap: int = DEFAULT_CAP) -> DetOutcome:
     Nerode does.
     """
     run = _Run(a, cap)
-    return run.forward(run.sup_tree(run.tau, run.delta, run.sigma, True), False)
+    return run.forward(run.reverse(), False)
 
 
 # -- psi-glued construction ----------------------------------------------

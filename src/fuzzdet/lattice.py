@@ -157,16 +157,6 @@ class Lattice(Record):
             raise LatticeMismatch(f"{token or _write(v)} is not a boolean degree")
         return v
 
-    def check_all(self, values: tuple | frozenset) -> None:
-        """check every value of a tuple or a set, each distinct object once.
-
-        Values are immutable, and a caller's vector may hold a few shared
-        objects many times over, so one check per object is enough.
-        """
-        check = self.check
-        for v in dict(zip(map(id, values), values)).values():
-            check(v)
-
     def coerce(self, raw) -> Value:
         """Turn a string, int or Fraction into a checked lattice value.
 

@@ -72,8 +72,7 @@ def reverse_nerode_tree(a: FuzzyAutomaton, cap: int = DEFAULT_CAP
     """
     # imported here, so that importing this module loads no construction
     from .determinize import _Run
-    run = _Run(a, cap)
-    return run.sup_tree(run.tau, run.delta, run.sigma, True)
+    return _Run(a, cap).reverse()
 
 
 class TreeVertex(Record):

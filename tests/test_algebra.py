@@ -226,6 +226,11 @@ def test_dimension_errors():
                        {"x": FuzzyMatrix(GOGUEN, ())}, FuzzyVector(GOGUEN, ()))
 
 
+def _lazily(rows):
+    """rows as a caller's generator of generators, each readable once."""
+    return ((v for v in row) for row in rows)
+
+
 VECTOR_EMPTY = "a fuzzy vector needs at least one entry"
 MATRIX_EMPTY = "a fuzzy matrix needs at least one row and column"
 
@@ -240,6 +245,10 @@ MATRIX_EMPTY = "a fuzzy matrix needs at least one row and column"
     (lambda: FuzzyMatrix.from_rows(GOGUEN, [[]]), MATRIX_EMPTY),
     (lambda: FuzzyMatrix.from_rows(GOGUEN, [[], ["1"]]), MATRIX_EMPTY),
     (lambda: FuzzyMatrix(GOGUEN, ((),)), MATRIX_EMPTY),
+    (lambda: FuzzyVector(GOGUEN, iter(())), VECTOR_EMPTY),
+    (lambda: FuzzyMatrix(GOGUEN, _lazily([[F(0), F(1)], [F(1)]])), "row 2 has 1 entries, expected 2"),
+    (lambda: FuzzyMatrix(GOGUEN, _lazily([])), MATRIX_EMPTY),
+    (lambda: FuzzyMatrix(GOGUEN, _lazily([[], [F(1)]])), MATRIX_EMPTY),
     (lambda: parse_matrix("# no rows\n", GOGUEN, 0), MATRIX_EMPTY),
 ])
 def test_raw_builders_and_constructors_name_a_bad_shape_alike(build, message):
@@ -249,12 +258,14 @@ def test_raw_builders_and_constructors_name_a_bad_shape_alike(build, message):
 
 
 def test_which_fault_a_matrix_names_first():
-    """A caller's matrix is checked row by row, each row's width before its
-    values; from_rows reads every raw value before it checks the shape."""
-    with pytest.raises(DimensionMismatch, match="^row 2 has 1 entries, expected 2$"):
-        FuzzyMatrix(GOGUEN, ((F(0), F(1)), (F(1),), (F(2), F(0))))
-    with pytest.raises(LatticeMismatch, match="^2 is outside goguen$"):
-        FuzzyMatrix(GOGUEN, ((F(2), F(1)), (F(1),)))
+    """A caller's matrix, tuples or generators, is checked row by row, each
+    row's width before its values; from_rows reads every raw value before it
+    checks the shape."""
+    for table in (lambda rows: tuple(map(tuple, rows)), _lazily):
+        with pytest.raises(DimensionMismatch, match="^row 2 has 1 entries, expected 2$"):
+            FuzzyMatrix(GOGUEN, table([[F(0), F(1)], [F(1)], [F(2), F(0)]]))
+        with pytest.raises(LatticeMismatch, match="^2 is outside goguen$"):
+            FuzzyMatrix(GOGUEN, table([[F(2), F(1)], [F(1)]]))
     with pytest.raises(LatticeMismatch, match="^2 is outside goguen$"):
         FuzzyMatrix.from_rows(GOGUEN, [["0", "1"], ["1"], ["2", "0"]])
 

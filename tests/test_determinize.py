@@ -90,6 +90,23 @@ def test_reverse_nerode_language_is_mirror(goguen3):
         assert cdfa_evaluate(c, word) == evaluate(r, word)
 
 
+def test_reverse_tree_decodes_to_the_reverse_nerode_cdfa(goguen3, boolean3):
+    """reverse_nerode_tree, the reverse phase alone, is the tree reverse_nerode decodes."""
+    rng = random.Random(30)
+    cases = [goguen3, boolean3, *(random_automaton(rng, lattice, rng.randint(1, 4))
+                                  for lattice in (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ, chain(3))
+                                  for _ in range(8))]
+    built = 0
+    for a in cases:
+        tree, outcome = reverse_nerode_tree(a, 300), reverse_nerode(a, 300)
+        if isinstance(tree, CapExceeded):
+            assert outcome.result == tree
+            continue
+        built += 1
+        assert tree.to_cdfa() == outcome.cdfa
+    assert built >= 35
+
+
 def test_nerode_boolean_fixture(boolean3):
     outcome = nerode(boolean3)
     c = outcome.cdfa
