@@ -97,8 +97,8 @@ class SemiringClosure(Record):
 
 
 def require_cap(cap: int, what: str) -> None:
-    """Raise InvalidCap unless cap is an int of at least 1; a bool is no int here."""
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+    """Raise InvalidCap unless cap is a plain int, so no bool, of at least 1."""
+    if type(cap) is not int or cap < 1:
         raise InvalidCap(f"{what} must be a positive integer, got {_write(cap)}")
 
 

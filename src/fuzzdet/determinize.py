@@ -93,9 +93,9 @@ class Cdfa(Record):
             if len(row) != m:
                 raise DimensionMismatch(f"transition row of width {len(row)}, expected {m}")
             for t in row:
-                if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < n:
+                if type(t) is not int or not 0 <= t < n:
                     raise ValueError(f"transition target {_write(t)} out of range")
-        if isinstance(initial, bool) or not isinstance(initial, int) or not 0 <= initial < n:
+        if type(initial) is not int or not 0 <= initial < n:
             raise ValueError(f"initial state {_write(initial)} out of range")
         terminal, words, vectors = tuple(terminal), tuple(words), tuple(vectors)
         if len(terminal) != n:

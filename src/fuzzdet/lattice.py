@@ -114,7 +114,7 @@ class Lattice(Record):
         if kind not in KINDS:
             raise ValueError(f"unknown lattice kind {kind!r}")
         if kind == "chain":
-            if isinstance(top_index, bool) or not isinstance(top_index, int) or top_index < 1:
+            if type(top_index) is not int or top_index < 1:
                 raise ValueError("a chain lattice needs a top index >= 1")
         elif top_index is not None:
             raise ValueError(f"{kind} takes no top index")
@@ -135,8 +135,8 @@ class Lattice(Record):
         return f"chain {_write(self.top_index)}" if self.kind == "chain" else self.kind
 
     def check(self, v: Value, token: str | None = None) -> Value:
-        """Validate that v belongs to this lattice's carrier: an exact int on
-        a chain, so never a bool, and a Fraction in [0, 1] otherwise.
+        """Validate that v belongs to this lattice's carrier: a plain int on a
+        chain and a plain Fraction in [0, 1] otherwise, never a subclass.
 
         A value read from text is named in errors by its token, any other
         by _write. Compares plain ints (a Fraction's numerator and its
@@ -147,7 +147,7 @@ class Lattice(Record):
             if type(v) is not int:
                 raise LatticeMismatch(f"expected a chain index, got {_write(v)}")
             inside = 0 <= v <= self.top_index
-        elif not isinstance(v, Fraction):
+        elif type(v) is not Fraction:
             raise LatticeMismatch(f"expected a Fraction in [0, 1], got {_write(v)}")
         else:
             inside = 0 <= v.numerator <= v.denominator
@@ -158,7 +158,7 @@ class Lattice(Record):
         return v
 
     def coerce(self, raw) -> Value:
-        """Turn a string, int or Fraction into a checked lattice value.
+        """Turn a string, or an int or Fraction of any subclass, into a checked value.
 
         Floats are rejected outright (the whole kernel is exact), and so are bools.
         """
@@ -167,13 +167,13 @@ class Lattice(Record):
                 f"float {raw!r} rejected, pass a string, int or Fraction instead")
         if isinstance(raw, str):
             return self.parse_value(raw)
-        if self.kind == "chain":
-            return self.check(raw)
-        if isinstance(raw, Fraction):
-            return self.check(raw) if type(raw) is Fraction else Fraction(self.check(raw))
         if isinstance(raw, int) and not isinstance(raw, bool):
-            return self.check(Fraction(raw))
-        raise LatticeMismatch(f"cannot read {_write(raw)} as a {self.describe()} value")
+            raw = int(raw) if self.kind == "chain" else Fraction(raw)
+        elif isinstance(raw, Fraction):
+            raw = raw if type(raw) is Fraction else Fraction(raw)
+        elif self.kind != "chain":  # on a chain, check names what is no index
+            raise LatticeMismatch(f"cannot read {_write(raw)} as a {self.describe()} value")
+        return self.check(raw)
 
     def parse_value(self, token: str) -> Value:
         """Parse one value token: decimal, p/q, or a chain index.
@@ -268,9 +268,9 @@ def _read_int(digits: str) -> int:
 
 
 def _write(v) -> str:
-    """str(v) for an int or a Fraction of any length, as _read_int reads one
-    (through decimal past the limit), and repr(v) for anything else."""
-    if not isinstance(v, int | Fraction):
+    """str(v) for a plain int or Fraction of any length, as _read_int reads one
+    (through decimal past the limit), and repr(v) for anything else, subclasses too."""
+    if type(v) is not int and type(v) is not Fraction:
         return repr(v)
     try:
         return str(v)

@@ -13,6 +13,7 @@ import argparse
 import itertools
 import random
 from collections import deque
+from enum import IntEnum
 from fractions import Fraction
 
 from fuzzdet import (
@@ -36,6 +37,17 @@ from fuzzdet import (
     vec_mat,
 )
 from fuzzdet.cli import METHODS
+
+
+class K(IntEnum):
+    """An int subclass a caller may hold numbers in: no count and no chain
+    value, which are plain ints, but coerce reads one."""
+    ZERO = 0
+    FOUR = 4
+
+
+class G(Fraction):
+    """A Fraction subclass: no unit-interval value, but coerce reads one."""
 
 
 def value_pool(lattice):

@@ -27,7 +27,9 @@ from fuzzdet import (
     semiring_closure,
     vec_mat,
 )
+from fuzzdet.closure import require_cap
 from support import (
+    K,
     _inf_resid,
     _sup,
     identity_matrix,
@@ -300,11 +302,13 @@ def test_closure_caps_on_product_fixture_values():
 
 
 def test_closure_rejects_caps_below_one(goguen3):
-    for cap in (0, -5, True):
+    for cap in (0, -5, True, K.FOUR):  # a cap is a plain int: no bool, no IntEnum
         with pytest.raises(InvalidCap):
             semiring_closure(GOGUEN, [F(1, 2)], cap)
         with pytest.raises(InvalidCap):
             preflight(goguen3, cap)
+    with pytest.raises(InvalidCap, match=r"^--cap must be a positive integer, got <K.FOUR: 4>$"):
+        require_cap(K.FOUR, "--cap")
     smallest = semiring_closure(GOGUEN, [F(1, 2)], 1)
     assert (smallest.closed, smallest.reached, smallest.cap) == (False, 3, 1)
 

@@ -28,10 +28,19 @@ from fuzzdet import (
     mat_compose,
     mat_vec,
     nerode,
+    parse_automaton,
+    serialize_automaton,
     vec_mat,
 )
 from fuzzdet.automata import check_alphabet
-from support import all_words, cdfa_as_fuzzy_automaton, random_automaton, reverse, value_pool
+from support import (
+    K,
+    all_words,
+    cdfa_as_fuzzy_automaton,
+    random_automaton,
+    reverse,
+    value_pool,
+)
 
 
 def test_evaluate_fixture_words(goguen3):
@@ -211,6 +220,10 @@ def test_check_alphabet_rejects(symbols, message):
     (((0,),), 0.0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError, "initial state 0.0 out of range"),
     (((0,),), False, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
      "initial state False out of range"),
+    (((0,),), K.ZERO, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
+     "initial state <K.ZERO: 0> out of range"),
+    (((K.ZERO,),), 0, (F(0),), ONE_WORD, ONE_VECTOR, ValueError,
+     "transition target <K.ZERO: 0> out of range"),
     (((0,),), 0, (F(0),), (("zz", 3),), ONE_VECTOR, ValueError,
      "word ('zz', 3) is not a tuple of alphabet symbols"),
     (((0,),), 0, (F(0),), (["x"],), ONE_VECTOR, ValueError,
@@ -225,6 +238,26 @@ def test_cdfa_constructor_rejects(transitions, initial, terminal, words, vectors
     with pytest.raises(error) as err:
         Cdfa(GOGUEN, ("x",), transitions, initial, terminal, words, vectors)
     assert (type(err.value), str(err.value)) == (error, message)
+
+
+def test_every_lattice_a_caller_can_build_round_trips():
+    """An automaton that holds its lattice's top and bottom is written and
+    read back equal, over every lattice Lattice(...) admits; a top index that
+    is no plain int, an IntEnum's included, builds no lattice."""
+    lattices = [BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ]
+    for top in (1, 4, 10 ** 60, K.FOUR, True, F(4), 4.0):
+        try:
+            lattices.append(chain(top))
+        except ValueError:
+            assert type(top) is not int, top
+    assert len(lattices) == 7
+    for lattice in lattices:
+        ends = (lattice.bottom, lattice.top)
+        a = FuzzyAutomaton.build(lattice, ("x", "y"), ends, {"x": (ends, ends[::-1]),
+                                                            "y": (ends, ends)}, ends[::-1])
+        text = serialize_automaton(a)
+        assert parse_automaton(text) == a, text
+        assert serialize_automaton(parse_automaton(text)) == text
 
 
 def _vector(lattice, *values):

@@ -6,7 +6,9 @@ stdout and stderr captured. Whatever the input, the call must exit 0, 1, 2 or
 3 without an exception, an exit 2 must leave stdout empty, and a message that
 names a line (and column) must name one that exists in the file it read.
 A second test pins each call's exact exit code and output, as digests
-recorded in tests/data/fuzz_outputs.json.
+recorded in tests/data/fuzz_outputs.json. One command re-records it and
+test_parity's corpus of valid calls, from the repository's root:
+PYTHONPATH=src:tests python tests/test_fuzz.py
 """
 
 import contextlib
@@ -208,13 +210,19 @@ def _calls(tmp_path):
             psi_text = mutate_text(rng, psi_text)
         Path(psi).write_text(psi_text, encoding="utf-8", newline="")
         argv = _argv(rng, doc, other, psi, mutated)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except (Exception, SystemExit) as e:  # any escape is the failure
-                raise AssertionError(f"{argv} on {mutated!r} raised {e!r}") from e
-        yield call, argv, mutated, psi_text, code, out.getvalue(), err.getvalue()
+        yield call, argv, mutated, psi_text, *run(argv, mutated)
+
+
+def run(argv, context=""):
+    """(exit code, stdout, stderr) of cli.main(argv), run in process; any
+    exception, SystemExit too, fails the call, reported with context."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except (Exception, SystemExit) as e:  # any escape is the failure
+            raise AssertionError(f"{argv} on {context!r} raised {e!r}") from e
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_mutated_inputs_keep_the_exit_contract(tmp_path):
@@ -235,28 +243,35 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path):
 OUTPUTS = DATA / "fuzz_outputs.json"
 
 
+def recorded(tmp_path, code, out, err):
+    """[code, the first 16 hex digits of the sha256 of out + "\\0" + err],
+    with tmp_path and each elapsed time masked: what an output corpus holds."""
+    text = re.sub(r"elapsed=[0-9.]+s", "elapsed=?s", f"{out}\0{err}")
+    return [code, hashlib.sha256(text.replace(str(tmp_path), "TMP").encode()).hexdigest()[:16]]
+
+
 def _outputs(tmp_path):
-    """Each call's exit code and the first 16 hex digits of the sha256 of its
-    stdout + "\\0" + stderr, with tmp_path and each elapsed time masked."""
+    """Each call's recorded exit code and output digest."""
     for call, argv, _, _, code, out, err in _calls(tmp_path):
-        text = re.sub(r"elapsed=[0-9.]+s", "elapsed=?s", f"{out}\0{err}")
-        digest = hashlib.sha256(text.replace(str(tmp_path), "TMP").encode()).hexdigest()[:16]
-        yield call, argv, out, err, [code, digest]
+        yield call, argv, out, err, recorded(tmp_path, code, out, err)
 
 
 def test_mutated_inputs_give_the_recorded_outputs(tmp_path):
     """Every call gives the exit code and output digest that OUTPUTS records.
 
-    A change that means to alter some output regenerates the file, from the
-    repository's root: PYTHONPATH=src:tests python tests/test_fuzz.py
+    A change that means to alter some output re-records it with the command
+    the module's docstring names.
     """
-    recorded = json.loads(OUTPUTS.read_text(encoding="utf-8"))
-    assert len(recorded) == 1_500
+    want = json.loads(OUTPUTS.read_text(encoding="utf-8"))
+    assert len(want) == 1_500
     for call, argv, out, err, got in _outputs(tmp_path):
-        assert got == recorded[call], (call, argv, out, err)
+        assert got == want[call], (call, argv, out, err)
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # re-records this corpus and test_parity's
+    from test_parity import record_parity
     with tempfile.TemporaryDirectory() as tmp:
         lines = [json.dumps(got) for *_, got in _outputs(Path(tmp))]
     OUTPUTS.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        record_parity(Path(tmp))

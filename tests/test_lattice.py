@@ -7,7 +7,7 @@ import pytest
 
 from fuzzdet import BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ, LatticeMismatch, chain
 from fuzzdet.lattice import Lattice
-from support import value_pool
+from support import G, K, value_pool
 
 RATIONAL = (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ)
 
@@ -215,6 +215,11 @@ def test_value_guards():
     assert GOGUEN.coerce("0.5") == F(1, 2)
     assert GOGUEN.coerce(1) == F(1)
     assert chain(4).coerce("3") == 3
+    # check admits only a plain int or Fraction; coerce reads a subclass as one
+    for lattice, raw, plain in ((chain(4), K.FOUR, 4), (GOGUEN, G(1, 2), F(1, 2)),
+                                (GOGUEN, K.ZERO, F(0))):
+        got = lattice.coerce(raw)
+        assert got == plain and type(got) is type(plain), (lattice, raw)
 
 
 @pytest.mark.parametrize("read, value, message", [
@@ -227,10 +232,14 @@ def test_value_guards():
     (GOGUEN.check, "0.5", "expected a Fraction in [0, 1], got '0.5'"),
     (GOGUEN.coerce, 0.5, "float 0.5 rejected, pass a string, int or Fraction instead"),
     (GOGUEN.coerce, True, "cannot read True as a goguen value"),
+    (chain(4).check, K.FOUR, "expected a chain index, got <K.FOUR: 4>"),
+    (GOGUEN.check, G(1, 2), "expected a Fraction in [0, 1], got G(1, 2)"),
+    (chain(3).coerce, K.FOUR, "4 is outside chain 3"),
+    (chain(4).coerce, G(1, 2), "expected a chain index, got 1/2"),
 ])
 def test_value_errors_write_numbers_as_reports_do(read, value, message):
-    """An int or a Fraction is named as format_value's p/q would write it,
-    any other value by its repr."""
+    """A plain int or Fraction is named as format_value's p/q would write it,
+    any other value, a subclass too, by its repr."""
     with pytest.raises(LatticeMismatch) as err:
         read(value)
     assert str(err.value) == message
@@ -243,6 +252,8 @@ def test_lattice_descriptor_validation():
         Lattice("chain", 0)
     with pytest.raises(ValueError):
         Lattice("chain", True)
+    with pytest.raises(ValueError):  # a top index is a plain int, as check's chain values are
+        chain(K.FOUR)
     with pytest.raises(ValueError):
         Lattice("godel", 4)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import fuzzdet
 from fuzzdet import (
     BOOLEAN,
     GODEL,
+    GOGUEN,
     BuildStats,
     CapExceeded,
     Cdfa,
@@ -33,6 +34,7 @@ from fuzzdet import (
     reverse_nerode_tree,
 )
 from fuzzdet.lattice import Record
+from support import G, K
 
 
 def _cdfa():
@@ -140,6 +142,23 @@ def test_checking_records_read_a_callers_table_once(make):
 def test_a_callers_generator_has_every_value_checked(make):
     with pytest.raises(LatticeMismatch, match="^5 is outside"):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FuzzyVector(GOGUEN, [G(1, 2)]), r"expected a Fraction in \[0, 1\], got G\(1, 2\)"),
+    (lambda: FuzzyMatrix(chain(4), [[K.FOUR]]), "expected a chain index, got <K.FOUR: 4>"),
+], ids=["vector", "matrix"])
+def test_a_checking_record_refuses_a_subclass_value(make, message):
+    """A value of an int or Fraction subclass is no carrier value."""
+    with pytest.raises(LatticeMismatch, match=f"^{message}$"):
+        make()
+
+
+def test_from_values_and_from_rows_read_a_subclass_as_its_plain_type():
+    (half,) = FuzzyVector.from_values(GOGUEN, [G(1, 2)])
+    assert half == F(1, 2) and type(half) is F
+    ((four,),) = FuzzyMatrix.from_rows(chain(4), [[K.FOUR]]).entries
+    assert four == 4 and type(four) is int
 
 
 def test_record_init_sets_fields_by_position_or_name():
