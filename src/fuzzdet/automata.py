@@ -13,26 +13,31 @@ from .errors import DimensionMismatch, LatticeMismatch, UnknownSymbol
 from .lattice import Lattice, Record, Value
 
 Word = tuple[str, ...]
-RESERVED_SYMBOL = "alphabet symbol {!r} is ambiguous in words: '_' and '.' are reserved"
+
+
+def bad_symbol(symbols: tuple) -> tuple[int, str] | None:
+    """(i, why) for the first of symbols that breaks the one rule for a symbol, else None:
+    a nonempty plain str, distinct from those before it, holding no whitespace and no '#'
+    (which a document cannot hold), not '_' and holding no '.' (which words reserve)."""
+    seen = set()
+    for i, s in enumerate(symbols):
+        if type(s) is not str or not s or "#" in s or any(c.isspace() for c in s):
+            return i, f"bad alphabet symbol {s!r}"
+        if s == "_" or "." in s:
+            return i, f"alphabet symbol {s!r} is ambiguous in words: '_' and '.' are reserved"
+        if s in seen:
+            return i, f"duplicate symbol {s!r}"
+        seen.add(s)
+    return None
 
 
 def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
-    """Validate an alphabet: nonempty distinct tokens without whitespace.
-
-    No symbol is '_' or contains '.', so that every word prints unambiguously.
-    """
+    """Validate an alphabet: one or more symbols, each admitted by bad_symbol."""
     alphabet = tuple(symbols)
     if not alphabet:
         raise ValueError("alphabet must not be empty")
-    seen = set()
-    for s in alphabet:
-        if not isinstance(s, str) or not s or any(c.isspace() for c in s):
-            raise ValueError(f"bad alphabet symbol {s!r}")
-        if s == "_" or "." in s:
-            raise ValueError(RESERVED_SYMBOL.format(s))
-        if s in seen:
-            raise ValueError(f"duplicate alphabet symbol {s!r}")
-        seen.add(s)
+    if bad := bad_symbol(alphabet):
+        raise ValueError(bad[1])
     return alphabet
 
 

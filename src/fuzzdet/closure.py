@@ -33,9 +33,9 @@ def carrier_of(lattice: Lattice, values: Iterable[Value]) -> Carrier:
 
     The encodings:
       chain K      the indices themselves;
-      lukasiewicz, boolean
-                   numerators x over q, the lcm of the denominators;
-      godel        ranks in the sorted start set (values plus 0 and 1);
+      lukasiewicz, boolean, godel
+                   numerators x over q, the lcm of the denominators
+                   (Gödel's min and resid read any order-preserving code);
       goguen       the Fractions themselves: a value strictly inside
                    (0, 1) makes the closure infinite, so no finite code
                    table exists.
@@ -43,15 +43,9 @@ def carrier_of(lattice: Lattice, values: Iterable[Value]) -> Carrier:
     construction can reach lies in the closure of the values the carrier
     was built from, so build it from every value that enters.
     """
-    kind = lattice.kind
-    if kind in ("chain", "goguen"):
+    if lattice.kind in ("chain", "goguen"):
         return Carrier.identity(lattice)
-    values = {*values, lattice.bottom, lattice.top}
-    if kind == "godel":
-        ranked = sorted(values)
-        rank = {v: i for i, v in enumerate(ranked)}
-        return Carrier(lattice, 0, len(ranked) - 1, rank.__getitem__, ranked.__getitem__)
-    q = lcm(*(v.denominator for v in values))
+    q = lcm(*{v.denominator for v in values})
     return Carrier(lattice, 0, q, lambda v: v.numerator * (q // v.denominator),
                    _Fractions(q).__getitem__)
 

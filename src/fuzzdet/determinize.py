@@ -71,9 +71,9 @@ class Cdfa(Record):
     is the state's canonical access word and vectors[state] the FuzzyVector
     that defines it: sigma_u for nerode, tau_u for reverse_nerode, d_u for
     d_automaton and psi_d_automaton, w_u for brzozowski. Every state must be
-    an int reached from initial, every word a tuple of symbols and every
-    vector over the lattice: a caller's cdfa is checked, to_cdfa's is not,
-    and its tables, any iterables, are each read once into a tuple, rows too.
+    a plain int reached from initial, every word a plain tuple of its own symbols
+    and every vector over the lattice: a caller's cdfa is checked, to_cdfa's is
+    not, and its tables, any iterables, are each read once into a tuple, rows too.
     Equality, hash and repr cover exactly these seven fields.
     """
 
@@ -93,10 +93,8 @@ class Cdfa(Record):
             if len(row) != m:
                 raise DimensionMismatch(f"transition row of width {len(row)}, expected {m}")
             for t in row:
-                if type(t) is not int or not 0 <= t < n:
-                    raise ValueError(f"transition target {_write(t)} out of range")
-        if type(initial) is not int or not 0 <= initial < n:
-            raise ValueError(f"initial state {_write(initial)} out of range")
+                _state(t, n, "transition target")
+        _state(initial, n, "initial state")
         terminal, words, vectors = tuple(terminal), tuple(words), tuple(vectors)
         if len(terminal) != n:
             raise DimensionMismatch(f"{len(terminal)} terminal degrees for {n} states")
@@ -106,7 +104,7 @@ class Cdfa(Record):
             if len(table) != n:
                 raise DimensionMismatch(f"{len(table)} {name} for {n} states")
         for w, v in zip(words, vectors):
-            if not isinstance(w, tuple) or not all(x in alphabet for x in w):
+            if type(w) is not tuple or not all(type(x) is str and x in alphabet for x in w):
                 raise ValueError(f"word {w!r} is not a tuple of alphabet symbols")
             if not isinstance(v, FuzzyVector) or v.lattice != lattice:
                 raise LatticeMismatch("a state vector is not a FuzzyVector over the cdfa's lattice")
@@ -123,7 +121,14 @@ class Cdfa(Record):
     def step(self, state: int, symbol: str) -> int:
         if symbol not in self.alphabet:
             raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet")
-        return self.transitions[state][self.alphabet.index(symbol)]
+        return self.transitions[_state(state, self.n, "state")][self.alphabet.index(symbol)]
+
+
+def _state(s, n: int, what: str) -> int:
+    """s if it is a state of an n-state cdfa, a plain int in 0..n-1, else ValueError."""
+    if type(s) is not int or not 0 <= s < n:
+        raise ValueError(f"{what} {_write(s)} out of range")
+    return s
 
 
 def _bfs(states: list, children: Callable[[object], Iterable], edges: list[int],

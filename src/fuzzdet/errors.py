@@ -2,9 +2,9 @@
 
 
 class FuzzdetError(Exception):
-    """Base class for the errors this package raises about its input. A library
-    caller's bad argument raises ValueError instead: a bad alphabet (check_alphabet),
-    lattice kind or chain index (Lattice), Cdfa table, or DetOutcome.cdfa at a cap."""
+    """Base class for the errors this package raises about its input. A library caller's
+    bad argument raises ValueError instead: a bad alphabet (check_alphabet), lattice kind
+    or chain index (Lattice), Cdfa table or Cdfa.step state, or DetOutcome.cdfa at a cap."""
 
 
 class LatticeMismatch(FuzzdetError):

@@ -4,7 +4,7 @@ Document grammar (one directive per line, '#' starts a comment, blank lines
 ignored, tokens separated by whitespace):
 
     lattice NAME            boolean | godel | goguen | lukasiewicz | chain K
-    alphabet SYM...         one or more distinct symbols
+    alphabet SYM...         one or more distinct symbols, none '_' or holding '.'
     states N
     initial V...            N values
     terminal V...           N values
@@ -29,7 +29,7 @@ parse_matrix), whose rows _matrix reads, as a transitions block's.
 import re
 from collections import namedtuple
 
-from .automata import RESERVED_SYMBOL, FuzzyAutomaton, Word
+from .automata import FuzzyAutomaton, Word, bad_symbol
 from .algebra import FuzzyMatrix, FuzzyVector, _rows
 from .errors import FormatError, LatticeMismatch, UnknownSymbol
 from .lattice import _INDEX, NAMED, Lattice, Value, _read_int, _write, chain
@@ -131,14 +131,9 @@ def parse_automaton(text: str) -> FuzzyAutomaton:
         elif kw == "alphabet":
             if not rest:
                 raise FormatError("alphabet needs at least one symbol", head.line)
-            seen = set()
-            for t in rest:
-                if t.text == "_" or "." in t.text:
-                    raise FormatError(RESERVED_SYMBOL.format(t.text), t.line, t.column)
-                if t.text in seen:
-                    raise FormatError(f"duplicate symbol {t.text!r}", t.line, t.column)
-                seen.add(t.text)
             blocks[kw] = tuple(t.text for t in rest)
+            if bad := bad_symbol(blocks[kw]):
+                raise FormatError(bad[1], rest[bad[0]].line, rest[bad[0]].column)
         elif kw == "states":
             blocks[kw] = _positive_int(rest, "states needs one positive integer", head.line)
         elif kw in ("initial", "terminal"):

@@ -101,7 +101,7 @@ _set = object.__setattr__  # how a record's __init__ sets a field
 class Lattice(Record):
     """A residuated lattice on [0, 1] or on the chain 0 <= a_1 <= ... <= a_K.
 
-    kind: one of boolean, godel, goguen, lukasiewicz, chain.
+    kind: one of boolean, godel, goguen, lukasiewicz, chain, a plain str.
     top_index: the top index K for chain lattices, None otherwise.
 
     boolean behaves exactly like chain(1) but keeps Fraction values so the
@@ -111,7 +111,7 @@ class Lattice(Record):
     __slots__ = ("kind", "top_index")
 
     def __init__(self, kind: str, top_index: int | None = None):
-        if kind not in KINDS:
+        if type(kind) is not str or kind not in KINDS:
             raise ValueError(f"unknown lattice kind {kind!r}")
         if kind == "chain":
             if type(top_index) is not int or top_index < 1:
@@ -242,8 +242,8 @@ class Lattice(Record):
 def operations(kind: str, bottom, top) -> tuple[Callable, Callable]:
     """The one definition of each kind's (tmul, resid), on bottom..top.
 
-    The ends are a lattice's own on its values and 0..q, the Gödel ranks or
-    0..K on a Carrier's codes; Goguen keeps its Fractions. The truncated
+    The ends are a lattice's own on its values and 0..q (numerators over q)
+    or 0..K on a Carrier's codes; Goguen keeps its Fractions. The truncated
     sum, with residuum top - x + y, is lukasiewicz, boolean and chain K on
     values and codes alike. Never memoize this on (kind, bottom, top):
     0 == Fraction(0) and they hash alike, so int codes would leak to values.

@@ -13,7 +13,7 @@ import argparse
 import itertools
 import random
 from collections import deque
-from enum import IntEnum
+from enum import Enum, IntEnum
 from fractions import Fraction
 
 from fuzzdet import (
@@ -48,6 +48,13 @@ class K(IntEnum):
 
 class G(Fraction):
     """A Fraction subclass: no unit-interval value, but coerce reads one."""
+
+
+class S(str, Enum):
+    """A str subclass a caller may hold names in: no lattice kind, alphabet
+    symbol or symbol of a cdfa's word, which are plain strs, whatever it equals."""
+    X = "x"
+    GODEL = "godel"
 
 
 def value_pool(lattice):

@@ -35,6 +35,7 @@ from fuzzdet import (
 from fuzzdet.automata import check_alphabet
 from support import (
     K,
+    S,
     all_words,
     cdfa_as_fuzzy_automaton,
     random_automaton,
@@ -186,7 +187,13 @@ def test_cdfa_validation(transitions, initial, message):
     (("x", ""), "bad alphabet symbol ''"),
     (("x y",), "bad alphabet symbol 'x y'"),
     (("x", 1), "bad alphabet symbol 1"),
-    (("x", "y", "x"), "duplicate alphabet symbol 'x'"),
+    (("x", "a#b"), "bad alphabet symbol 'a#b'"),
+    (("#",), "bad alphabet symbol '#'"),
+    (("x", "\x1c"), "bad alphabet symbol '\\x1c'"),
+    (("y", S.X), "bad alphabet symbol <S.X: 'x'>"),
+    (("x", "_"), "alphabet symbol '_' is ambiguous in words: '_' and '.' are reserved"),
+    (("x.y",), "alphabet symbol 'x.y' is ambiguous in words: '_' and '.' are reserved"),
+    (("x", "y", "x"), "duplicate symbol 'x'"),
 ])
 def test_check_alphabet_rejects(symbols, message):
     with pytest.raises(ValueError) as err:
@@ -228,6 +235,8 @@ def test_check_alphabet_rejects(symbols, message):
      "word ('zz', 3) is not a tuple of alphabet symbols"),
     (((0,),), 0, (F(0),), (["x"],), ONE_VECTOR, ValueError,
      "word ['x'] is not a tuple of alphabet symbols"),
+    (((0,),), 0, (F(0),), ((S.X,),), ONE_VECTOR, ValueError,
+     "word (<S.X: 'x'>,) is not a tuple of alphabet symbols"),
     (((0,),), 0, (F(0),), ONE_WORD, (FuzzyVector(GODEL, (F(1, 2),)),), LatticeMismatch,
      "a state vector is not a FuzzyVector over the cdfa's lattice"),
     (((0,),), 0, (F(0),), ONE_WORD, ((F(0),),), LatticeMismatch,
@@ -240,10 +249,26 @@ def test_cdfa_constructor_rejects(transitions, initial, terminal, words, vectors
     assert (type(err.value), str(err.value)) == (error, message)
 
 
+# Names a document can and cannot hold, and an enum member equal to "x"
+HOSTILE_NAMES = ("x", "y", "\u00e9", "a,b", '"', "\\", "x\u200b", "_", "x.y", "#", "a#b",
+                 "a b", "\x1c", S.X)
+
+
+def _draw_value(rng, lattice):
+    if lattice.kind == "chain":
+        return rng.choice((0, lattice.top_index, rng.randint(0, lattice.top_index)))
+    if lattice.kind == "boolean":
+        return F(rng.randint(0, 1))
+    q = rng.randint(1, 6)
+    return F(rng.randint(0, q), q)
+
+
 def test_every_lattice_a_caller_can_build_round_trips():
-    """An automaton that holds its lattice's top and bottom is written and
-    read back equal, over every lattice Lattice(...) admits; a top index that
-    is no plain int, an IntEnum's included, builds no lattice."""
+    """Every automaton FuzzyAutomaton.build accepts is written and read back
+    equal, and its document is a fixed point of serialize_automaton, over
+    every lattice Lattice(...) admits and alphabets drawn, duplicates too,
+    from HOSTILE_NAMES. A top index that is no plain int, an IntEnum's
+    included, builds no lattice."""
     lattices = [BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ]
     for top in (1, 4, 10 ** 60, K.FOUR, True, F(4), 4.0):
         try:
@@ -251,13 +276,38 @@ def test_every_lattice_a_caller_can_build_round_trips():
         except ValueError:
             assert type(top) is not int, top
     assert len(lattices) == 7
-    for lattice in lattices:
-        ends = (lattice.bottom, lattice.top)
-        a = FuzzyAutomaton.build(lattice, ("x", "y"), ends, {"x": (ends, ends[::-1]),
-                                                            "y": (ends, ends)}, ends[::-1])
+    rng = random.Random(33)
+    built = refused = 0
+    for _ in range(400):
+        lattice = rng.choice(lattices)
+        alphabet = rng.choices(HOSTILE_NAMES, k=rng.randint(1, 3))
+        n = rng.randint(1, 3)
+        ends = (lattice.bottom, lattice.top)[:n]
+
+        def row():
+            return ends + tuple(_draw_value(rng, lattice) for _ in range(n - len(ends)))
+
+        try:
+            a = FuzzyAutomaton.build(lattice, alphabet, row(),
+                                     {x: [row() for _ in range(n)] for x in alphabet}, row())
+        except ValueError:
+            refused += 1
+            continue
+        built += 1
         text = serialize_automaton(a)
         assert parse_automaton(text) == a, text
         assert serialize_automaton(parse_automaton(text)) == text
+    assert built > 50 and refused > 50, (built, refused)
+
+
+def test_cdfa_step_admits_only_a_state(boolean3):
+    """step checks its state as Cdfa(...) checks initial: a plain int in range."""
+    c = d_automaton(boolean3).cdfa
+    for state in (-1, True, c.n, 1.0):
+        with pytest.raises(ValueError) as err:
+            c.step(state, "x")
+        assert str(err.value) == f"state {state!r} out of range"
+    assert [c.step(s, "x") for s in range(c.n)] == [row[0] for row in c.transitions]
 
 
 def _vector(lattice, *values):

@@ -245,11 +245,16 @@ def test_only_ascii_digits_are_digits(capsys, tmp_path, fixture, line, says):
 
 
 def test_parse_rejects_reserved_alphabet_symbols():
+    """The parser reports automata.bad_symbol's message at the symbol's line and column."""
     base = "lattice goguen\nalphabet x {}\nstates 1\ninitial 1\nterminal 1\n"
     for symbol in ("_", "a.b", "."):
-        with pytest.raises(FormatError, match="reserved") as err:
+        with pytest.raises(FormatError) as err:
             parse_automaton(base.format(symbol))
-        assert (err.value.line, err.value.column) == (2, 12)
+        assert str(err.value) == (f"line 2, column 12: alphabet symbol {symbol!r} is "
+                                  "ambiguous in words: '_' and '.' are reserved")
+    with pytest.raises(FormatError) as err:
+        parse_automaton(base.format("x"))
+    assert str(err.value) == "line 2, column 12: duplicate symbol 'x'"
     text = base.format("a_b") + "transitions x\n1\ntransitions a_b\n1\n"
     assert parse_automaton(text).alphabet == ("x", "a_b")
 

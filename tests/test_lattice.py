@@ -7,7 +7,7 @@ import pytest
 
 from fuzzdet import BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ, LatticeMismatch, chain
 from fuzzdet.lattice import Lattice
-from support import G, K, value_pool
+from support import G, K, S, value_pool
 
 RATIONAL = (BOOLEAN, GODEL, GOGUEN, LUKASIEWICZ)
 
@@ -258,5 +258,8 @@ def test_lattice_descriptor_validation():
         Lattice("godel", 4)
     with pytest.raises(ValueError):
         Lattice("heyting")
+    with pytest.raises(ValueError) as err:  # a kind is a plain str, whatever it equals
+        Lattice(S.GODEL)
+    assert str(err.value) == "unknown lattice kind <S.GODEL: 'godel'>"
     assert chain(4).describe() == "chain 4"
     assert GOGUEN.describe() == "goguen"

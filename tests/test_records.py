@@ -265,7 +265,7 @@ def test_import_loads_no_submodule(python_child):
 # call loads, keyed by command, and "psi" for a call whose --psi names a file.
 # Without a bytecode cache each call compiles them, at about 12 µs a line
 # (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_106, "semiring": 1_318, "det": 1_907, "equiv": 1_907, "psi": 2_008}
+LINE_BUDGETS = {"eval": 1_106, "semiring": 1_312, "det": 1_906, "equiv": 1_906, "psi": 2_007}
 
 
 def _lines(module: str) -> int:
