@@ -6,6 +6,7 @@ a word u is sigma ∘ delta_u ∘ tau. Their crisp-deterministic counterparts,
 the Cdfa, are in determinize.
 """
 
+import re
 from collections.abc import Iterable, Mapping, Sequence
 
 from .algebra import FuzzyMatrix, FuzzyVector, dot, vec_mat
@@ -16,12 +17,12 @@ Word = tuple[str, ...]
 
 
 def bad_symbol(symbols: tuple) -> tuple[int, str] | None:
-    """(i, why) for the first of symbols that breaks the one rule for a symbol, else None:
-    a nonempty plain str, distinct from those before it, holding no whitespace and no '#'
-    (which a document cannot hold), not '_' and holding no '.' (which words reserve)."""
+    """(i, why) for the first of symbols that breaks the one rule for a symbol, else None: a
+    nonempty plain str, distinct from those before it, holding no whitespace, '#' or lone
+    surrogate (no UTF-8 document can), not '_' and holding no '.' (which words reserve)."""
     seen = set()
     for i, s in enumerate(symbols):
-        if type(s) is not str or not s or "#" in s or any(c.isspace() for c in s):
+        if type(s) is not str or not s or re.search(r"[\s#\ud800-\udfff]", s):
             return i, f"bad alphabet symbol {s!r}"
         if s == "_" or "." in s:
             return i, f"alphabet symbol {s!r} is ambiguous in words: '_' and '.' are reserved"
@@ -39,6 +40,13 @@ def check_alphabet(symbols: Iterable[str]) -> tuple[str, ...]:
     if bad := bad_symbol(alphabet):
         raise ValueError(bad[1])
     return alphabet
+
+
+def symbol_index(alphabet: tuple[str, ...], x) -> int:
+    """x's position in alphabet when x is a plain str of it, else UnknownSymbol."""
+    if type(x) is str and x in alphabet:
+        return alphabet.index(x)
+    raise UnknownSymbol(f"symbol {x!r} is not in the alphabet")
 
 
 class FuzzyAutomaton(Record):
@@ -65,16 +73,14 @@ class FuzzyAutomaton(Record):
             raise DimensionMismatch(f"tau has length {len(tau)}, expected {n}")
         if set(delta) != set(alphabet):
             raise ValueError("delta keys must match the alphabet exactly")
-        ordered = {}
-        for x in alphabet:
-            m = delta[x]
+        delta = {x: delta[x] for x in alphabet}  # in alphabet order
+        for x, m in delta.items():
             if m.lattice != lattice:
                 raise LatticeMismatch(f"transition matrix for {x!r} is in another lattice")
             if m.n_rows != n or m.n_cols != n:
                 raise DimensionMismatch(
                     f"transition matrix for {x!r} is {m.n_rows}x{m.n_cols}, expected {n}x{n}")
-            ordered[x] = m
-        super().__init__(lattice, alphabet, sigma, ordered, tau)
+        super().__init__(lattice, alphabet, sigma, delta, tau)
 
     @property
     def n(self) -> int:
@@ -90,16 +96,11 @@ class FuzzyAutomaton(Record):
         delta = {x: FuzzyMatrix.from_rows(lattice, rows) for x, rows in transitions.items()}
         return cls(lattice, tuple(alphabet), sigma, delta, tau)
 
-    def matrix(self, symbol: str) -> FuzzyMatrix:
-        try:
-            return self.delta[symbol]
-        except KeyError:
-            raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet") from None
-
 
 def evaluate(a: FuzzyAutomaton, word: Sequence[str]) -> Value:
     """Membership degree of word: thread sigma through delta, then hit tau."""
     state = a.sigma
     for x in word:
-        state = vec_mat(state, a.matrix(x))
+        symbol_index(a.alphabet, x)
+        state = vec_mat(state, a.delta[x])
     return dot(state, a.tau)

@@ -54,9 +54,9 @@ from operator import itemgetter
 
 from .algebra import (DEFAULT_CAP, Carrier, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet,
                       _sup_product)
-from .automata import FuzzyAutomaton, Word, check_alphabet
+from .automata import FuzzyAutomaton, Word, check_alphabet, symbol_index
 from .closure import automaton_values, carrier_of, require_cap
-from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch, UnknownSymbol
+from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch
 from .lattice import Lattice, Record, Value, _write
 
 
@@ -119,9 +119,8 @@ class Cdfa(Record):
         return len(self.transitions)
 
     def step(self, state: int, symbol: str) -> int:
-        if symbol not in self.alphabet:
-            raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet")
-        return self.transitions[_state(state, self.n, "state")][self.alphabet.index(symbol)]
+        i = symbol_index(self.alphabet, symbol)
+        return self.transitions[_state(state, self.n, "state")][i]
 
 
 def _state(s, n: int, what: str) -> int:
@@ -263,21 +262,21 @@ class TransitionTree:
         return FuzzyVector._derived(self.carrier.lattice, self.carrier.values(codes))
 
     def canonical_words(self) -> list[Word]:
-        """Shortlex-least word per state over all vertices glued to it.
+        """Shortlex-least word per state over all words.
 
-        made[t] is made[s] grown by x for the edge s -> t under x that made t,
-        and grown on the right it is least. Grown on the left, a later edge
-        s -> t offers (x,) + made[s], never shorter: ties compete, in alphabet order.
+        made[t], made[s] grown by x for the edge s -> t under x that made t, is least grown
+        on the right. Grown on the left, least[t] is the least (x,) + least[s] over edges
+        s -> t under x with s one shorter, each s before t, so least[s] is final when read.
         """
         made = _words(self.makers, self.alphabet, self.prepend)
         if not self.prepend:
             return made
         rank = {x: i for i, x in enumerate(self.alphabet)}
         least = list(made)
-        for u, row in zip(made, self.state_edges):
+        for s, row in enumerate(self.state_edges):
             for x, t in zip(self.alphabet, row):
-                if len(u) + 1 == len(made[t]):
-                    least[t] = min(least[t], (x,) + u, key=lambda w: [rank[y] for y in w])
+                if len(least[s]) + 1 == len(made[t]):
+                    least[t] = min(least[t], (x,) + least[s], key=lambda w: [rank[y] for y in w])
         return least
 
     def to_cdfa(self, vectors: Iterable[tuple] | None = None) -> Cdfa:

@@ -43,7 +43,6 @@ class FormatError(FuzzdetError):
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.message = message
         self.line = line
         self.column = column
         where = ""

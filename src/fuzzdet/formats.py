@@ -29,7 +29,7 @@ parse_matrix), whose rows _matrix reads, as a transitions block's.
 import re
 from collections import namedtuple
 
-from .automata import FuzzyAutomaton, Word, bad_symbol
+from .automata import FuzzyAutomaton, Word, bad_symbol, symbol_index
 from .algebra import FuzzyMatrix, FuzzyVector, _rows
 from .errors import FormatError, LatticeMismatch, UnknownSymbol
 from .lattice import _INDEX, NAMED, Lattice, Value, _read_int, _write, chain
@@ -48,8 +48,7 @@ def parse_word(text: str, alphabet: tuple[str, ...]) -> Word:
     for p in parts:
         if not p:
             raise UnknownSymbol(f"malformed word {text!r}")
-        if p not in alphabet:
-            raise UnknownSymbol(f"symbol {p!r} is not in the alphabet")
+        symbol_index(alphabet, p)
     return tuple(parts)
 
 

@@ -15,6 +15,7 @@ import random
 from collections import deque
 from enum import Enum, IntEnum
 from fractions import Fraction
+from functools import cache
 
 from fuzzdet import (
     BOOLEAN,
@@ -417,14 +418,34 @@ def d_step(a, d_u, x, mus, edges):
                              [_sup(a.lattice, d_u, mus[row[k]]) for row in edges])
 
 
+def shortlex_first_words(alphabet, root, step, key, keys):
+    """Per key in keys, the first word u in shortlex order whose payload has
+    that key, by enumerating every word, one length at a time, until each key
+    has its word; no key's word is longer than len(keys) - 1. The empty
+    word's payload is root and x·v's is step(p, x), with p v's payload:
+    words grow on the left, as tau_u do. step is pure, so each (p, x) is
+    computed once.
+    """
+    first, step = {}, cache(step)
+    level = [((), root)]
+    for _ in keys:
+        for u, p in level:
+            first.setdefault(key(p), u)
+        if all(k in first for k in keys):
+            break
+        level = [((x,) + u, step(p, x)) for x in alphabet for u, p in level]
+    return [first[k] for k in keys]
+
+
 def _oracle_tree(alphabet, root, step, key, cap, prepend):
     """Breadth-first over states; a child whose key was seen is glued to it.
 
     step(p, x) is the payload of p's x-child and key(p) the FuzzyVector that
     names its state. Returns a CapExceeded the moment a (cap+1)-th state
-    would be made, else (keys, payloads, transitions, words): each word is
-    the shortlex-least among the root's and every child's word glued to the
-    state, a child's word being its parent state's first word extended.
+    would be made, else (keys, payloads, transitions, words). Grown on the
+    right, each word is the shortlex-least among the root's and every
+    child's word glued to the state, a child's word being its parent state's
+    first word extended; grown on the left (prepend), shortlex_first_words.
     """
     payloads, keys, first = [root], [key(root)], [()]
     index = {keys[0]: 0}
@@ -441,10 +462,13 @@ def _oracle_tree(alphabet, root, step, key, cap, prepend):
                 index[k] = len(keys)
                 payloads.append(p)
                 keys.append(k)
-                first.append((x,) + first[s] if prepend else first[s] + (x,))
+                first.append(first[s] + (x,))
             row.append(index[k])
         transitions.append(tuple(row))
         s += 1
+    if prepend:
+        return keys, payloads, tuple(transitions), shortlex_first_words(alphabet, root, step,
+                                                                         key, keys)
     rank = {x: i for i, x in enumerate(alphabet)}
 
     def order(w):
@@ -453,7 +477,7 @@ def _oracle_tree(alphabet, root, step, key, cap, prepend):
     words = list(first)
     for s, row in enumerate(transitions):
         for x, t in zip(alphabet, row):
-            w = (x,) + first[s] if prepend else first[s] + (x,)
+            w = first[s] + (x,)
             if order(w) < order(words[t]):
                 words[t] = w
     return keys, payloads, tuple(transitions), words

@@ -57,6 +57,17 @@ def test_evaluate_unknown_symbol(goguen3):
         evaluate(goguen3, ("x", "z"))
 
 
+def test_a_word_admits_only_plain_symbols(boolean3):
+    """evaluate, Cdfa.step and cdfa_evaluate read a symbol through symbol_index:
+    an enum member equal to a symbol is no symbol."""
+    c = d_automaton(boolean3).cdfa
+    for read in (lambda: evaluate(boolean3, (S.X,)), lambda: c.step(0, S.X),
+                 lambda: cdfa_evaluate(c, ("x", S.X))):
+        with pytest.raises(UnknownSymbol) as err:
+            read()
+        assert str(err.value) == "symbol <S.X: 'x'> is not in the alphabet"
+
+
 def test_evaluate_matches_materialized_matrix_path():
     # independent path: build delta_u as an explicit matrix product first
     rng = random.Random(41)
@@ -115,14 +126,12 @@ def test_reverse_recognizes_mirrored_words():
 def test_right_language_step_fixture(goguen3):
     """One backward step: tau_{xu} = delta_x ∘ tau_u."""
     tau = goguen3.tau
-    assert mat_vec(goguen3.matrix("x"), tau).entries == (F(1, 2), F(1), F(1))
-    tau_y = mat_vec(goguen3.matrix("y"), tau)
+    assert mat_vec(goguen3.delta["x"], tau).entries == (F(1, 2), F(1), F(1))
+    tau_y = mat_vec(goguen3.delta["y"], tau)
     assert tau_y.entries == (F(1), F(1), F(3, 10))
-    assert mat_vec(goguen3.matrix("y"), tau_y).entries == tau_y.entries
+    assert mat_vec(goguen3.delta["y"], tau_y).entries == tau_y.entries
     zeros = FuzzyVector(GOGUEN, (F(0),) * 3)
-    assert mat_vec(goguen3.matrix("x"), zeros).entries == zeros.entries
-    with pytest.raises(UnknownSymbol):
-        mat_vec(goguen3.matrix("z"), tau)
+    assert mat_vec(goguen3.delta["x"], zeros).entries == zeros.entries
 
 
 # the word and the vector of a one-state cdfa
@@ -191,6 +200,8 @@ def test_cdfa_validation(transitions, initial, message):
     (("#",), "bad alphabet symbol '#'"),
     (("x", "\x1c"), "bad alphabet symbol '\\x1c'"),
     (("y", S.X), "bad alphabet symbol <S.X: 'x'>"),
+    (("\ud800",), "bad alphabet symbol '\\ud800'"),
+    (("x", "a\udfffb"), "bad alphabet symbol 'a\\udfffb'"),
     (("x", "_"), "alphabet symbol '_' is ambiguous in words: '_' and '.' are reserved"),
     (("x.y",), "alphabet symbol 'x.y' is ambiguous in words: '_' and '.' are reserved"),
     (("x", "y", "x"), "duplicate symbol 'x'"),
@@ -251,7 +262,7 @@ def test_cdfa_constructor_rejects(transitions, initial, terminal, words, vectors
 
 # Names a document can and cannot hold, and an enum member equal to "x"
 HOSTILE_NAMES = ("x", "y", "\u00e9", "a,b", '"', "\\", "x\u200b", "_", "x.y", "#", "a#b",
-                 "a b", "\x1c", S.X)
+                 "a b", "\x1c", S.X, "\ud800", "a\udfffb")
 
 
 def _draw_value(rng, lattice):
@@ -295,9 +306,16 @@ def test_every_lattice_a_caller_can_build_round_trips():
             continue
         built += 1
         text = serialize_automaton(a)
-        assert parse_automaton(text) == a, text
+        assert parse_automaton(text) == parse_automaton(text.encode("utf-8").decode()) == a, text
         assert serialize_automaton(parse_automaton(text)) == text
     assert built > 50 and refused > 50, (built, refused)
+
+
+def test_build_refuses_a_lone_surrogate():
+    """No UTF-8 document can hold a lone surrogate, so no symbol may."""
+    with pytest.raises(ValueError) as err:
+        FuzzyAutomaton.build(GODEL, ("\ud800",), [1], {"\ud800": [[1]]}, [1])
+    assert (type(err.value), str(err.value)) == (ValueError, "bad alphabet symbol '\\ud800'")
 
 
 def test_cdfa_step_admits_only_a_state(boolean3):
