@@ -6,15 +6,15 @@ reverse Nerode, the minimal inclusion-degree construction, double
 reversal), a psi-glued generalization, a line-oriented document format and
 DOT export.
 
-Modules: lattice (the five structures), algebra (vectors, matrices, the
-sup-product, the carrier), automata (fuzzy automata, evaluate), formats
-(documents, words), closure (value closure, preflight), determinize (the
-constructions, Cdfa, find_witness), psi (psi documents, mat_compose, the
-left invariance check, the psi-glued construction), errors, cli, detcli
-(det, equiv, DOT export), usage (--help, a command line not plainly
-spelt) and reference (what no command runs). Each module loads when one
-of its names is first used (PEP 562): `import fuzzdet` loads none, eval
-cli, formats, automata, algebra, lattice and errors, semiring closure
+Modules: lattice (the five structures, their operations and carrier),
+algebra (vectors, matrices, the sup-product), automata (fuzzy automata,
+evaluate), formats (documents, words), closure (value closure, preflight),
+determinize (the constructions, Cdfa, find_witness), psi (psi documents,
+mat_compose, the left invariance check, the psi-glued construction),
+errors, cli, detcli (det, equiv, DOT export), usage (--help, a command line
+not plainly spelt) and reference (what no command runs). Each module loads
+when one of its names is first used (PEP 562): `import fuzzdet` loads none,
+eval cli, formats, automata, algebra, lattice and errors, semiring closure
 too, and det and equiv detcli and determinize too, and psi for a file.
 """
 

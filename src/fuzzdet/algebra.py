@@ -6,23 +6,24 @@ results; every container carries its lattice and operations refuse to mix
 lattices. All five structures are chains, so every composition is one of two
 loops over plain tuples: the sup-product (_sup_product, join of tmul) and the
 implication meet (_residual_meet, meet of resid). Both skip the factors that
-cannot move the result and stop early at top or bottom. Both run on a Carrier,
-with tmul and resid from lattice.operations: the public operations on the
-lattice's identity carrier, on values checked when their container was built,
-and the constructions on their values encoded once (closure.carrier_of).
+cannot move the result and stop early at top or bottom. Both run on a
+lattice.Carrier: the public operations on their lattice's identity carrier
+(_carrier), on values checked when their container was built, and the
+constructions on their values encoded once (closure.carrier_of).
 """
 
-from collections.abc import Callable, Iterable, Iterator
-from functools import cache
+from collections.abc import Iterable, Iterator
 
 from .errors import DimensionMismatch, LatticeMismatch
-from .lattice import Lattice, Record, Value, operations
+from .lattice import Carrier, Lattice, Record, Value
 
 
-def _same_lattice(a, b) -> None:
+def _carrier(a, b) -> Carrier:
+    """The identity Carrier of a's and b's lattice, once they share one."""
     if a.lattice != b.lattice:
         raise LatticeMismatch(
             f"mixed lattices: {a.lattice.describe()} vs {b.lattice.describe()}")
+    return Carrier.identity(a.lattice)
 
 
 def _entries(entries: tuple) -> tuple:
@@ -103,13 +104,13 @@ class FuzzyMatrix(Record):
 # and the rows the constructions use again and again are sparse.
 
 
-def _pairs(c: "Carrier", rows) -> tuple:
+def _pairs(c: Carrier, rows) -> tuple:
     """Each row as the (k, x) pairs of its entries other than bottom."""
     bottom = c.bottom
     return tuple(tuple((k, x) for k, x in enumerate(row) if x != bottom) for row in rows)
 
 
-def _sup_product(c: "Carrier", rows, vec) -> tuple:
+def _sup_product(c: Carrier, rows, vec) -> tuple:
     """(join_k tmul(x, vec[k]) over (k, x) in row, for each row)."""
     bottom, top, tmul = c.bottom, c.top, c.tmul
     out = []
@@ -128,7 +129,7 @@ def _sup_product(c: "Carrier", rows, vec) -> tuple:
     return tuple(out)
 
 
-def _residual_meet(c: "Carrier", rows, vec) -> tuple:
+def _residual_meet(c: Carrier, rows, vec) -> tuple:
     """(meet_k resid(x, vec[k]) over (k, x) in row, for each row).
 
     resid(x, y) is top exactly when x <= y, so only x > y can lower the meet.
@@ -152,59 +153,18 @@ def _residual_meet(c: "Carrier", rows, vec) -> tuple:
 
 def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
     """Row vector times matrix under sup-multiplication."""
-    _same_lattice(f, m)
+    c = _carrier(f, m)
     if len(f) != m.n_rows:
         raise DimensionMismatch(f"vector of length {len(f)} against {m.n_rows} rows")
-    c = Carrier.identity(f.lattice)
     return FuzzyVector._derived(f.lattice, _sup_product(c, _pairs(c, zip(*m.entries)), f.entries))
 
 
 def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
     """Scalar sup-multiplication product of two vectors of equal length."""
-    _same_lattice(f, g)
+    c = _carrier(f, g)
     if len(f) != len(g):
         raise DimensionMismatch(f"dot of lengths {len(f)} and {len(g)}")
-    c = Carrier.identity(f.lattice)
     return _sup_product(c, _pairs(c, (f.entries,)), g.entries)[0]
-
-
-# -- the encoded carrier ---------------------------------------------------
-
-
-def _same(x):
-    return x
-
-
-class Carrier:
-    """The values of one construction encoded once, with tmul and resid bound.
-
-    Codes are compared, hashed and combined as bare values; join and meet
-    are max and min, because every structure is a chain. tmul and resid
-    are lattice.operations on the codes' ends. identity makes the carrier
-    whose codes are the values themselves, and closure.carrier_of the one
-    a construction encodes its values in. encode and decode map one
-    value; decode returns the lattice's own type, a Fraction on the
-    rational lattices and an int on chains.
-    """
-
-    __slots__ = ("lattice", "bottom", "top", "tmul", "resid", "encode", "decode")
-
-    def __init__(self, lattice: Lattice, bottom, top, encode: Callable, decode: Callable):
-        self.lattice, self.bottom, self.top = lattice, bottom, top
-        self.tmul, self.resid = operations(lattice.kind, bottom, top)
-        self.encode, self.decode = encode, decode
-
-    @classmethod
-    @cache
-    def identity(cls, lattice: Lattice) -> "Carrier":
-        """The lattice's values as their own codes, made once per lattice."""
-        return cls(lattice, lattice.bottom, lattice.top, _same, _same)
-
-    def codes(self, entries: Iterable[Value]) -> tuple:
-        return tuple(map(self.encode, entries))
-
-    def values(self, codes: Iterable) -> tuple[Value, ...]:
-        return tuple(map(self.decode, codes))
 
 
 DEFAULT_CAP = 10_000

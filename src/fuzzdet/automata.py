@@ -49,6 +49,13 @@ def symbol_index(alphabet: tuple[str, ...], x) -> int:
     raise UnknownSymbol(f"symbol {x!r} is not in the alphabet")
 
 
+def symbols(word: Sequence[str]) -> Sequence[str]:
+    """word, once it is no str, which would read as its letters, else UnknownSymbol."""
+    if isinstance(word, str):
+        raise UnknownSymbol(f"a word is a sequence of symbols, not the str {word!r}")
+    return word
+
+
 class FuzzyAutomaton(Record):
     """Fuzzy finite automaton over one lattice.
 
@@ -100,7 +107,7 @@ class FuzzyAutomaton(Record):
 def evaluate(a: FuzzyAutomaton, word: Sequence[str]) -> Value:
     """Membership degree of word: thread sigma through delta, then hit tau."""
     state = a.sigma
-    for x in word:
+    for x in symbols(word):
         symbol_index(a.alphabet, x)
         state = vec_mat(state, a.delta[x])
     return dot(state, a.tau)

@@ -3,7 +3,7 @@
 semiring_closure closes a value set under join and tmul, one exact rule
 per lattice, and preflight turns the closure of an automaton's values
 into the k^n bound on every derivative construction. carrier_of encodes
-the values that enter one construction (see algebra.Carrier). semiring,
+the values that enter one construction (see lattice.Carrier). semiring,
 det and equiv load this module; eval does not.
 """
 
@@ -11,9 +11,9 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .algebra import DEFAULT_CAP, Carrier
+from .algebra import DEFAULT_CAP
 from .errors import InvalidCap, LatticeMismatch
-from .lattice import Lattice, Record, Value, _write
+from .lattice import Carrier, Lattice, Record, Value, _write
 
 
 class _Fractions(dict):

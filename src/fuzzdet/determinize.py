@@ -39,7 +39,7 @@ w_eps is the reverse terminal column, w_{ux}[s] = w_u[edge(s, x)] and
 L(u) = w_u[0]. Words glue exactly when their d vectors do, and d_u is the
 implication meet of the mu_s against w_u, recovered once per state.
 
-Every construction runs on a Carrier (see algebra and closure.carrier_of):
+Every construction runs on a Carrier (see lattice and closure.carrier_of):
 the values that enter it encoded once, so that its vectors are tuples of
 bare codes (ints on every lattice but Goguen) and its tmul and resid are
 bound for that automaton. Each ends in _Run.done, which decodes its tree
@@ -52,12 +52,11 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property, partial
 from operator import itemgetter
 
-from .algebra import (DEFAULT_CAP, Carrier, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet,
-                      _sup_product)
+from .algebra import DEFAULT_CAP, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet, _sup_product
 from .automata import FuzzyAutomaton, Word, check_alphabet, symbol_index
 from .closure import automaton_values, carrier_of, require_cap
 from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch
-from .lattice import Lattice, Record, Value, _write
+from .lattice import Carrier, Lattice, Record, Value, _write
 
 
 # -- crisp-deterministic automata -----------------------------------------

@@ -29,15 +29,15 @@ parse_matrix), whose rows _matrix reads, as a transitions block's.
 import re
 from collections import namedtuple
 
-from .automata import FuzzyAutomaton, Word, bad_symbol, symbol_index
+from .automata import FuzzyAutomaton, Word, bad_symbol, symbol_index, symbols
 from .algebra import FuzzyMatrix, FuzzyVector, _rows
 from .errors import FormatError, LatticeMismatch, UnknownSymbol
 from .lattice import _INDEX, NAMED, Lattice, Value, _read_int, _write, chain
 
 
 def format_word(word: Word) -> str:
-    """'_' for the empty word, dot-joined symbols otherwise."""
-    return ".".join(word) if word else "_"
+    """'_' for the empty word, dot-joined symbols otherwise; a str is refused (symbols)."""
+    return ".".join(word) if symbols(word) else "_"
 
 
 def parse_word(text: str, alphabet: tuple[str, ...]) -> Word:

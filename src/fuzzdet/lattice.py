@@ -2,7 +2,7 @@
 
 Every structure here is a chain, so meet and join are min and max and all
 that distinguishes the structures is the multiplication and its residuum,
-written once for all five in operations().
+written once for all five in operations() and bound only by a Carrier.
 Values are plain ``fractions.Fraction`` objects for the unit-interval
 structures and plain ``int`` indices for finite chains; no floats anywhere.
 The lattice descriptor travels with containers (vectors, matrices), not with
@@ -10,7 +10,7 @@ the values themselves.
 """
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -208,15 +208,9 @@ class Lattice(Record):
 
     # -- operations ------------------------------------------------------
     #
-    # These check both arguments, so that a stray value fails loudly. The
-    # constructions and the vector algebra never call them: they run on an
-    # algebra.Carrier, whose operations come from operations() as these do.
-
-    @property
-    @cache
-    def _ops(self) -> tuple[Callable, Callable]:
-        """(tmul, resid) on this lattice's values, made once per lattice."""
-        return operations(self.kind, self.bottom, self.top)
+    # These check both arguments, so that a stray value fails loudly; tmul
+    # and resid then run on the lattice's identity Carrier. The constructions
+    # and the vector algebra never call them: they run on a Carrier directly.
 
     def meet(self, x: Value, y: Value) -> Value:
         return min(self.check(x), self.check(y))
@@ -227,15 +221,15 @@ class Lattice(Record):
     def tmul(self, x: Value, y: Value) -> Value:
         """Multiplication: min for godel, product for goguen, and the truncated
         sum max(x + y - top, 0) for lukasiewicz, boolean and chains."""
-        return self._ops[0](self.check(x), self.check(y))
+        return Carrier.identity(self).tmul(self.check(x), self.check(y))
 
     def resid(self, x: Value, y: Value) -> Value:
         """Residuum, the largest z with tmul(x, z) <= y."""
-        return self._ops[1](self.check(x), self.check(y))
+        return Carrier.identity(self).resid(self.check(x), self.check(y))
 
     def biresid(self, x: Value, y: Value) -> Value:
         """Biresiduum resid(x, y) meet resid(y, x); equals 1 iff x == y."""
-        x, y, resid = self.check(x), self.check(y), self._ops[1]
+        x, y, resid = self.check(x), self.check(y), Carrier.identity(self).resid
         return min(resid(x, y), resid(y, x))
 
 
@@ -255,6 +249,42 @@ def operations(kind: str, bottom, top) -> tuple[Callable, Callable]:
     # one sum, not two: a Fraction sum costs microseconds
     return (lambda x, y: s if (s := x + y - top) > bottom else bottom,
             lambda x, y: top if x <= y else top - x + y)
+
+
+def _same(x):
+    return x
+
+
+class Carrier:
+    """The values of one construction encoded once, with tmul and resid bound.
+
+    Codes are compared, hashed and combined as bare values; join and meet
+    are max and min, because every structure is a chain. tmul and resid are
+    operations() on the codes' ends. identity makes the carrier whose codes
+    are the values themselves, which the scalar operations and the vector
+    algebra run on, and closure.carrier_of the one a construction encodes
+    its values in. encode and decode map one value; decode returns the
+    lattice's own type, a Fraction on the rational lattices and an int on chains.
+    """
+
+    __slots__ = ("lattice", "bottom", "top", "tmul", "resid", "encode", "decode")
+
+    def __init__(self, lattice: Lattice, bottom, top, encode: Callable, decode: Callable):
+        self.lattice, self.bottom, self.top = lattice, bottom, top
+        self.tmul, self.resid = operations(lattice.kind, bottom, top)
+        self.encode, self.decode = encode, decode
+
+    @classmethod
+    @cache
+    def identity(cls, lattice: Lattice) -> "Carrier":
+        """The lattice's values as their own codes, made once per lattice."""
+        return cls(lattice, lattice.bottom, lattice.top, _same, _same)
+
+    def codes(self, entries: Iterable[Value]) -> tuple:
+        return tuple(map(self.encode, entries))
+
+    def values(self, codes: Iterable) -> tuple[Value, ...]:
+        return tuple(map(self.decode, codes))
 
 
 def _read_int(digits: str) -> int:

@@ -5,13 +5,13 @@ detcli loads this module only when --psi names a file, and psi_d_automaton
 only when it is given a psi matrix.
 """
 
-from .algebra import DEFAULT_CAP, Carrier, FuzzyMatrix, _pairs, _same_lattice, _sup_product
+from .algebra import DEFAULT_CAP, FuzzyMatrix, _carrier, _pairs, _sup_product
 from .automata import FuzzyAutomaton
 from .determinize import DetOutcome, _Run
 from .errors import (DimensionMismatch, FormatError, LatticeMismatch, PsiNotLeftInvariant,
                      PsiNotReflexive)
 from .formats import _matrix, _tokenize
-from .lattice import Lattice, Record, _write
+from .lattice import Carrier, Lattice, Record, _write
 
 
 def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
@@ -30,10 +30,9 @@ def _compose(c: Carrier, a_rows, b_rows) -> tuple:
 
 def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
     """Sup-multiplication product: (a∘b)[i][j] = join_k tmul(a[i][k], b[k][j])."""
-    _same_lattice(a, b)
+    c = _carrier(a, b)
     if a.n_cols != b.n_rows:
         raise DimensionMismatch(f"cannot compose {a.n_cols} columns with {b.n_rows} rows")
-    c = Carrier.identity(a.lattice)
     return FuzzyMatrix._derived(a.lattice, _compose(c, a.entries, b.entries))
 
 

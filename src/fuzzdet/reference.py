@@ -22,15 +22,14 @@ from fractions import Fraction
 
 from .algebra import (
     DEFAULT_CAP,
-    Carrier,
     FuzzyMatrix,
     FuzzyVector,
+    _carrier,
     _pairs,
     _residual_meet,
-    _same_lattice,
     _sup_product,
 )
-from .automata import FuzzyAutomaton
+from .automata import FuzzyAutomaton, symbols
 from .errors import DimensionMismatch
 from .formats import _quote
 from .lattice import Lattice, Record, Value, _write
@@ -41,10 +40,9 @@ from .lattice import Lattice, Record, Value, _write
 
 def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
     """Matrix times column vector under sup-multiplication."""
-    _same_lattice(m, g)
+    c = _carrier(m, g)
     if m.n_cols != len(g):
         raise DimensionMismatch(f"{m.n_cols} columns against vector of length {len(g)}")
-    c = Carrier.identity(m.lattice)
     return FuzzyVector._derived(m.lattice, _sup_product(c, _pairs(c, m.entries), g.entries))
 
 
@@ -53,10 +51,9 @@ def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
 
     Equals top exactly when f <= g pointwise.
     """
-    _same_lattice(f, g)
+    c = _carrier(f, g)
     if len(f) != len(g):
         raise DimensionMismatch(f"inclusion of lengths {len(f)} and {len(g)}")
-    c = Carrier.identity(f.lattice)
     return _residual_meet(c, _pairs(c, (f.entries,)), g.entries)[0]
 
 
@@ -113,7 +110,7 @@ def tree_vertices(tree: "TransitionTree") -> list[TreeVertex]:
 def cdfa_evaluate(c: "Cdfa", word: Sequence[str]) -> Value:
     """Run the deterministic table and read off the terminal degree."""
     state = c.initial
-    for x in word:
+    for x in symbols(word):
         state = c.step(state, x)
     return c.terminal[state]
 

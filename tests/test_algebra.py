@@ -273,11 +273,14 @@ def test_which_fault_a_matrix_names_first():
 
 
 def test_lattice_mismatch_errors():
-    godel_vec = FuzzyVector.from_values(GODEL, ["1", "0", "0"])
-    with pytest.raises(LatticeMismatch):
-        vec_mat(godel_vec, DELTA_X)
-    with pytest.raises(LatticeMismatch):
-        dot(godel_vec, TAU)
+    """Each operation checks its operands' lattices before their shapes."""
+    godel_vec = FuzzyVector.from_values(GODEL, ["1", "0"])
+    godel_mat = FuzzyMatrix.from_rows(GODEL, [["1", "0"], ["0", "1"]])
+    for op, a, b in ((vec_mat, godel_vec, DELTA_X), (dot, godel_vec, TAU),
+                     (mat_vec, godel_mat, TAU), (inclusion_degree, godel_vec, TAU),
+                     (mat_compose, godel_mat, DELTA_X)):
+        with pytest.raises(LatticeMismatch, match="^mixed lattices: godel vs goguen$"):
+            op(a, b)
 
 
 def test_closure_boolean_and_chain_close():

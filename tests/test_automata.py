@@ -25,6 +25,7 @@ from fuzzdet import (
     dot,
     evaluate,
     find_witness,
+    format_word,
     mat_compose,
     mat_vec,
     nerode,
@@ -66,6 +67,27 @@ def test_a_word_admits_only_plain_symbols(boolean3):
         with pytest.raises(UnknownSymbol) as err:
             read()
         assert str(err.value) == "symbol <S.X: 'x'> is not in the alphabet"
+
+
+def test_a_word_is_no_str():
+    """A str would read as its letters: over ("ab", "a", "b") the word ("ab",)
+    differs from ("a", "b"), so evaluate, cdfa_evaluate and format_word refuse
+    any str, a subclass or the empty str too."""
+    one, ab = [["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]
+    a = FuzzyAutomaton.build(BOOLEAN, ("ab", "a", "b"), ["1", "0"],
+                             {"ab": ab, "a": one, "b": one}, ["0", "1"])
+    c = d_automaton(a).cdfa
+    assert evaluate(a, ("ab",)) == cdfa_evaluate(c, ("ab",)) == 1
+    assert evaluate(a, ("a", "b")) == cdfa_evaluate(c, ("a", "b")) == 0
+
+    class Text(str):
+        pass
+
+    for word in ("ab", Text("ab"), ""):
+        for read in (lambda w: evaluate(a, w), lambda w: cdfa_evaluate(c, w), format_word):
+            with pytest.raises(UnknownSymbol) as err:
+                read(word)
+            assert str(err.value) == f"a word is a sequence of symbols, not the str {word!r}"
 
 
 def test_evaluate_matches_materialized_matrix_path():

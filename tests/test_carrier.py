@@ -1,6 +1,6 @@
 """Differential tests for the encoded carrier the constructions run on.
 
-Every construction encodes the values that enter it once (algebra.Carrier)
+Every construction encodes the values that enter it once (lattice.Carrier)
 and decodes at the cdfa boundary. Each method's cdfa is compared with
 support.oracle_cdfa, which grows FuzzyVectors from the definitions with the
 lattice's scalar operations. Cdfa equality cannot see a leaked code, since

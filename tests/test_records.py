@@ -1,6 +1,7 @@
 """The package's records: value equality, immutability, and no dataclasses or typing
 on import; the lazy package, and the modules each command loads."""
 
+import ast
 import importlib
 import pickle
 import pkgutil
@@ -265,7 +266,7 @@ def test_import_loads_no_submodule(python_child):
 # call loads, keyed by command, and "psi" for a call whose --psi names a file.
 # Without a bytecode cache each call compiles them, at about 12 µs a line
 # (2-core x86-64 host, Python 3.11).
-LINE_BUDGETS = {"eval": 1_105, "semiring": 1_311, "det": 1_904, "equiv": 1_904, "psi": 2_005}
+LINE_BUDGETS = {"eval": 1_102, "semiring": 1_308, "det": 1_900, "equiv": 1_900, "psi": 2_000}
 
 
 def _lines(module: str) -> int:
@@ -307,6 +308,35 @@ def test_no_submodule_is_named_like_an_export():
     modules = {m.name for m in pkgutil.iter_modules(fuzzdet.__path__)}
     assert "psi" in modules
     assert not modules & set(fuzzdet.__all__)
+
+
+def _unused_imports(source: str) -> set[str]:
+    """The names a module imports and never uses; a name inside a string
+    annotation, such as "Carrier", counts as used."""
+    imported, used, annotations = set(), set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for node in (n for a in annotations for n in ast.walk(a)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports("import os\nfrom x import A, B as C\ndef f(a: 'A') -> int: ...") \
+        == {"os", "C"}
+    package = Path(fuzzdet.__file__).parent
+    unused = {p.name: names for p in sorted(package.glob("*.py"))
+              if (names := _unused_imports(p.read_text(encoding="utf-8")))}
+    assert not unused
 
 
 def test_every_export_resolves_to_its_module_object():
