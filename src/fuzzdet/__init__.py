@@ -6,8 +6,8 @@ reverse Nerode, the minimal inclusion-degree construction, double
 reversal), a psi-glued generalization, a line-oriented document format and
 DOT export.
 
-Modules: lattice (the five structures, their operations and carrier),
-algebra (vectors, matrices, the sup-product), automata (fuzzy automata,
+Modules: lattice (the five structures, their operations and the carrier,
+which runs the sup-product), algebra (vectors, matrices), automata (fuzzy automata,
 evaluate), formats (documents, words), closure (value closure, preflight),
 determinize (the constructions, Cdfa, find_witness), psi (psi documents,
 mat_compose, the left invariance check, the psi-glued construction),

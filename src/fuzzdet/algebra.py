@@ -3,13 +3,12 @@
 Entries are exact lattice values, each checked once, as a caller builds a
 vector or matrix or as from_values and from_rows coerce it, and not again in
 results; every container carries its lattice and operations refuse to mix
-lattices. All five structures are chains, so every composition is one of two
-loops over plain tuples: the sup-product (_sup_product, join of tmul) and the
-implication meet (_residual_meet, meet of resid). Both skip the factors that
-cannot move the result and stop early at top or bottom. Both run on a
-lattice.Carrier: the public operations on their lattice's identity carrier
-(_carrier), on values checked when their container was built, and the
-constructions on their values encoded once (closure.carrier_of).
+lattices. Every composition is one of a lattice.Carrier's two loops over
+plain tuples, the sup-product (Carrier.product, join of tmul) and the
+implication meet (Carrier.implication, meet of resid): the public operations
+run on their lattice's identity carrier (_carrier), on values checked when
+their container was built, and the constructions on their values encoded
+once (closure.carrier_of).
 """
 
 from collections.abc import Iterable, Iterator
@@ -96,67 +95,12 @@ class FuzzyMatrix(Record):
         return self.entries[i]
 
 
-# -- the two loops --------------------------------------------------------
-#
-# c is a Carrier: bottom, top, tmul and resid over one chain, so that join
-# and meet are comparisons. A row is given as the (k, x) pairs of its
-# entries other than bottom (_pairs): a bottom entry moves neither loop,
-# and the rows the constructions use again and again are sparse.
-
-
-def _pairs(c: Carrier, rows) -> tuple:
-    """Each row as the (k, x) pairs of its entries other than bottom."""
-    bottom = c.bottom
-    return tuple(tuple((k, x) for k, x in enumerate(row) if x != bottom) for row in rows)
-
-
-def _sup_product(c: Carrier, rows, vec) -> tuple:
-    """(join_k tmul(x, vec[k]) over (k, x) in row, for each row)."""
-    bottom, top, tmul = c.bottom, c.top, c.tmul
-    out = []
-    for row in rows:
-        acc = bottom
-        for k, x in row:
-            y = vec[k]
-            if y == bottom:
-                continue
-            z = tmul(x, y)
-            if z > acc:
-                acc = z
-                if acc == top:
-                    break
-        out.append(acc)
-    return tuple(out)
-
-
-def _residual_meet(c: Carrier, rows, vec) -> tuple:
-    """(meet_k resid(x, vec[k]) over (k, x) in row, for each row).
-
-    resid(x, y) is top exactly when x <= y, so only x > y can lower the meet.
-    """
-    bottom, top, resid = c.bottom, c.top, c.resid
-    out = []
-    for row in rows:
-        acc = top
-        for k, x in row:
-            y = vec[k]
-            if x <= y:
-                continue
-            z = resid(x, y)
-            if z < acc:
-                acc = z
-                if acc == bottom:
-                    break
-        out.append(acc)
-    return tuple(out)
-
-
 def vec_mat(f: FuzzyVector, m: FuzzyMatrix) -> FuzzyVector:
     """Row vector times matrix under sup-multiplication."""
     c = _carrier(f, m)
     if len(f) != m.n_rows:
         raise DimensionMismatch(f"vector of length {len(f)} against {m.n_rows} rows")
-    return FuzzyVector._derived(f.lattice, _sup_product(c, _pairs(c, zip(*m.entries)), f.entries))
+    return FuzzyVector._derived(f.lattice, c.product(zip(*m.entries))(f.entries))
 
 
 def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
@@ -164,7 +108,7 @@ def dot(f: FuzzyVector, g: FuzzyVector) -> Value:
     c = _carrier(f, g)
     if len(f) != len(g):
         raise DimensionMismatch(f"dot of lengths {len(f)} and {len(g)}")
-    return _sup_product(c, _pairs(c, (f.entries,)), g.entries)[0]
+    return c.product((f.entries,))(g.entries)[0]
 
 
 DEFAULT_CAP = 10_000

@@ -41,18 +41,19 @@ implication meet of the mu_s against w_u, recovered once per state.
 
 Every construction runs on a Carrier (see lattice and closure.carrier_of):
 the values that enter it encoded once, so that its vectors are tuples of
-bare codes (ints on every lattice but Goguen) and its tmul and resid are
-bound for that automaton. Each ends in _Run.done, which decodes its tree
+bare codes (ints on every lattice but Goguen). Carrier.product makes its
+children and terminal degrees, and Carrier.implication its d vectors; the
+gather only permutes positions. Each ends in _Run.done, which decodes its tree
 through to_cdfa. Decoded values stay in the subsemiring that sigma, delta
 and tau generate, so their records are not checked again (Record._derived).
 """
 
 import time
 from collections.abc import Callable, Iterable, Iterator
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 
-from .algebra import DEFAULT_CAP, FuzzyMatrix, FuzzyVector, _pairs, _residual_meet, _sup_product
+from .algebra import DEFAULT_CAP, FuzzyMatrix, FuzzyVector
 from .automata import FuzzyAutomaton, Word, check_alphabet, symbol_index
 from .closure import automaton_values, carrier_of, require_cap
 from .errors import AlphabetMismatch, DimensionMismatch, LatticeMismatch
@@ -335,11 +336,10 @@ class _Run:
         Each matrix is given as its rows: nerode passes the columns of the
         delta_x, and the reverse trees the delta_x (psi-glued for psi_d_automaton).
         """
-        c = self.carrier
-        rows = [_pairs(c, m) for m in matrices]
-        terminal_row = _pairs(c, (terminal,))
-        return self.grow(root, lambda v: [_sup_product(c, r, v) for r in rows],
-                         lambda v: _sup_product(c, terminal_row, v)[0], prepend)
+        products = list(map(self.carrier.product, matrices))
+        degree = self.carrier.product((terminal,))
+        return self.grow(root, lambda v: [p(v) for p in products], lambda v: degree(v)[0],
+                         prepend)
 
     def reverse(self) -> TransitionTree | CapExceeded:
         """The reverse Nerode tree: root tau, x-children delta_x ∘ tau_u, terminal
@@ -359,9 +359,7 @@ class _Run:
         # itemgetter of one index returns the item, not a tuple; tuple(w) is w
         pick = [itemgetter(*col) if rn.n_states > 1 else tuple for col in zip(*rn.state_edges)]
         tree = self.grow(tuple(rn.terminal_codes), lambda w: [p(w) for p in pick], itemgetter(0))
-        c = self.carrier
-        recover = partial(_residual_meet, c, _pairs(c, zip(*rn.codes))) if d_vectors else None
-        return self.done(tree, recover)
+        return self.done(tree, self.carrier.implication(zip(*rn.codes)) if d_vectors else None)
 
     def done(self, tree: TransitionTree | CapExceeded,
              recover: Callable[[tuple], tuple] | None = None) -> DetOutcome:

@@ -260,7 +260,9 @@ class Carrier:
 
     Codes are compared, hashed and combined as bare values; join and meet
     are max and min, because every structure is a chain. tmul and resid are
-    operations() on the codes' ends. identity makes the carrier whose codes
+    operations() on the codes' ends. Every composition is one of two loops,
+    product (join of tmul) and implication (meet of resid), and only they
+    and Lattice's scalar operations call them. identity makes the carrier whose codes
     are the values themselves, which the scalar operations and the vector
     algebra run on, and closure.carrier_of the one a construction encodes
     its values in. encode and decode map one value; decode returns the
@@ -280,11 +282,63 @@ class Carrier:
         """The lattice's values as their own codes, made once per lattice."""
         return cls(lattice, lattice.bottom, lattice.top, _same, _same)
 
+    def product(self, rows: Iterable[Iterable]) -> Callable[[tuple], tuple]:
+        """v -> (join_k tmul(row[k], v[k]) for each row), rows read once.
+
+        A row keeps the (k, x) pairs of its entries other than bottom, which
+        move no join: the rows a construction reuses per state are sparse.
+        A bottom v[k] is skipped too, and a row stops at top.
+        """
+        bottom, top, tmul = self.bottom, self.top, self.tmul
+        pairs = _sparse(rows, bottom)
+
+        def product(v: tuple) -> tuple:
+            out = []
+            for row in pairs:
+                acc = bottom
+                for k, x in row:
+                    y = v[k]
+                    if y != bottom and (z := tmul(x, y)) > acc:
+                        acc = z
+                        if z == top:
+                            break
+                out.append(acc)
+            return tuple(out)
+        return product
+
+    def implication(self, rows: Iterable[Iterable]) -> Callable[[tuple], tuple]:
+        """v -> (meet_k resid(row[k], v[k]) for each row), rows read as product reads them.
+
+        resid(x, y) is top exactly when x <= y, so only x > y can lower the
+        meet, a bottom x never; a row stops at bottom.
+        """
+        bottom, top, resid = self.bottom, self.top, self.resid
+        pairs = _sparse(rows, bottom)
+
+        def implication(v: tuple) -> tuple:
+            out = []
+            for row in pairs:
+                acc = top
+                for k, x in row:
+                    y = v[k]
+                    if x > y and (z := resid(x, y)) < acc:
+                        acc = z
+                        if z == bottom:
+                            break
+                out.append(acc)
+            return tuple(out)
+        return implication
+
     def codes(self, entries: Iterable[Value]) -> tuple:
         return tuple(map(self.encode, entries))
 
     def values(self, codes: Iterable) -> tuple[Value, ...]:
         return tuple(map(self.decode, codes))
+
+
+def _sparse(rows: Iterable[Iterable], bottom) -> tuple:
+    """Each row as the (k, x) pairs of its entries other than bottom."""
+    return tuple(tuple((k, x) for k, x in enumerate(row) if x != bottom) for row in rows)
 
 
 def _read_int(digits: str) -> int:

@@ -1,11 +1,12 @@
 """Everything about a psi relation: its matrix document, composition, the
 left invariance check and the psi-glued construction, which checks psi and
-composes psi ∘ delta_x once, on the construction's own _Run and codes.
+composes psi ∘ delta_x once, by Carrier.product on the construction's own
+_Run and codes.
 detcli loads this module only when --psi names a file, and psi_d_automaton
 only when it is given a psi matrix.
 """
 
-from .algebra import DEFAULT_CAP, FuzzyMatrix, _carrier, _pairs, _sup_product
+from .algebra import DEFAULT_CAP, FuzzyMatrix, _carrier
 from .automata import FuzzyAutomaton
 from .determinize import DetOutcome, _Run
 from .errors import (DimensionMismatch, FormatError, LatticeMismatch, PsiNotLeftInvariant,
@@ -24,8 +25,7 @@ def parse_matrix(text: str, lattice: Lattice, n: int) -> FuzzyMatrix:
 
 def _compose(c: Carrier, a_rows, b_rows) -> tuple:
     """Rows of the sup-product a ∘ b: each row of a against the columns of b."""
-    cols = _pairs(c, zip(*b_rows))
-    return tuple(_sup_product(c, cols, row) for row in a_rows)
+    return tuple(map(c.product(zip(*b_rows)), a_rows))
 
 
 def mat_compose(a: FuzzyMatrix, b: FuzzyMatrix) -> FuzzyMatrix:
@@ -96,5 +96,5 @@ def _psi_d_automaton(a: FuzzyAutomaton, psi: FuzzyMatrix, cap: int) -> DetOutcom
             raise PsiNotReflexive(f"psi[{i + 1},{i + 1}] = {_write(psi.row(i)[i])}, expected top")
     if violation is not None:
         raise PsiNotLeftInvariant(str(violation))
-    rn = run.sup_tree(_sup_product(c, _pairs(c, p), run.tau), glued, run.sigma, True)
+    rn = run.sup_tree(c.product(p)(run.tau), glued, run.sigma, True)
     return run.forward(rn, True)

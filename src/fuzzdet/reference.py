@@ -3,7 +3,7 @@
 The package exports every public name here, and no command imports this
 module, so `python -m fuzzdet` compiles none of it:
   - the algebra on lattice values that the constructions do not use:
-    mat_vec and inclusion_degree;
+    mat_vec and inclusion_degree, on the identity Carrier's two loops;
   - the reverse Nerode tree on its own, reverse_nerode_tree, and a
     transition tree's vertex list, TreeVertex and tree_vertices, which
     TransitionTree.vertices returns;
@@ -20,15 +20,7 @@ live in the tests' support module, not here.
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import (
-    DEFAULT_CAP,
-    FuzzyMatrix,
-    FuzzyVector,
-    _carrier,
-    _pairs,
-    _residual_meet,
-    _sup_product,
-)
+from .algebra import DEFAULT_CAP, FuzzyMatrix, FuzzyVector, _carrier
 from .automata import FuzzyAutomaton, symbols
 from .errors import DimensionMismatch
 from .formats import _quote
@@ -43,7 +35,7 @@ def mat_vec(m: FuzzyMatrix, g: FuzzyVector) -> FuzzyVector:
     c = _carrier(m, g)
     if m.n_cols != len(g):
         raise DimensionMismatch(f"{m.n_cols} columns against vector of length {len(g)}")
-    return FuzzyVector._derived(m.lattice, _sup_product(c, _pairs(c, m.entries), g.entries))
+    return FuzzyVector._derived(m.lattice, c.product(m.entries)(g.entries))
 
 
 def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
@@ -54,7 +46,7 @@ def inclusion_degree(f: FuzzyVector, g: FuzzyVector) -> Value:
     c = _carrier(f, g)
     if len(f) != len(g):
         raise DimensionMismatch(f"inclusion of lengths {len(f)} and {len(g)}")
-    return _residual_meet(c, _pairs(c, (f.entries,)), g.entries)[0]
+    return c.implication((f.entries,))(g.entries)[0]
 
 
 # -- the transition tree, and its vertices ----------------------------------

@@ -144,7 +144,7 @@ def _parse(command: str, names: tuple, flags: dict, argv: list[str]) -> tuple:
         i += 1
         if token == "--" and not dashed:
             dashed = True
-            if not (taken or todo and i < len(argv)):
+            if not (taken or todo):
                 extras.append(token)
             continue
         option = None if dashed else _option(token, options, command)

@@ -157,6 +157,28 @@ def test_where_argparse_versions_differ(argv, want):
     assert _quiet(lambda a: vars(cli.parse_args(a)), argv)[0] == want
 
 
+# A '--' after every positional: argparse drops it after a positional, and
+# keeps it as an extra after an option or an earlier '--'; each error here is
+# the one the oracle prints.
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "F", "x", "--"], None),
+    (["det", "F", "--"], None),
+    (["semiring", "F", "--"], None),
+    (["equiv", "F", "G", "--"], None),
+    (["eval", "--", "F", "x", "--"], "unrecognized arguments: --"),
+    (["det", "F", "--stats", "--", "x"], "unrecognized arguments: -- x"),
+])
+def test_trailing_double_dash(capsys, argv, error):
+    want = _quiet(lambda a: vars(build_parser().parse_args(a)), argv)[0]
+    if error is None:
+        want.pop("handler")
+    for read in (cli.parse_args, usage.read_argv):
+        assert _quiet(lambda a: vars(read(a)), argv)[0] == want, read
+    if error is not None:
+        assert want == 2 and cli.main(argv) == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {error}")
+
+
 GOLDEN = json.loads((DATA / "usage_errors.json").read_text(encoding="utf-8"))
 
 

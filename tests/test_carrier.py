@@ -11,7 +11,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from fuzzdet import (
     BOOLEAN,
@@ -204,7 +204,12 @@ def test_public_reverse_tree_is_decoded():
 
 def test_carrier_operations_match_the_lattice():
     """On every pair from a finite closure, the coded operations decode to the
-    lattice's, and the codes keep the order of the values."""
+    lattice's, and the codes keep the order of the values. The two loops on
+    codes decode to the folds of the lattice's operations: product to the
+    join of tmul and implication to the meet of resid, row by row, on rows
+    that are all bottom, all top or drawn; v's top and bottom at its head stop
+    the all-top row's loops early."""
+    rng = random.Random(1911)
     for lattice, pool, psi_pool in CASES:
         closure = semiring_closure(lattice, pool + psi_pool, 200)
         values = sorted(closure.values) if closure.closed else sorted({*pool, *psi_pool})
@@ -217,3 +222,14 @@ def test_carrier_operations_match_the_lattice():
             assert c.decode(c.resid(cx, cy)) == lattice.resid(x, y)
         assert c.decode(c.bottom) == lattice.bottom
         assert c.decode(c.top) == lattice.top
+        codes = [c.bottom, c.top, *map(c.encode, values)]
+        rows = [(c.bottom,) * 5, (c.top,) * 5,
+                *(tuple(rng.choice(codes) for _ in range(5)) for _ in range(4))]
+        v = (c.top, c.bottom, *(rng.choice(codes) for _ in range(3)))
+        kind = type(lattice.top)
+        for loop, fold, tie, start in ((c.product, lattice.join, lattice.tmul, lattice.bottom),
+                                       (c.implication, lattice.meet, lattice.resid, lattice.top)):
+            got = c.values(loop(rows)(v))
+            want = tuple(reduce(fold, map(tie, c.values(row), c.values(v)), start)
+                         for row in rows)
+            assert got == want and all(type(x) is kind for x in got), (lattice, loop)

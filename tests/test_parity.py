@@ -1,8 +1,9 @@
 """A recorded parity corpus: the exact outputs of valid calls, pinned.
 
 The corpus holds, each run in process:
-- every call of the bench's three workloads at seeds 1 and 2, drawn
-  read-only through bench/workloads.py, with each DOT file it writes;
+- every call of the three recorded bench workloads (WORKLOADS) at seeds 1
+  and 2, drawn read-only through bench/workloads.py, with each DOT file it
+  writes; a workload the bench adds later is not in the corpus;
 - both fixtures through eval, semiring, and det by every method, plain,
   with --stats, --dot -, --max-states 3 and a ψ file;
 - equiv pairs that are equal, unequal and capped;
@@ -43,6 +44,7 @@ from test_fuzz import recorded, run
 
 PARITY = DATA / "parity_outputs.json"
 BENCH = Path(__file__).parent.parent / "bench"
+WORKLOADS = ("cli_mixed", "det_random", "det_blowup")
 SEEDS = (1, 2)
 FIXTURES = ("boolean3", "goguen3")
 WORDS = ("_", "x", "x.y", "y.y.x", "x.x.y.y", "q")
@@ -71,7 +73,7 @@ def _bench_calls(tmp_path):
             FuzzyAutomaton.build(lattice, doc.alphabet, doc.sigma, doc.delta, doc.tau))
 
     fixtures = {f: (DATA / f"{f}.fza").read_text(encoding="utf-8") for f in FIXTURES}
-    for name in workloads.BUILDERS:
+    for name in WORKLOADS:
         for seed in SEEDS:
             out = tmp_path / f"{name}-{seed}"
             out.mkdir()
