@@ -5,13 +5,12 @@ parent of a one-commit change; the working tree counts too), and makes every
 mutant of each changed line: a comparison or arithmetic operator swapped,
 `and` and `or` swapped, or an int literal raised by 1. Each mutant runs the
 tier-1 tests once, with -x, in a temporary copy of the tree; it is killed
-when they fail or time out. Prints the seed, then each mutant as killed or
-survived, then the score. From the repository's root:
+when they fail or time out. Prints each mutant as killed or survived, then
+the score; nothing is drawn at random. From the repository's root:
 
-    python tests/mutants.py [--base REV] [--line FILE:LINE ...] [--sample N] [--seed S]
+    python tests/mutants.py [--base REV] [--line FILE:LINE ...]
 
---line mutates the named lines instead of the diff's, and --sample draws N
-of the mutants with the seed (a random one unless given). No run writes
+--line mutates the named lines instead of the diff's. No run writes
 bytecode, and every run is in the copy, so the repository's src/ gets no
 __pycache__. Tier-1 does not collect this file: it is not named test_*.
 """
@@ -19,7 +18,6 @@ __pycache__. Tier-1 does not collect this file: it is not named test_*.
 import argparse
 import ast
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -146,8 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD~1", help="the revision to diff against")
     parser.add_argument("--line", action="append", default=[], metavar="FILE:LINE",
                         help="mutate this line instead of the diff's (repeatable)")
-    parser.add_argument("--sample", type=int, help="run this many mutants, drawn with the seed")
-    parser.add_argument("--seed", type=int, default=random.randrange(2**32))
     args = parser.parse_args(argv)
     if args.line:
         wanted: dict[str, set[int]] = {}
@@ -158,9 +154,6 @@ def main(argv: list[str] | None = None) -> int:
         wanted = changed_lines(args.base)
     found = [m for path, lines in sorted(wanted.items())
              for m in mutants(path, (ROOT / path).read_text(encoding="utf-8"), lines)]
-    print(f"seed {args.seed}")
-    if args.sample is not None and args.sample < len(found):
-        found = sorted(random.Random(args.seed).sample(found, args.sample))
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp)
         copy_tree(tree)

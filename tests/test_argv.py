@@ -142,6 +142,8 @@ def _defaults(command, **given):
 
 # Where argparse reads a command line differently from one Python version to
 # the next, the reader follows 3.13.13, but for -h joined to other letters.
+# The last four rows read alike on every version: a '--' after every
+# positional is dropped (usage_errors.json pins where it is an extra).
 @pytest.mark.parametrize("argv, want", [
     (["det", "F", "-h", "--m", "incl"], 0),  # 3.10 to 3.13.0: 2, the ambiguity first
     (["det", "F", "--m", "incl", "-h"], 2),
@@ -152,31 +154,13 @@ def _defaults(command, **given):
     (["semiring", "F", "--cap=--"], 2),  # 3.10 to 3.12: [], no error
     (["eval", "F", "--", "--"], _defaults("eval", file="F", word="--")),  # to 3.13.0: []
     (["--", "eval", "F", "_"], _defaults("eval", file="F", word="_")),  # 3.13.0 and before: 2
+    (["eval", "F", "x", "--"], _defaults("eval", file="F", word="x")),
+    (["det", "F", "--"], _defaults("det", file="F")),
+    (["semiring", "F", "--"], _defaults("semiring", file="F")),
+    (["equiv", "F", "G", "--"], _defaults("equiv", file1="F", file2="G")),
 ])
 def test_where_argparse_versions_differ(argv, want):
     assert _quiet(lambda a: vars(cli.parse_args(a)), argv)[0] == want
-
-
-# A '--' after every positional: argparse drops it after a positional, and
-# keeps it as an extra after an option or an earlier '--'; each error here is
-# the one the oracle prints.
-@pytest.mark.parametrize("argv, error", [
-    (["eval", "F", "x", "--"], None),
-    (["det", "F", "--"], None),
-    (["semiring", "F", "--"], None),
-    (["equiv", "F", "G", "--"], None),
-    (["eval", "--", "F", "x", "--"], "unrecognized arguments: --"),
-    (["det", "F", "--stats", "--", "x"], "unrecognized arguments: -- x"),
-])
-def test_trailing_double_dash(capsys, argv, error):
-    want = _quiet(lambda a: vars(build_parser().parse_args(a)), argv)[0]
-    if error is None:
-        want.pop("handler")
-    for read in (cli.parse_args, usage.read_argv):
-        assert _quiet(lambda a: vars(read(a)), argv)[0] == want, read
-    if error is not None:
-        assert want == 2 and cli.main(argv) == 2
-        assert capsys.readouterr().err.rstrip().endswith(f"error: {error}")
 
 
 GOLDEN = json.loads((DATA / "usage_errors.json").read_text(encoding="utf-8"))
