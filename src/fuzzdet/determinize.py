@@ -36,8 +36,9 @@ where mu_x is the glued x-child of mu in the reverse tree.
 The last three share one forward phase, an index gather over the reverse
 table: with v_s a word of reverse state s, w_u[s] = d_u ∘ mu_s = L(u v_s), so
 w_eps is the reverse terminal column, w_{ux}[s] = w_u[edge(s, x)] and
-L(u) = w_u[0]. Words glue exactly when their d vectors do, and d_u is the
-implication meet of the mu_s against w_u, recovered once per state.
+L(u) = w_u[0]. Words glue exactly when their d vectors do, so d_automaton and
+psi_d_automaton glue on w_u, then recode each state by d_u, the implication
+meet of the mu_s against w_u: a tree's codes are the vectors its cdfa carries.
 
 Every construction runs on a Carrier (see lattice and closure.carrier_of):
 the values that enter it encoded once, so that its vectors are tuples of
@@ -222,8 +223,8 @@ class DetOutcome(Record):
 class TransitionTree:
     """A transition tree as its glued state table; vertices lists the tree.
 
-    codes and terminal_codes hold each state's vector and terminal degree in
-    the carrier's encoding; state_vectors and state_terminals decode them.
+    codes and terminal_codes hold each state's vector, its cdfa's, and terminal
+    degree in the carrier's encoding; state_vectors and state_terminals decode them.
     state_edges[s][i] is s's target under symbol i; makers are _bfs's. Words
     grow on the left when prepend. A plain object, equal only to itself, as
     its Carrier is: compare two trees by their state_vectors or to_cdfa().
@@ -252,41 +253,35 @@ class TransitionTree:
 
     @cached_property
     def state_vectors(self) -> list[FuzzyVector]:
-        return [self._decoded(v) for v in self.codes]
+        lattice, values = self.carrier.lattice, self.carrier.values
+        return [FuzzyVector._derived(lattice, values(v)) for v in self.codes]
 
     @cached_property
     def state_terminals(self) -> list[Value]:
         return list(self.carrier.values(self.terminal_codes))
 
-    def _decoded(self, codes: tuple) -> FuzzyVector:
-        return FuzzyVector._derived(self.carrier.lattice, self.carrier.values(codes))
-
     def canonical_words(self) -> list[Word]:
         """Shortlex-least word per state over all words.
 
         made[t], made[s] grown by x for the edge s -> t under x that made t, is least grown
-        on the right. Grown on the left, least[t] is the least (x,) + least[s] over edges
-        s -> t under x with s one shorter, each s before t, so least[s] is final when read.
+        on the right. Grown on the left, made[t] drops in place to the least (x,) + made[s]
+        over edges s -> t under x with s one shorter, each s before t, so made[s] is final.
         """
         made = _words(self.makers, self.alphabet, self.prepend)
         if not self.prepend:
             return made
         rank = {x: i for i, x in enumerate(self.alphabet)}
-        least = list(made)
         for s, row in enumerate(self.state_edges):
             for x, t in zip(self.alphabet, row):
-                if len(least[s]) + 1 == len(made[t]):
-                    least[t] = min(least[t], (x,) + least[s], key=lambda w: [rank[y] for y in w])
-        return least
+                if len(made[s]) + 1 == len(made[t]):
+                    made[t] = min(made[t], (x,) + made[s], key=lambda w: [rank[y] for y in w])
+        return made
 
-    def to_cdfa(self, vectors: Iterable[tuple] | None = None) -> Cdfa:
-        """The glued table as a cdfa, with state_terminals and state_vectors.
-
-        vectors are the cdfa's state vectors as codes, state_vectors by default.
-        """
+    def to_cdfa(self) -> Cdfa:
+        """The glued table as a cdfa: state_terminals, canonical_words() and state_vectors."""
         return Cdfa._derived(self.carrier.lattice, self.alphabet, tuple(self.state_edges), 0,
                     tuple(self.state_terminals), tuple(self.canonical_words()),
-                    tuple(self.state_vectors if vectors is None else map(self._decoded, vectors)))
+                    tuple(self.state_vectors))
 
 
 class _Run:
@@ -350,23 +345,22 @@ class _Run:
         """The index gather over a reverse tree rn, as the outcome.
 
         w_eps is rn's terminal column, w_{ux}[s] = w_u[edge(s, x)] and the
-        terminal degree is w_u[0]; words grow on the right. The state
-        vectors are the w, or with d_vectors the d vectors done recovers
-        from w: the implication meet of the reverse states' columns against w.
+        terminal degree is w_u[0]; words grow on the right. With d_vectors, the glued
+        tree's codes become d_u, with d_u(a) the meet over rn's states of mu_s(a) -> w_u[s].
         """
         if isinstance(rn, CapExceeded):
             return self.done(rn)
         # itemgetter of one index returns the item, not a tuple; tuple(w) is w
         pick = [itemgetter(*col) if rn.n_states > 1 else tuple for col in zip(*rn.state_edges)]
         tree = self.grow(tuple(rn.terminal_codes), lambda w: [p(w) for p in pick], itemgetter(0))
-        return self.done(tree, self.carrier.implication(zip(*rn.codes)) if d_vectors else None)
+        if d_vectors and isinstance(tree, TransitionTree):
+            tree.codes = list(map(self.carrier.implication(zip(*rn.codes)), tree.codes))
+        return self.done(tree)
 
-    def done(self, tree: TransitionTree | CapExceeded,
-             recover: Callable[[tuple], tuple] | None = None) -> DetOutcome:
-        """Every construction's end: tree's cdfa, whose state vectors are recover(codes)
-        if given, or its cap report; then the clock, so that elapsed covers decoding."""
+    def done(self, tree: TransitionTree | CapExceeded) -> DetOutcome:
+        """Every construction's end: tree's cdfa or its cap report, timed after decoding."""
         if not isinstance(tree, CapExceeded):
-            tree = tree.to_cdfa(recover and map(recover, tree.codes))
+            tree = tree.to_cdfa()
         elapsed = time.perf_counter() - self.t0
         return DetOutcome(tree, BuildStats(self.vertices, self.checks, elapsed))
 

@@ -183,16 +183,6 @@ def moore_classes(transitions, terminals):
         cls = refined
 
 
-def subset_accepts(a, word):
-    """Boolean word acceptance straight off the subset automaton."""
-    transitions, accepting = subset_dfa(a)
-    sym_index = {x: i for i, x in enumerate(a.alphabet)}
-    s = 0
-    for x in word:
-        s = transitions[s][sym_index[x]]
-    return accepting[s]
-
-
 def boolean_accepts_from(a, start, word):
     """Set-walk acceptance of a boolean automaton from an explicit state set."""
     n = a.n

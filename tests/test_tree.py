@@ -66,7 +66,7 @@ def test_reverse_tree_vertices_match_breadth_first_oracle(goguen3):
 class _TreeRun(determinize._Run):
     """A construction run that hands back its last tree instead of decoding it."""
 
-    def done(self, tree, recover=None):
+    def done(self, tree):
         return tree
 
 
